@@ -17,7 +17,7 @@ from .construction import (
     design_code,
     make_code_spec,
 )
-from .decoding import BpConfig, DecodeResult, bp_decode, combine_llrs, compute_fber, ml_decode_oracle
+from .decoding import BpConfig, DecodeResult, bp_decode, combine_llrs, ml_decode_oracle
 from .encoding import (
     AllocationMeter,
     StorageAccount,

@@ -124,6 +124,7 @@ def _cmd_decode(args) -> int:
         "info_hex": bits_to_hex(result.info_bits),
         "fber": result.fber,
         "iterations": result.iterations_used,
+        "stop_reason": result.stop_reason,
         "converged": result.converged,
     }, sort_keys=True))
     return 0

@@ -28,7 +28,6 @@ __all__ = [
     "BpConfig",
     "DecodeResult",
     "bp_decode",
-    "compute_fber",
     "combine_llrs",
     "ml_decode_oracle",
 ]
@@ -46,7 +45,11 @@ class BpConfig:
     its numerically stable log form); 'minsum' uses the sign-min
     approximation.  early_stop 'frozen' stops once every frozen position's
     extrinsic decision agrees with the known zero; 'crc' additionally
-    requires crc_check(info_bits) to pass; 'none' always runs max_iters.
+    requires crc_check(info_bits) to pass; 'none' applies no decision rule.
+    In every mode the decoder also stops at an exact fixed point, an
+    iteration that leaves its messages bit-identical, because every later
+    iteration would repeat it; results equal those of running on to
+    max_iters.  crc_check must therefore be a pure function of its input.
     """
 
     max_iters: int = 60
@@ -72,6 +75,11 @@ class DecodeResult:
     The two coincide for unpunctured inputs, but puncturing leaves most
     frozen pilots unobservable (they tie to 0), so rate estimation on a
     punctured mother code must use the observed variant.
+
+    iterations_used counts the iterations actually computed.  stop_reason
+    says why the loop ended: 'frozen' or 'crc' when the early-stop rule
+    fired (converged is then true), 'fixed_point' when an iteration left
+    the messages bit-identical, and 'max_iters' when the budget ran out.
     """
 
     info_bits: np.ndarray
@@ -80,6 +88,7 @@ class DecodeResult:
     fber_observed: float
     iterations_used: int
     converged: bool
+    stop_reason: str
     u_posterior: np.ndarray = field(repr=False, default=None)
 
 
@@ -157,6 +166,10 @@ def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig()) -> DecodeResult:
     right = np.zeros((n_log2 + 1, n))  # rightward messages into each layer
     right[0, spec.frozen_set] = FROZEN_PRIOR_LLR
     left[n_log2] = llrs
+    # the only state one iteration hands the next: left is recomputed from
+    # it, left[n_log2] and right[0] are constants, right[n_log2] is unread
+    state = right[1:n_log2]
+    prev_state = np.empty_like(state)
 
     def info_from(u_post):
         # systematic read-out: hard-decide u at the info positions (frozen
@@ -167,8 +180,10 @@ def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig()) -> DecodeResult:
 
     iterations = 0
     converged = False
+    stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
         iterations += 1
+        np.copyto(prev_state, state)
         for s in range(n_log2 - 1, -1, -1):
             p, q = pairs[s]
             lp, lq = left[s + 1, p], left[s + 1, q]
@@ -184,11 +199,17 @@ def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig()) -> DecodeResult:
 
         if cfg.early_stop != "none":
             frozen_ok = bool(np.all(left[0, spec.frozen_set] >= 0.0))
-            if frozen_ok and cfg.early_stop == "crc" and cfg.crc_check is not None:
+            by_crc = cfg.early_stop == "crc" and cfg.crc_check is not None
+            if frozen_ok and by_crc:
                 frozen_ok = bool(cfg.crc_check(info_from(left[0] + right[0])))
             if frozen_ok:
                 converged = True
+                stop_reason = "crc" if by_crc else "frozen"
                 break
+        # compared as bits, so a sign flip of a zero also counts as a change
+        if np.array_equal(prev_state.view(np.uint64), state.view(np.uint64)):
+            stop_reason = "fixed_point"
+            break
 
     u_posterior = left[0] + right[0]
     info_bits = info_from(u_posterior)
@@ -206,17 +227,9 @@ def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig()) -> DecodeResult:
         fber_observed=fber_observed,
         iterations_used=iterations,
         converged=converged,
+        stop_reason=stop_reason,
         u_posterior=u_posterior,
     )
-
-
-def compute_fber(result: DecodeResult, spec: CodeSpec) -> float:
-    """Fraction of frozen positions whose prior-free decision disagrees with 0."""
-    if result.frozen_hard.shape != (spec.n - spec.k,):
-        raise ValueError("result does not match spec")
-    if result.frozen_hard.size == 0:
-        return 0.0
-    return float(np.count_nonzero(result.frozen_hard)) / result.frozen_hard.size
 
 
 def combine_llrs(frames) -> np.ndarray:

@@ -65,7 +65,8 @@ def polar_transform(u) -> np.ndarray:
     """Apply the butterfly circuit x = u . G_N without materializing G_N.
 
     The transform is an involution over GF(2): applying it twice returns the
-    input.  O(N log N) XORs on a copy of the input.
+    input.  O(N log N) XORs on a copy of the input, one vectorized XOR per
+    stage.
     """
     x = np.array(u, dtype=np.uint8, copy=True)
     n = x.size
@@ -73,8 +74,9 @@ def polar_transform(u) -> np.ndarray:
         raise ValueError(f"length must be a power of two, got {n}")
     step = 1
     while step < n:
-        for base in range(0, n, 2 * step):
-            x[base:base + step] ^= x[base + step:base + 2 * step]
+        # each row is one block of 2*step: top half ^= bottom half, in place
+        blocks = x.reshape(-1, 2, step)
+        blocks[:, 0] ^= blocks[:, 1]
         step <<= 1
     return x
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from .construction import CodeSpec, design_code
 from .decoding import BpConfig, bp_decode, combine_llrs
-from .encoding import encode_systematic
 
 __all__ = [
     "RATE_TABLE",
@@ -232,20 +231,33 @@ def _length_code(k: int) -> int:
     return ((k // 8) - 1) % 16
 
 
-def tag_stage1(info, plan: SessionPlan) -> Frame:
-    """Encode once, send info plus the first scheduled parity, CRC appended."""
-    info = np.asarray(info, dtype=np.uint8)
-    codeword = encode_systematic(info, plan.spec)
+def _session_codeword(codeword, plan: SessionPlan) -> np.ndarray:
+    codeword = np.asarray(codeword, dtype=np.uint8)
+    if codeword.shape != (plan.n_mother,):
+        raise ValueError(f"codeword must have length {plan.n_mother}, got shape {codeword.shape}")
+    return codeword
+
+
+def tag_stage1(codeword, plan: SessionPlan) -> Frame:
+    """Send info plus the first scheduled parity, CRC of the info appended.
+
+    ``codeword`` is the session's systematic mother codeword
+    (``encode_systematic(info, plan.spec)``), encoded once and shared with
+    stage 2; its info positions carry the info bits the CRC covers.
+    """
+    codeword = _session_codeword(codeword, plan)
     positions = plan.stage1_positions()
     header = PacketHeader(rate_code=0, length_code=_length_code(plan.k), packet_id=0)
     return Frame(header=header, payload_positions=positions,
-                 payload_bits=codeword[positions], crc=crc16(info))
+                 payload_bits=codeword[positions], crc=crc16(codeword[plan.spec.info_set]))
 
 
-def tag_stage2(info, plan: SessionPlan, requested_rate: Fraction) -> Frame:
-    """Send only the extra parity the requested rate needs; no CRC."""
-    info = np.asarray(info, dtype=np.uint8)
-    codeword = encode_systematic(info, plan.spec)
+def tag_stage2(codeword, plan: SessionPlan, requested_rate: Fraction) -> Frame:
+    """Send only the extra parity the requested rate needs; no CRC.
+
+    ``codeword`` is the same session codeword stage 1 sliced.
+    """
+    codeword = _session_codeword(codeword, plan)
     positions = plan.stage2_positions(requested_rate)
     header = PacketHeader(rate_code=rate_code_of(requested_rate),
                           length_code=_length_code(plan.k), packet_id=1)
@@ -281,11 +293,23 @@ def gateway_on_frame(frame: Frame, llrs, session: GatewaySession) -> dict:
     packet id is ignored (the combine stays idempotent per position set).
 
     Frames must arrive in id order: a second frame before a first is an
-    error.
+    error.  Malformed input (positions outside [0, n_mother) or repeated,
+    LLRs that are misaligned or not finite) raises ValueError before the
+    session changes.
     """
+    positions = np.asarray(frame.payload_positions)
     llrs = np.asarray(llrs, dtype=np.float64)
-    if llrs.shape != frame.payload_positions.shape:
+    if positions.ndim != 1 or positions.dtype.kind not in "iu":
+        raise ValueError("payload positions must be a 1-D integer array")
+    if llrs.shape != positions.shape:
         raise ValueError("llrs must align with frame positions")
+    if not np.all(np.isfinite(llrs)):
+        raise ValueError("llrs must be finite")
+    n_mother = session.plan.n_mother
+    if positions.size and not (positions.min() >= 0 and positions.max() < n_mother):
+        raise ValueError(f"payload positions must lie in [0, {n_mother})")
+    if np.unique(positions).size != positions.size:
+        raise ValueError("payload positions must not repeat")
     pid = frame.header.packet_id
     if pid == 1 and 0 not in session.seen_ids:
         raise ValueError("second frame received before first")
@@ -302,7 +326,7 @@ def gateway_on_frame(frame: Frame, llrs, session: GatewaySession) -> dict:
         return decision
 
     frame_llrs = np.zeros(session.plan.n_mother)
-    frame_llrs[frame.payload_positions] = llrs
+    frame_llrs[positions] = llrs
     session.combined = combine_llrs([session.combined, frame_llrs])
     if pid == 0:
         session.expected_crc = frame.crc
@@ -392,7 +416,12 @@ def frame_from_wire(line: str) -> Frame:
     if len(parts) not in (3, 4):
         raise ValueError(f"malformed frame line: {line!r}")
     header = header_decode(hex_to_bits(parts[0], 7))
-    positions = np.array([int(p) for p in parts[1].split(",")], dtype=np.int64)
+    try:
+        positions = np.array([int(p) for p in parts[1].split(",")], dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"payload position out of range: {line!r}") from None
     bits = hex_to_bits(parts[2], len(positions))
     crc = int(parts[3], 16) if len(parts) == 4 else None
+    if crc is not None and not 0 <= crc <= 0xFFFF:
+        raise ValueError(f"crc must fit 16 bits: {line!r}")
     return Frame(header=header, payload_positions=positions, payload_bits=bits, crc=crc)

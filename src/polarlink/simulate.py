@@ -264,6 +264,7 @@ def run_session(cfg: SimConfig, snr_db: float, rngs, bp_config: BpConfig = None,
     noise = cfg.noise(snr_db)
     plan = plan_session(cfg.k)
     info = info_rng.integers(0, 2, size=cfg.k).astype(np.uint8)
+    codeword = encode_systematic(info, plan.spec)  # both stages slice it
     gw = GatewaySession(plan, bp_config or BpConfig())
 
     def log_frame(frame, llrs):
@@ -271,7 +272,7 @@ def run_session(cfg: SimConfig, snr_db: float, rngs, bp_config: BpConfig = None,
             record.frames.append(frame_to_wire(frame))
             record.frame_llrs.append([float(v) for v in llrs])
 
-    f1 = tag_stage1(info, plan)
+    f1 = tag_stage1(codeword, plan)
     llrs1 = _transmit(f1.payload_bits, cfg, noise, channel_rng)
     log_frame(f1, llrs1)
     d1 = gateway_on_frame(f1, llrs1, gw)
@@ -286,7 +287,7 @@ def run_session(cfg: SimConfig, snr_db: float, rngs, bp_config: BpConfig = None,
             record.feedback.append({"kind": fb.kind, "delivered": fb.delivered})
         if not fb.delivered:
             # lost ACK: tag times out and wastes a fallback stage 2
-            f2 = tag_stage2(info, plan, TIMEOUT_FALLBACK_RATE)
+            f2 = tag_stage2(codeword, plan, TIMEOUT_FALLBACK_RATE)
             llrs2 = _transmit(f2.payload_bits, cfg, noise, channel_rng)
             log_frame(f2, llrs2)
             gateway_on_frame(f2, llrs2, gw)
@@ -301,7 +302,7 @@ def run_session(cfg: SimConfig, snr_db: float, rngs, bp_config: BpConfig = None,
                                     "delivered": fb.delivered})
         stage2_rate = rate if fb.delivered else TIMEOUT_FALLBACK_RATE
         requested = str(rate)
-        f2 = tag_stage2(info, plan, stage2_rate)
+        f2 = tag_stage2(codeword, plan, stage2_rate)
         llrs2 = _transmit(f2.payload_bits, cfg, noise, channel_rng)
         log_frame(f2, llrs2)
         gateway_on_frame(f2, llrs2, gw)
@@ -328,8 +329,15 @@ def run_session(cfg: SimConfig, snr_db: float, rngs, bp_config: BpConfig = None,
 
 
 def replay_session(record_dict: dict, k: int, bp_config: BpConfig = None) -> list:
-    """Re-run the gateway over a recorded trace; returns its decision list."""
+    """Re-run the gateway over a recorded trace; returns its decision list.
+
+    Raises ValueError when the record's mother-code length does not match
+    the plan for ``k``, or when a recorded frame is malformed.
+    """
     plan = plan_session(k)
+    if record_dict["n_mother"] != plan.n_mother:
+        raise ValueError(f"record n_mother {record_dict['n_mother']} does not match "
+                         f"the K={k} plan's {plan.n_mother}")
     gw = GatewaySession(plan, bp_config or BpConfig())
     for wire, llrs in zip(record_dict["frames"], record_dict["frame_llrs"]):
         gateway_on_frame(frame_from_wire(wire), np.asarray(llrs), gw)

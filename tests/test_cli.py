@@ -78,6 +78,7 @@ class TestDecode:
         assert payload["info_hex"] == bits_to_hex(info)
         assert payload["fber"] == 0.0
         assert payload["converged"] is True
+        assert payload["stop_reason"] == "frozen"
 
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "decode", "--spec", str(tmp_path / "nope.json"),

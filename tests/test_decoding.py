@@ -7,12 +7,16 @@ from polarlink.construction import design_code
 from polarlink.decoding import (
     FROZEN_PRIOR_LLR,
     BpConfig,
+    _boxplus_exact,
+    _boxplus_minsum,
+    _channel_only_u_llrs,
+    _stage_pairs,
     bp_decode,
     combine_llrs,
-    compute_fber,
     ml_decode_oracle,
 )
-from polarlink.encoding import encode_systematic
+from polarlink.encoding import encode_systematic, polar_transform
+from polarlink.protocol import RATE_TABLE, crc16, crc16_verify, plan_session
 
 
 def noiseless_llrs(codeword):
@@ -24,6 +28,140 @@ def awgn_llrs(codeword, snr_db, rng):
     g = 10.0 ** (snr_db / 10.0)
     signs = 1.0 - 2.0 * np.asarray(codeword, dtype=np.float64)
     return 4.0 * g * signs + np.sqrt(8.0 * g) * rng.standard_normal(len(codeword))
+
+
+def bp_decode_no_fixed_point_oracle(llrs, spec, cfg):
+    """The decoder loop without the fixed-point stop (test oracle).
+
+    It runs until the early-stop rule fires or max_iters is spent, and
+    returns (info_bits, u_posterior, frozen_hard, fber, fber_observed,
+    converged).
+    """
+    llrs = np.asarray(llrs, dtype=np.float64)
+    f = _boxplus_exact if cfg.update_rule == "exact" else _boxplus_minsum
+    n_log2, n = spec.n_log2, spec.n
+    pairs = _stage_pairs(n_log2)
+    left = np.zeros((n_log2 + 1, n))
+    right = np.zeros((n_log2 + 1, n))
+    right[0, spec.frozen_set] = FROZEN_PRIOR_LLR
+    left[n_log2] = llrs
+
+    def info_from(u_post):
+        u_hat = np.zeros(n, dtype=np.uint8)
+        u_hat[spec.info_set] = u_post[spec.info_set] < 0
+        return polar_transform(u_hat)[spec.info_set]
+
+    converged = False
+    for _ in range(cfg.max_iters):
+        for s in range(n_log2 - 1, -1, -1):
+            p, q = pairs[s]
+            lp, lq = left[s + 1, p], left[s + 1, q]
+            rp, rq = right[s, p], right[s, q]
+            left[s, p] = f(lp, rq + lq)
+            left[s, q] = f(rp, lp) + lq
+        for s in range(n_log2):
+            p, q = pairs[s]
+            lp, lq = left[s + 1, p], left[s + 1, q]
+            rp, rq = right[s, p], right[s, q]
+            right[s + 1, p] = f(rp, rq + lq)
+            right[s + 1, q] = rq + f(rp, lp)
+        if cfg.early_stop != "none":
+            frozen_ok = bool(np.all(left[0, spec.frozen_set] >= 0.0))
+            if frozen_ok and cfg.early_stop == "crc" and cfg.crc_check is not None:
+                frozen_ok = bool(cfg.crc_check(info_from(left[0] + right[0])))
+            if frozen_ok:
+                converged = True
+                break
+
+    u_posterior = left[0] + right[0]
+    frozen_pilot = _channel_only_u_llrs(llrs, pairs, n_log2, f)[spec.frozen_set]
+    frozen_hard = (frozen_pilot < 0).astype(np.uint8)
+    fber = float(frozen_hard.mean()) if frozen_hard.size else 0.0
+    observed = np.abs(frozen_pilot) > 0
+    fber_observed = float(frozen_hard[observed].mean()) if observed.any() else 0.0
+    if cfg.early_stop == "none":
+        converged = bool(np.all(left[0, spec.frozen_set] >= 0.0))
+    return info_from(u_posterior), u_posterior, frozen_hard, fber, fber_observed, converged
+
+
+def _punctured_cases():
+    """(llrs, spec, crc) at the stage-1 budget and every cumulative stage-2
+    budget of the K=96 session plan, in the waterfall and below it."""
+    plan = plan_session(96)
+    rng = np.random.default_rng(41)
+    budgets = [plan.stage1_budget] + [plan.cumulative_budget(r) for r in RATE_TABLE]
+    cases = []
+    for budget, snr in zip(budgets, (4.0, -1.0, 0.0, -3.0, -6.0)):
+        info = rng.integers(0, 2, 96).astype(np.uint8)
+        positions = np.concatenate([plan.spec.info_set,
+                                    plan.spec.parity_schedule[:budget - 96]])
+        llrs = np.zeros(plan.n_mother)
+        llrs[positions] = awgn_llrs(encode_systematic(info, plan.spec)[positions], snr, rng)
+        cases.append((llrs, plan.spec, crc16(info)))
+    return cases
+
+
+def _unpunctured_cases():
+    spec = design_code(6, 32)
+    rng = np.random.default_rng(42)
+    cases = []
+    for snr in (-3.0, 0.0, 3.0):
+        info = rng.integers(0, 2, 32).astype(np.uint8)
+        cases.append((awgn_llrs(encode_systematic(info, spec), snr, rng), spec, crc16(info)))
+    return cases
+
+
+def _small_code_cases():
+    """Many short-code inputs across SNRs, every other one half erased; the
+    last carried message layer can settle an iteration after the others."""
+    spec = design_code(5, 16)
+    rng = np.random.default_rng(5)
+    cases = []
+    for t in range(60):
+        info = rng.integers(0, 2, 16).astype(np.uint8)
+        llrs = awgn_llrs(encode_systematic(info, spec), rng.uniform(-4.0, 4.0), rng)
+        if t % 2:
+            llrs[rng.permutation(spec.n)[:spec.n // 2]] = 0.0
+        cases.append((llrs, spec, crc16(info)))
+    return cases
+
+
+class TestFixedPointStop:
+    @pytest.mark.parametrize("rule", ["exact", "minsum"])
+    @pytest.mark.parametrize("early_stop", ["none", "frozen", "crc"])
+    def test_bitwise_equal_to_running_on(self, rule, early_stop):
+        stops = []
+        for punctured, cases in ((False, _unpunctured_cases() + _small_code_cases()),
+                                 (True, _punctured_cases())):
+            for llrs, spec, crc in cases:
+                cfg = BpConfig(update_rule=rule, early_stop=early_stop,
+                               crc_check=lambda b, crc=crc: crc16_verify(b, crc))
+                res = bp_decode(llrs, spec, cfg)
+                info, u_post, frozen_hard, fber, fber_observed, converged = \
+                    bp_decode_no_fixed_point_oracle(llrs, spec, cfg)
+                assert res.info_bits.tobytes() == info.tobytes()
+                assert res.u_posterior.tobytes() == u_post.tobytes()
+                assert res.frozen_hard.tobytes() == frozen_hard.tobytes()
+                assert (res.fber, res.fber_observed, res.converged) == \
+                    (fber, fber_observed, converged)
+                assert 1 <= res.iterations_used <= cfg.max_iters
+                if res.stop_reason in ("frozen", "crc"):
+                    assert res.converged and early_stop != "none"
+                    assert res.stop_reason == ("crc" if early_stop == "crc" else "frozen")
+                else:
+                    assert res.stop_reason in ("fixed_point", "max_iters")
+                    assert res.converged == (early_stop == "none" and converged)
+                if res.stop_reason == "max_iters":
+                    assert res.iterations_used == cfg.max_iters
+                if punctured:
+                    stops.append((res.stop_reason, res.iterations_used))
+        # the fixed-point path runs on punctured mother codes
+        assert any(reason == "fixed_point" and iters < 60 for reason, iters in stops)
+
+    def test_reports_max_iters_when_budget_runs_out(self):
+        llrs, spec, _ = _unpunctured_cases()[0]
+        res = bp_decode(llrs, spec, BpConfig(max_iters=1, early_stop="none"))
+        assert (res.iterations_used, res.stop_reason) == (1, "max_iters")
 
 
 class TestBpDecode:
@@ -125,12 +263,20 @@ class TestBpDecode:
 
 class TestFber:
     def test_counting(self):
-        spec = design_code(3, 4)
-        res = bp_decode(np.zeros(8), spec)
-        res.frozen_hard = np.array([1, 0, 1, 0], dtype=np.uint8)
-        assert compute_fber(res, spec) == 0.5
-        res.frozen_hard = np.zeros(4, dtype=np.uint8)
-        assert compute_fber(res, spec) == 0.0
+        # fber is the share of frozen pilots decided 1, fber_observed the
+        # share among pilots with nonzero channel evidence
+        spec = design_code(5, 16)
+        rng = np.random.default_rng(2)
+        info = rng.integers(0, 2, 16).astype(np.uint8)
+        llr = awgn_llrs(encode_systematic(info, spec), -6.0, rng)
+        llr[rng.permutation(32)[:8]] = 0.0
+        res = bp_decode(llr, spec)
+        assert res.frozen_hard.shape == (spec.n - spec.k,)
+        assert res.fber == np.count_nonzero(res.frozen_hard) / res.frozen_hard.size
+        assert 0.0 < res.fber < 1.0
+        # unobserved pilots tie to 0, so dropping them raises the ratio here
+        assert res.fber_observed > res.fber
+        assert bp_decode(np.zeros(32), spec).fber == 0.0
 
     def test_monotone_in_snr(self):
         # over the operating range; at saturation (deep noise) the statistic

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarlink.construction import design_code
 from polarlink.decoding import FROZEN_PRIOR_LLR
@@ -173,19 +175,21 @@ class TestTagFrames:
     def test_stage_sizes_k96(self):
         plan = plan_session(96)
         info = np.zeros(96, dtype=np.uint8)
-        f1 = tag_stage1(info, plan)
-        f2 = tag_stage2(info, plan, Fraction(1, 2))
+        cw = encode_systematic(info, plan.spec)
+        f1 = tag_stage1(cw, plan)
+        f2 = tag_stage2(cw, plan, Fraction(1, 2))
         assert len(f1.payload_positions) == 128
         assert len(f2.payload_positions) == 64
-        f2b = tag_stage2(info, plan, Fraction(2, 3))
+        f2b = tag_stage2(cw, plan, Fraction(2, 3))
         assert len(f2b.payload_positions) == 16
 
     def test_positions_disjoint_and_scheduled(self):
         plan = plan_session(96)
         rng = np.random.default_rng(23)
         info = rng.integers(0, 2, 96).astype(np.uint8)
-        f1 = tag_stage1(info, plan)
-        f2 = tag_stage2(info, plan, Fraction(1, 4))
+        cw = encode_systematic(info, plan.spec)
+        f1 = tag_stage1(cw, plan)
+        f2 = tag_stage2(cw, plan, Fraction(1, 4))
         assert not set(f1.payload_positions) & set(f2.payload_positions)
         sched = plan.spec.parity_schedule
         assert list(f1.payload_positions[96:]) == list(sched[:32])
@@ -195,29 +199,38 @@ class TestTagFrames:
         plan = plan_session(96)
         rng = np.random.default_rng(24)
         info = rng.integers(0, 2, 96).astype(np.uint8)
-        f1 = tag_stage1(info, plan)
+        cw = encode_systematic(info, plan.spec)
+        f1 = tag_stage1(cw, plan)
         assert f1.header.packet_id == 0
         assert f1.crc == crc16(info)
         assert np.array_equal(f1.payload_bits[:96], info)
 
     def test_stage2_has_no_crc(self):
         plan = plan_session(96)
-        f2 = tag_stage2(np.zeros(96, dtype=np.uint8), plan, Fraction(1, 2))
+        f2 = tag_stage2(np.zeros(plan.n_mother, dtype=np.uint8), plan, Fraction(1, 2))
         assert f2.header.packet_id == 1
         assert f2.crc is None
 
     def test_stage2_rejects_rate_outside_table(self):
         plan = plan_session(96)
         with pytest.raises(ValueError):
-            tag_stage2(np.zeros(96, dtype=np.uint8), plan, Fraction(1, 3))
+            tag_stage2(np.zeros(plan.n_mother, dtype=np.uint8), plan, Fraction(1, 3))
+
+    def test_stages_reject_info_in_place_of_codeword(self):
+        plan = plan_session(96)
+        info = np.zeros(96, dtype=np.uint8)
+        with pytest.raises(ValueError):
+            tag_stage1(info, plan)
+        with pytest.raises(ValueError):
+            tag_stage2(info, plan, Fraction(1, 2))
 
     def test_both_stages_from_one_codeword(self):
         plan = plan_session(96)
         rng = np.random.default_rng(25)
         info = rng.integers(0, 2, 96).astype(np.uint8)
         codeword = encode_systematic(info, plan.spec)
-        f1 = tag_stage1(info, plan)
-        f2 = tag_stage2(info, plan, Fraction(1, 8))
+        f1 = tag_stage1(codeword, plan)
+        f2 = tag_stage2(codeword, plan, Fraction(1, 8))
         assert np.array_equal(f1.payload_bits, codeword[f1.payload_positions])
         assert np.array_equal(f2.payload_bits, codeword[f2.payload_positions])
 
@@ -231,7 +244,8 @@ class TestGateway:
         plan = plan_session(96)
         rng = np.random.default_rng(26)
         info = rng.integers(0, 2, 96).astype(np.uint8)
-        f1 = tag_stage1(info, plan)
+        cw = encode_systematic(info, plan.spec)
+        f1 = tag_stage1(cw, plan)
         gw = GatewaySession(plan)
         decision = gateway_on_frame(f1, clean_llrs_for(f1), gw)
         assert decision["action"] == "ack"
@@ -241,7 +255,8 @@ class TestGateway:
         plan = plan_session(96)
         rng = np.random.default_rng(27)
         info = rng.integers(0, 2, 96).astype(np.uint8)
-        f1 = tag_stage1(info, plan)
+        cw = encode_systematic(info, plan.spec)
+        f1 = tag_stage1(cw, plan)
         noisy = 0.3 * rng.standard_normal(len(f1.payload_positions))
         gw = GatewaySession(plan)
         decision = gateway_on_frame(f1, noisy, gw)
@@ -252,8 +267,9 @@ class TestGateway:
         plan = plan_session(96)
         rng = np.random.default_rng(28)
         info = rng.integers(0, 2, 96).astype(np.uint8)
-        f1 = tag_stage1(info, plan)
-        f2 = tag_stage2(info, plan, Fraction(1, 2))
+        cw = encode_systematic(info, plan.spec)
+        f1 = tag_stage1(cw, plan)
+        f2 = tag_stage2(cw, plan, Fraction(1, 2))
         gw = GatewaySession(plan)
         d1 = gateway_on_frame(f1, 0.3 * rng.standard_normal(128), gw)
         assert d1["action"] == "request_rate"
@@ -265,8 +281,9 @@ class TestGateway:
         plan = plan_session(96)
         rng = np.random.default_rng(29)
         info = rng.integers(0, 2, 96).astype(np.uint8)
-        f1 = tag_stage1(info, plan)
-        f2 = tag_stage2(info, plan, Fraction(1, 4))
+        cw = encode_systematic(info, plan.spec)
+        f1 = tag_stage1(cw, plan)
+        f2 = tag_stage2(cw, plan, Fraction(1, 4))
         weak = 1.2 * (1.0 - 2.0 * f1.payload_bits.astype(float))
         weak += rng.standard_normal(len(weak))
         gw = GatewaySession(plan)
@@ -282,7 +299,8 @@ class TestGateway:
         plan = plan_session(96)
         rng = np.random.default_rng(30)
         info = rng.integers(0, 2, 96).astype(np.uint8)
-        f1 = tag_stage1(info, plan)
+        cw = encode_systematic(info, plan.spec)
+        f1 = tag_stage1(cw, plan)
         gw = GatewaySession(plan)
         gateway_on_frame(f1, clean_llrs_for(f1), gw)
         combined_before = gw.combined.copy()
@@ -293,10 +311,72 @@ class TestGateway:
     def test_out_of_order_rejected(self):
         plan = plan_session(96)
         info = np.zeros(96, dtype=np.uint8)
-        f2 = tag_stage2(info, plan, Fraction(1, 2))
+        cw = encode_systematic(info, plan.spec)
+        f2 = tag_stage2(cw, plan, Fraction(1, 2))
         gw = GatewaySession(plan)
         with pytest.raises(ValueError):
             gateway_on_frame(f2, np.zeros(64), gw)
+
+
+    @pytest.mark.parametrize("line", ["00 5,99999 0 abcd", "00 5,-1 0 abcd", "00 5,5 0 abcd"])
+    def test_bad_positions_rejected_before_state_changes(self, line):
+        plan = plan_session(96)
+        gw = GatewaySession(plan)
+        with pytest.raises(ValueError):
+            gateway_on_frame(frame_from_wire(line), np.zeros(2), gw)
+        assert not gw.seen_ids and not gw.decisions
+        assert not np.any(gw.combined)
+
+    def test_nonfinite_llrs_rejected(self):
+        plan = plan_session(96)
+        f1 = tag_stage1(np.zeros(plan.n_mother, dtype=np.uint8), plan)
+        llrs = clean_llrs_for(f1)
+        llrs[3] = np.nan
+        gw = GatewaySession(plan)
+        with pytest.raises(ValueError):
+            gateway_on_frame(f1, llrs, gw)
+        assert not gw.seen_ids
+
+
+_HEX = "0123456789abcdefABCDEF"
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def wire_frames(draw):
+    """A wire line and LLRs: arbitrary text, or well-formed fields that
+    carry arbitrary positions, CRCs and LLR values (K=8 mother code, N=64)."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=40)), draw(st.lists(_FLOATS, max_size=12))
+    header = PacketHeader(rate_code=draw(st.integers(0, 3)), length_code=0,
+                          packet_id=draw(st.integers(0, 1)))
+    positions = draw(st.lists(st.one_of(st.integers(-3, 70), st.integers(-2**70, 2**70)),
+                              min_size=1, max_size=12))
+    bits = draw(st.lists(st.integers(0, 1), min_size=len(positions), max_size=len(positions)))
+    parts = [bits_to_hex(header_encode(header)), ",".join(str(p) for p in positions),
+             bits_to_hex(bits)]
+    crc = draw(st.one_of(st.none(), st.integers(-2, 0x10001)))
+    if crc is not None:
+        parts.append(f"{crc:x}")
+    n_llrs = draw(st.one_of(st.just(len(positions)), st.integers(0, 12)))
+    return " ".join(parts), draw(st.lists(_FLOATS, min_size=n_llrs, max_size=n_llrs))
+
+
+class TestWireBoundaryProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(wire=wire_frames(), after_stage1=st.booleans())
+    def test_gateway_raises_only_value_error(self, wire, after_stage1):
+        line, llrs = wire
+        plan = plan_session(8)
+        gw = GatewaySession(plan)
+        if after_stage1:
+            f1 = tag_stage1(np.zeros(plan.n_mother, dtype=np.uint8), plan)
+            gateway_on_frame(f1, np.zeros(len(f1.payload_positions)), gw)
+        try:
+            frame = frame_from_wire(line)
+            gateway_on_frame(frame, llrs, gw)
+        except ValueError:
+            pass
 
 
 class TestFeedbackChannel:
@@ -335,7 +415,8 @@ class TestWireFormat:
         plan = plan_session(96)
         rng = np.random.default_rng(33)
         info = rng.integers(0, 2, 96).astype(np.uint8)
-        for frame in (tag_stage1(info, plan), tag_stage2(info, plan, Fraction(1, 2))):
+        cw = encode_systematic(info, plan.spec)
+        for frame in (tag_stage1(cw, plan), tag_stage2(cw, plan, Fraction(1, 2))):
             back = frame_from_wire(frame_to_wire(frame))
             assert back.header == frame.header
             assert np.array_equal(back.payload_positions, frame.payload_positions)

@@ -212,6 +212,29 @@ class TestSessionReplay:
         assert parsed["outcome"] in ("success", "fail")
         assert len(parsed["frames"]) == len(parsed["frame_llrs"])
 
+    def test_replay_rejects_record_of_another_mother_code(self):
+        record = json.loads(self._record(12.0, 1).to_json())
+        record["n_mother"] = 512
+        with pytest.raises(ValueError):
+            replay_session(record, k=96)
+
+    def test_session_encodes_once(self, monkeypatch):
+        # a two-frame session slices both frames from one codeword
+        import polarlink.decoding as decoding
+        import polarlink.protocol as protocol
+        import polarlink.simulate as simulate
+
+        calls = []
+        for module in (simulate, protocol, decoding):
+            real = getattr(module, "encode_systematic", None)
+            if real is not None:
+                monkeypatch.setattr(module, "encode_systematic",
+                                    lambda *a, _real=real, **kw: calls.append(1) or _real(*a, **kw))
+        cfg = SimConfig(snr_db=(4.0,), trials=1, k=96, master_seed=3)
+        _, _, aux = run_session(cfg, 4.0, _rngs_for(3, 0, 0))
+        assert aux["frames_used"] == 2
+        assert len(calls) == 1
+
     def test_midrange_rescue_occurs(self):
         # there is a band where stage 1 fails but combining saves the session
         rescued = 0
