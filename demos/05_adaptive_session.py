@@ -1,7 +1,7 @@
 """Two-stage rate adaptation, session by session."""
 
 from polarlink.protocol import plan_session
-from polarlink.simulate import SessionRecord, SimConfig, run_session, _rngs_for
+from polarlink.simulate import SessionRecord, SimConfig, run_session, trial_rngs
 
 plan = plan_session(96)
 print(f"Session plan for K=96: mother N={plan.n_mother}, stage-1 budget "
@@ -18,7 +18,7 @@ for snr in (13.0, 9.0, 7.0, 5.0, 1.0):
     cfg = SimConfig(snr_db=(snr,), k=96, master_seed=404)
     record = SessionRecord(k=96, n_mother=plan.n_mother,
                            stage1_budget=plan.stage1_budget, snr_db=snr)
-    run_session(cfg, snr, _rngs_for(404, 0, 0), record=record)
+    run_session(cfg, snr, trial_rngs(404, 0, 0), record=record)
     stage1 = record.decisions[0]
     tail = ""
     if stage1["action"] == "request_rate":

@@ -17,7 +17,7 @@ from .construction import bhattacharyya_evolve, build_reliability_order, capacit
 from .decoding import BpConfig, bp_decode
 from .encoding import encode_systematic, storage_report
 from .phy import LeakageModel, NoiseModel, llr_basic_many, llr_conventional_many, llr_leakage_many, synthesize_symbols
-from .protocol import bits_to_hex, hex_to_bits
+from .protocol import bits_to_hex, hex_to_bits, plan_session
 from .simulate import (
     SNR_NOTE,
     SessionRecord,
@@ -25,8 +25,8 @@ from .simulate import (
     run_session,
     run_sweep,
     snr_to_power,
+    trial_rngs,
     write_outputs,
-    _rngs_for,
 )
 
 CONFIG_KEYS = {
@@ -152,12 +152,10 @@ def _cmd_llr(args) -> int:
 def _cmd_session(args) -> int:
     cfg = SimConfig(k=args.k, fb_loss=args.fb_loss, snr_db=(args.snr,),
                     master_seed=args.seed)
-    from .protocol import plan_session
-
     plan = plan_session(cfg.k)
     record = SessionRecord(k=cfg.k, n_mother=plan.n_mother,
                            stage1_budget=plan.stage1_budget, snr_db=args.snr)
-    rngs = _rngs_for(args.seed, 0, 0)
+    rngs = trial_rngs(args.seed, 0, 0)
     run_session(cfg, args.snr, rngs, record=record)
     print(record.to_json(indent=2))
     return 0

@@ -116,18 +116,9 @@ def synthesize_observation(bit, s_i, noise: NoiseModel, leak: LeakageModel,
     over the shifted bin and its two neighbors per the leakage fractions
     (the antenna-switching discontinuity appears only on bit 1).
     """
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    rng = np.random.default_rng(rng_seed)
-    bins = _noise_bins(rng, noise.sigma2, (n_fft,))
-    if noise.signal_power > 0:
-        if bit == 0:
-            bins[s_i] += np.sqrt(noise.signal_power)
-        else:
-            s_bar = tag_peak_position(1, s_i, n_fft)
-            for off, frac in zip((-1, 0, 1), leak.fractions):
-                bins[(s_bar + off) % n_fft] += np.sqrt(frac * noise.signal_power)
-    return SymbolObservation(bins=bins, excitation_peak=int(s_i))
+    tag_peak_position(bit, s_i, n_fft)  # validates bit and s_i
+    bins = synthesize_symbols([bit], [s_i], noise, leak, n_fft, np.random.default_rng(rng_seed))
+    return SymbolObservation(bins=bins[0], excitation_peak=int(s_i))
 
 
 def synthesize_symbols(bits, peaks, noise: NoiseModel, leak: LeakageModel,
@@ -141,7 +132,8 @@ def synthesize_symbols(bits, peaks, noise: NoiseModel, leak: LeakageModel,
     bits = np.asarray(bits, dtype=np.int64)
     peaks = np.asarray(peaks, dtype=np.int64)
     m = bits.size
-    bins = _noise_bins(rng, noise.sigma2, (m, n_fft))
+    g = rng.standard_normal((m, n_fft, 2))
+    bins = np.sqrt(noise.sigma2) * (g[..., 0] + 1j * g[..., 1])
     if noise.signal_power > 0 and m:
         rows = np.arange(m)
         zero = bits == 0
@@ -155,13 +147,19 @@ def synthesize_symbols(bits, peaks, noise: NoiseModel, leak: LeakageModel,
     return bins
 
 
-def _noise_bins(rng, sigma2, shape):
-    g = rng.standard_normal(shape + (2,))
-    return np.sqrt(sigma2) * (g[..., 0] + 1j * g[..., 1])
-
-
 def _mags(bins):
     return np.maximum(np.abs(bins), MAG_FLOOR)
+
+
+def _candidates(bins, peaks, sigma2):
+    """Validate a batch and locate its candidates: (bins, rows, s_bar, |f_s|)."""
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be > 0")
+    bins = np.atleast_2d(np.asarray(bins))
+    peaks = np.atleast_1d(np.asarray(peaks, dtype=np.int64))
+    rows = np.arange(bins.shape[0])
+    s_bar = (peaks + bins.shape[1] // 2) % bins.shape[1]
+    return bins, rows, s_bar, _mags(bins[rows, peaks])
 
 
 def llr_basic_many(bins, peaks, sigma2: float) -> np.ndarray:
@@ -170,14 +168,7 @@ def llr_basic_many(bins, peaks, sigma2: float) -> np.ndarray:
     L = ln(|f_sbar| / |f_s|) + (|f_s|^2 - |f_sbar|^2) / (2 sigma^2); positive
     favors bit 0.  Needs only the noise variance.
     """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be > 0")
-    bins = np.atleast_2d(np.asarray(bins))
-    peaks = np.atleast_1d(np.asarray(peaks, dtype=np.int64))
-    n_fft = bins.shape[1]
-    rows = np.arange(bins.shape[0])
-    s_bar = (peaks + n_fft // 2) % n_fft
-    ms = _mags(bins[rows, peaks])
+    bins, rows, s_bar, ms = _candidates(bins, peaks, sigma2)
     mb = _mags(bins[rows, s_bar])
     return np.log(mb / ms) + (ms**2 - mb**2) / (2.0 * sigma2)
 
@@ -189,16 +180,10 @@ def llr_basic(obs: SymbolObservation, sigma2: float) -> float:
 def llr_leakage_many(bins, peaks, sigma2: float) -> np.ndarray:
     """Leakage-corrected LLR: the bit-1 hypothesis pools the shifted bin and
     its two cyclic neighbors, since the antenna step spills peak power there."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be > 0")
-    bins = np.atleast_2d(np.asarray(bins))
-    peaks = np.atleast_1d(np.asarray(peaks, dtype=np.int64))
+    bins, rows, s_bar, ms = _candidates(bins, peaks, sigma2)
     n_fft = bins.shape[1]
     if n_fft < 4:
         raise ValueError("need at least 4 bins")
-    rows = np.arange(bins.shape[0])
-    s_bar = (peaks + n_fft // 2) % n_fft
-    ms = _mags(bins[rows, peaks])
     pooled = np.zeros_like(ms)
     for off in (-1, 0, 1):
         pooled += _mags(bins[rows, (s_bar + off) % n_fft]) ** 2
@@ -217,17 +202,11 @@ def llr_conventional_many(bins, peaks, sigma2: float, p_hat: float) -> np.ndarra
     Collapses to 0 when p_hat = 0 and degrades as p_hat drifts from the true
     power the estimator cannot observe.
     """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be > 0")
+    bins, rows, s_bar, ms = _candidates(bins, peaks, sigma2)
     if p_hat < 0:
         raise ValueError("p_hat must be >= 0")
-    bins = np.atleast_2d(np.asarray(bins))
-    peaks = np.atleast_1d(np.asarray(peaks, dtype=np.int64))
-    n_fft = bins.shape[1]
-    rows = np.arange(bins.shape[0])
-    s_bar = (peaks + n_fft // 2) % n_fft
     nu = np.sqrt(p_hat)
-    xs = _mags(bins[rows, peaks]) * nu / sigma2
+    xs = ms * nu / sigma2
     xb = _mags(bins[rows, s_bar]) * nu / sigma2
     # ln I0(x) = ln(i0e(x)) + x, stable for large arguments
     return (np.log(i0e(xs)) + xs) - (np.log(i0e(xb)) + xb)

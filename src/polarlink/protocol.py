@@ -16,7 +16,8 @@ feedback path is a logical channel with a configurable loss probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -45,6 +46,7 @@ __all__ = [
     "plan_session",
     "tag_stage1",
     "tag_stage2",
+    "crc_gated_decode",
     "gateway_on_frame",
     "feedback_channel",
     "frame_to_wire",
@@ -201,10 +203,17 @@ class SessionPlan:
             raise ValueError(f"rate {rate} not in table")
         return _budget(self.k, rate)
 
+    def positions(self, rate: Fraction) -> np.ndarray:
+        """Info positions (ascending) then the strongest parity positions,
+        enough to realize ``rate``; any rate in (0, 1] the mother code holds."""
+        budget = _budget(self.k, rate)
+        if not self.k <= budget <= self.n_mother:
+            raise ValueError(f"rate {rate} needs {budget} coded bits, outside "
+                             f"[K={self.k}, N={self.n_mother}]")
+        return np.concatenate([self.spec.info_set, self.spec.parity_schedule[:budget - self.k]])
+
     def stage1_positions(self) -> np.ndarray:
-        """Info positions (ascending) then the strongest parity positions."""
-        n_parity = self.stage1_budget - self.k
-        return np.concatenate([self.spec.info_set, self.spec.parity_schedule[:n_parity]])
+        return self.positions(STAGE1_RATE)
 
     def stage2_positions(self, rate: Fraction) -> np.ndarray:
         """Parity positions stage 2 adds beyond stage 1, schedule order."""
@@ -284,6 +293,17 @@ class GatewaySession:
             self.combined = np.zeros(self.plan.n_mother)
 
 
+def crc_gated_decode(llrs, spec: CodeSpec, crc: int, bp_config: BpConfig = BpConfig()):
+    """BP-decode with the CRC as the early-stop gate; returns the DecodeResult.
+
+    Frozen consistency alone fires too early on a heavily punctured graph,
+    before the info positions settle, so the decoder also waits for
+    ``crc16(info_bits) == crc``.
+    """
+    cfg = replace(bp_config, early_stop="crc", crc_check=lambda bits: crc16_verify(bits, crc))
+    return bp_decode(llrs, spec, cfg)
+
+
 def gateway_on_frame(frame: Frame, llrs, session: GatewaySession) -> dict:
     """Fold one received frame into the session and decide what to do next.
 
@@ -294,8 +314,8 @@ def gateway_on_frame(frame: Frame, llrs, session: GatewaySession) -> dict:
 
     Frames must arrive in id order: a second frame before a first is an
     error.  Malformed input (positions outside [0, n_mother) or repeated,
-    LLRs that are misaligned or not finite) raises ValueError before the
-    session changes.
+    LLRs that are misaligned or not finite, a header length other than the
+    plan's) raises ValueError before the session changes.
     """
     positions = np.asarray(frame.payload_positions)
     llrs = np.asarray(llrs, dtype=np.float64)
@@ -310,6 +330,9 @@ def gateway_on_frame(frame: Frame, llrs, session: GatewaySession) -> dict:
         raise ValueError(f"payload positions must lie in [0, {n_mother})")
     if np.unique(positions).size != positions.size:
         raise ValueError("payload positions must not repeat")
+    if frame.header.length_code != _length_code(session.plan.k):
+        raise ValueError(f"header length_code {frame.header.length_code} does not match "
+                         f"the K={session.plan.k} plan's {_length_code(session.plan.k)}")
     pid = frame.header.packet_id
     if pid == 1 and 0 not in session.seen_ids:
         raise ValueError("second frame received before first")
@@ -331,15 +354,8 @@ def gateway_on_frame(frame: Frame, llrs, session: GatewaySession) -> dict:
     if pid == 0:
         session.expected_crc = frame.crc
 
-    # CRC-gated early stop: frozen consistency alone fires too early on a
-    # heavily punctured graph, before the info positions settle
-    cfg = BpConfig(
-        max_iters=session.bp_config.max_iters,
-        update_rule=session.bp_config.update_rule,
-        early_stop="crc",
-        crc_check=lambda bits: crc16_verify(bits, session.expected_crc),
-    )
-    result = bp_decode(session.combined, session.plan.spec, cfg)
+    result = crc_gated_decode(session.combined, session.plan.spec, session.expected_crc,
+                              session.bp_config)
     # puncturing leaves most frozen pilots unobservable, so the rate
     # estimator reads the statistic over observed pilots only
     fber = result.fber_observed
@@ -369,8 +385,23 @@ def feedback_channel(msg: FeedbackMsg, loss_prob: float, rng_seed) -> FeedbackMs
 
 
 # ---------------------------------------------------------------------------
-# wire format: header hex | comma-separated positions | payload hex | crc hex
+# wire format: header hex | comma-separated positions | payload hex | crc hex,
+# single-space separated; each frame has exactly one spelling
 # ---------------------------------------------------------------------------
+
+# comma-separated unsigned ASCII decimals without leading zeros
+_DECIMAL = r"(?:0|[1-9][0-9]{0,18})"
+_POSITIONS = re.compile(rf"{_DECIMAL}(?:,{_DECIMAL})*")
+_LOWER_HEX = re.compile(r"[0-9a-f]*")
+
+
+def _hex_field(s: str, nbits: int) -> str:
+    """Check that ``s`` is exactly ceil(nbits/4) lowercase ASCII hex digits."""
+    width = -(-nbits // 4)
+    if len(s) != width or not _LOWER_HEX.fullmatch(s):
+        raise ValueError(f"expected {width} lowercase hex digits for {nbits} bits, got {s!r}")
+    return s
+
 
 def bits_to_hex(bits) -> str:
     """Pack bits into hex: first bit is the most significant bit of the
@@ -387,9 +418,8 @@ def bits_to_hex(bits) -> str:
 
 
 def hex_to_bits(s: str, nbits: int) -> np.ndarray:
-    """Unpack the first nbits bits of a hex string (inverse of bits_to_hex)."""
-    if len(s) * 4 < nbits:
-        raise ValueError(f"hex string too short for {nbits} bits")
+    """Unpack nbits bits from their bits_to_hex spelling, the only one accepted."""
+    _hex_field(s, nbits)
     bits = np.zeros(len(s) * 4, dtype=np.uint8)
     for i, ch in enumerate(s):
         nib = int(ch, 16)
@@ -412,16 +442,17 @@ def frame_to_wire(frame: Frame) -> str:
 
 
 def frame_from_wire(line: str) -> Frame:
-    parts = line.split()
+    """Parse a frame_to_wire line; any other spelling raises ValueError."""
+    parts = line.split(" ")
     if len(parts) not in (3, 4):
         raise ValueError(f"malformed frame line: {line!r}")
     header = header_decode(hex_to_bits(parts[0], 7))
-    try:
-        positions = np.array([int(p) for p in parts[1].split(",")], dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"payload position out of range: {line!r}") from None
+    if not _POSITIONS.fullmatch(parts[1]):
+        raise ValueError(f"payload positions must be unsigned decimals: {line!r}")
+    values = [int(p) for p in parts[1].split(",")]
+    if max(values) >= 2**63:
+        raise ValueError(f"payload position out of int64 range: {line!r}")
+    positions = np.array(values, dtype=np.int64)
     bits = hex_to_bits(parts[2], len(positions))
-    crc = int(parts[3], 16) if len(parts) == 4 else None
-    if crc is not None and not 0 <= crc <= 0xFFFF:
-        raise ValueError(f"crc must fit 16 bits: {line!r}")
+    crc = int(_hex_field(parts[3], 16), 16) if len(parts) == 4 else None
     return Frame(header=header, payload_positions=positions, payload_bits=bits, crc=crc)

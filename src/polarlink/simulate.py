@@ -19,17 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .decoding import BpConfig, bp_decode
+from .decoding import BpConfig
 from .encoding import encode_systematic
 from .phy import LeakageModel, NoiseModel, llr_basic_many, llr_leakage_many, synthesize_symbols
 from .protocol import (
-    RATE_TABLE,
     TIMEOUT_FALLBACK_RATE,
     FeedbackMsg,
     GatewaySession,
     bits_to_hex,
     crc16,
-    crc16_verify,
+    crc_gated_decode,
     feedback_channel,
     frame_from_wire,
     frame_to_wire,
@@ -44,6 +43,7 @@ __all__ = [
     "TrialResult",
     "Metrics",
     "SessionRecord",
+    "trial_rngs",
     "wilson_interval",
     "goodput",
     "hamming74_encode",
@@ -239,7 +239,9 @@ class SessionRecord:
         return json.dumps(asdict(self), sort_keys=True, indent=indent)
 
 
-def _rngs_for(master_seed: int, point: int, trial: int):
+def trial_rngs(master_seed: int, point: int, trial: int):
+    """The (info, channel, feedback) generators of one trial; run_trial uses
+    the same three for every scheme at (master_seed, point, trial)."""
     ss = np.random.SeedSequence([int(master_seed), int(point), int(trial)])
     return [np.random.default_rng(c) for c in ss.spawn(3)]  # info, channel, feedback
 
@@ -267,45 +269,36 @@ def run_session(cfg: SimConfig, snr_db: float, rngs, bp_config: BpConfig = None,
     codeword = encode_systematic(info, plan.spec)  # both stages slice it
     gw = GatewaySession(plan, bp_config or BpConfig())
 
-    def log_frame(frame, llrs):
+    def send(frame):
+        llrs = _transmit(frame.payload_bits, cfg, noise, channel_rng)
         if record is not None:
             record.frames.append(frame_to_wire(frame))
             record.frame_llrs.append([float(v) for v in llrs])
+        return gateway_on_frame(frame, llrs, gw)
 
     f1 = tag_stage1(codeword, plan)
-    llrs1 = _transmit(f1.payload_bits, cfg, noise, channel_rng)
-    log_frame(f1, llrs1)
-    d1 = gateway_on_frame(f1, llrs1, gw)
+    d1 = send(f1)
     bits_sent = len(f1.payload_positions)
     fber_first = d1["fber"]
     frames_used = 1
-    requested = ""
 
     if d1["action"] == "ack":
-        fb = feedback_channel(FeedbackMsg(kind="ack"), cfg.fb_loss, feedback_rng)
-        if record is not None:
-            record.feedback.append({"kind": fb.kind, "delivered": fb.delivered})
-        if not fb.delivered:
-            # lost ACK: tag times out and wastes a fallback stage 2
-            f2 = tag_stage2(codeword, plan, TIMEOUT_FALLBACK_RATE)
-            llrs2 = _transmit(f2.payload_bits, cfg, noise, channel_rng)
-            log_frame(f2, llrs2)
-            gateway_on_frame(f2, llrs2, gw)
-            bits_sent += len(f2.payload_positions)
-            frames_used = 2
+        msg = FeedbackMsg(kind="ack")
     else:
-        rate = Fraction(d1["rate"])
-        fb = feedback_channel(FeedbackMsg(kind="request_rate", rate=rate),
-                              cfg.fb_loss, feedback_rng)
-        if record is not None:
-            record.feedback.append({"kind": fb.kind, "rate": str(rate),
-                                    "delivered": fb.delivered})
-        stage2_rate = rate if fb.delivered else TIMEOUT_FALLBACK_RATE
-        requested = str(rate)
+        msg = FeedbackMsg(kind="request_rate", rate=Fraction(d1["rate"]))
+    fb = feedback_channel(msg, cfg.fb_loss, feedback_rng)
+    requested = "" if msg.rate is None else str(msg.rate)
+    if record is not None:
+        entry = {"kind": fb.kind, "delivered": fb.delivered}
+        if msg.rate is not None:
+            entry["rate"] = requested
+        record.feedback.append(entry)
+    # after a timeout the tag cannot tell a lost ACK from a lost request, so
+    # it sends the fallback stage 2 (wasted if the ACK was what got lost)
+    stage2_rate = fb.rate if fb.delivered else TIMEOUT_FALLBACK_RATE
+    if stage2_rate is not None:
         f2 = tag_stage2(codeword, plan, stage2_rate)
-        llrs2 = _transmit(f2.payload_bits, cfg, noise, channel_rng)
-        log_frame(f2, llrs2)
-        gateway_on_frame(f2, llrs2, gw)
+        send(f2)
         bits_sent += len(f2.payload_positions)
         frames_used = 2
 
@@ -365,7 +358,7 @@ def run_trial(cfg: SimConfig, scheme: str, point: int, trial: int) -> TrialResul
     """
     kind, fixed_rate = parse_scheme(scheme)
     snr_db = float(cfg.snr_db[point])
-    rngs = _rngs_for(cfg.master_seed, point, trial)
+    rngs = trial_rngs(cfg.master_seed, point, trial)
     info_rng, channel_rng, _ = rngs
     noise = cfg.noise(snr_db)
 
@@ -378,25 +371,18 @@ def run_trial(cfg: SimConfig, scheme: str, point: int, trial: int) -> TrialResul
         requested = aux["requested_rate"]
     elif kind == "fixed":
         plan = plan_session(cfg.k)
-        budget = plan.cumulative_budget(fixed_rate) if fixed_rate in RATE_TABLE \
-            else int(round(cfg.k / fixed_rate))
-        if budget > plan.n_mother:
-            raise ValueError(f"rate {fixed_rate} needs {budget} > N={plan.n_mother} bits")
+        positions = plan.positions(fixed_rate)
         info = info_rng.integers(0, 2, size=cfg.k).astype(np.uint8)
         codeword = encode_systematic(info, plan.spec)
-        positions = np.concatenate([plan.spec.info_set,
-                                    plan.spec.parity_schedule[: budget - cfg.k]])
-        llrs = _transmit(codeword[positions], cfg, noise, channel_rng)
         full = np.zeros(plan.n_mother)
-        full[positions] = llrs
-        crc = crc16(info)
-        result = bp_decode(full, plan.spec, BpConfig(
-            early_stop="crc", crc_check=lambda b: crc16_verify(b, crc)))
+        full[positions] = _transmit(codeword[positions], cfg, noise, channel_rng)
+        result = crc_gated_decode(full, plan.spec, crc16(info))
         decoded = result.info_bits
+        # judged against the true bits, not the CRC gate
         success = bool(np.array_equal(decoded, info))
-        bits_sent = budget
+        bits_sent = len(positions)
         frames_used = 1
-        fber_first = result.fber
+        fber_first = result.fber_observed
         requested = ""
     else:  # hamming74
         k4 = cfg.k - cfg.k % 4

@@ -42,8 +42,8 @@ from polarlink.simulate import (
     run_session,
     run_sweep,
     run_trial,
+    trial_rngs,
     wilson_interval,
-    _rngs_for,
 )
 
 from gf2 import gf2_inverse, gf2_matmul
@@ -282,7 +282,7 @@ def test_criterion_11_protocol_determinism():
         plan = plan_session(cfg.k)
         record = SessionRecord(k=cfg.k, n_mother=plan.n_mother,
                                stage1_budget=plan.stage1_budget, snr_db=snr)
-        run_session(cfg, snr, _rngs_for(seed, 0, 0), record=record)
+        run_session(cfg, snr, trial_rngs(seed, 0, 0), record=record)
         replayed = replay_session(json.loads(record.to_json()), k=cfg.k)
         if json.dumps(replayed, sort_keys=True) != json.dumps(record.decisions, sort_keys=True):
             replay_ok = False

@@ -53,6 +53,19 @@ class TestModels:
             LeakageModel((0.3, 0.5, 0.3))  # does not sum to 1
 
 
+def scalar_observation_oracle(bit, s_i, noise, leak, n_fft, seed):
+    """The per-symbol synthesis loop, written out independently of the batch."""
+    g = np.random.default_rng(seed).standard_normal((n_fft, 2))
+    bins = np.sqrt(noise.sigma2) * (g[:, 0] + 1j * g[:, 1])
+    if noise.signal_power > 0:
+        if bit == 0:
+            bins[s_i] += np.sqrt(noise.signal_power)
+        else:
+            for off, frac in zip((-1, 0, 1), leak.fractions):
+                bins[(s_i + n_fft // 2 + off) % n_fft] += np.sqrt(frac * noise.signal_power)
+    return bins
+
+
 class TestSynthesize:
     def test_zero_power_pure_noise(self):
         noise = NoiseModel(sigma2=1.0, signal_power=0.0)
@@ -85,6 +98,19 @@ class TestSynthesize:
         a = synthesize_observation(1, 17, noise, NO_LEAKAGE, 128, rng_seed=99)
         b = synthesize_observation(1, 17, noise, NO_LEAKAGE, 128, rng_seed=99)
         assert np.array_equal(a.bins, b.bins)
+
+    @pytest.mark.parametrize("leak", [NO_LEAKAGE, LeakageModel((0.25, 0.5, 0.25)),
+                                      LeakageModel((0.0, 0.6, 0.4))])
+    def test_observation_is_one_row_of_the_batch(self, leak):
+        for seed in range(20):
+            for bit in (0, 1):
+                noise = NoiseModel(sigma2=1.5, signal_power=[0.0, 0.3, 40.0][seed % 3])
+                s_i = (7 * seed) % 64
+                obs = synthesize_observation(bit, s_i, noise, leak, 64, rng_seed=seed)
+                row = synthesize_symbols([bit], [s_i], noise, leak, 64,
+                                         np.random.default_rng(seed))[0]
+                ref = scalar_observation_oracle(bit, s_i, noise, leak, 64, seed)
+                assert obs.bins.tobytes() == row.tobytes() == ref.tobytes()
 
     def test_batch_matches_scalar_distribution_contract(self):
         noise = NoiseModel(sigma2=1.0, signal_power=9.0)

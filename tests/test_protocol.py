@@ -170,6 +170,24 @@ class TestSessionPlan:
         for rate in RATE_TABLE:
             assert Fraction(96, plan.cumulative_budget(rate)) == rate
 
+    def test_positions_extend_the_stages(self):
+        plan = plan_session(96)
+        assert np.array_equal(plan.positions(STAGE1_RATE), plan.stage1_positions())
+        for rate in RATE_TABLE:
+            stages = np.concatenate([plan.stage1_positions(), plan.stage2_positions(rate)])
+            assert np.array_equal(plan.positions(rate), stages)
+
+    def test_positions_round_half_up(self):
+        # 9 / (2/5) = 22.5 coded bits
+        assert len(plan_session(9).positions(Fraction(2, 5))) == 23
+
+    def test_positions_beyond_mother_code_rejected(self):
+        plan = plan_session(96)  # N = 1024
+        assert len(plan.positions(Fraction(96, 1024))) == 1024
+        for rate in (Fraction(96, 1025), Fraction(3, 2)):
+            with pytest.raises(ValueError):
+                plan.positions(rate)
+
 
 class TestTagFrames:
     def test_stage_sizes_k96(self):
@@ -327,6 +345,19 @@ class TestGateway:
         assert not gw.seen_ids and not gw.decisions
         assert not np.any(gw.combined)
 
+    def test_header_length_must_match_plan(self):
+        plan = plan_session(96)
+        f1 = tag_stage1(np.zeros(plan.n_mother, dtype=np.uint8), plan)
+        assert f1.header.length_code == 11  # 12 bytes
+        bad = Frame(header=PacketHeader(rate_code=0, length_code=0, packet_id=0),
+                    payload_positions=f1.payload_positions, payload_bits=f1.payload_bits,
+                    crc=f1.crc)
+        gw = GatewaySession(plan)
+        with pytest.raises(ValueError):
+            gateway_on_frame(bad, clean_llrs_for(bad), gw)
+        assert not gw.seen_ids and not gw.decisions
+        assert not np.any(gw.combined)
+
     def test_nonfinite_llrs_rejected(self):
         plan = plan_session(96)
         f1 = tag_stage1(np.zeros(plan.n_mother, dtype=np.uint8), plan)
@@ -339,6 +370,7 @@ class TestGateway:
 
 
 _HEX = "0123456789abcdefABCDEF"
+_BITS = st.lists(st.integers(0, 1), max_size=70).map(lambda b: np.array(b, dtype=np.uint8))
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 
 
@@ -377,6 +409,63 @@ class TestWireBoundaryProperty:
             gateway_on_frame(frame, llrs, gw)
         except ValueError:
             pass
+
+
+@st.composite
+def frames(draw):
+    """Any well-formed Frame: a header, 1-20 positions in int64, bits, CRC."""
+    header = PacketHeader(rate_code=draw(st.integers(0, 3)), length_code=draw(st.integers(0, 15)),
+                          packet_id=draw(st.integers(0, 1)))
+    positions = draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=20))
+    bits = draw(st.lists(st.integers(0, 1), min_size=len(positions), max_size=len(positions)))
+    crc = draw(st.integers(0, 0xFFFF)) if header.packet_id == 0 else None
+    return Frame(header=header, payload_positions=np.array(positions, dtype=np.int64),
+                 payload_bits=np.array(bits, dtype=np.uint8), crc=crc)
+
+
+def _mutate(line, data):
+    """Replace, insert or delete one character of a wire line."""
+    i = data.draw(st.integers(0, len(line)))
+    ch = data.draw(st.sampled_from(_HEX + ",_+- x\t\n\u0661\uff10"))
+    return data.draw(st.sampled_from([line[:i] + ch + line[i + 1:], line[:i] + ch + line[i:],
+                                      line[:i] + line[i + 1:]]))
+
+
+def assert_frames_equal(a, b):
+    assert a.header == b.header and a.crc == b.crc
+    assert a.payload_positions.dtype == b.payload_positions.dtype == np.int64
+    assert np.array_equal(a.payload_positions, b.payload_positions)
+    assert np.array_equal(a.payload_bits, b.payload_bits)
+
+
+class TestWireRoundTripProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(frame=frames())
+    def test_frame_roundtrip(self, frame):
+        assert_frames_equal(frame_from_wire(frame_to_wire(frame)), frame)
+
+    @settings(max_examples=300, deadline=None)
+    @given(frame=frames(), data=st.data())
+    def test_accepted_line_is_canonical(self, frame, data):
+        # every spelling the parser accepts is the one frame_to_wire emits
+        line = _mutate(frame_to_wire(frame), data)
+        try:
+            parsed = frame_from_wire(line)
+        except ValueError:
+            return
+        assert frame_to_wire(parsed) == line
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=_BITS)
+    def test_hex_roundtrip(self, bits):
+        text = bits_to_hex(bits)
+        assert len(text) == -(-bits.size // 4)
+        assert np.array_equal(hex_to_bits(text, bits.size), bits)
+
+    @given(rate=st.integers(0, 3), length=st.integers(0, 15), pid=st.integers(0, 1))
+    def test_header_roundtrip(self, rate, length, pid):
+        header = PacketHeader(rate_code=rate, length_code=length, packet_id=pid)
+        assert header_decode(header_encode(header)) == header
 
 
 class TestFeedbackChannel:
@@ -426,6 +515,29 @@ class TestWireFormat:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
             frame_from_wire("deadbeef")
+
+    @pytest.mark.parametrize("line", [
+        "00 1_0,\u0661\u0662 0 abcd",  # underscore, Arabic-Indic digits
+        "00 +1,02 0 abcd",              # sign, leading zero
+        "00 1,2 0 ABCD",                # uppercase
+        "00 1,2 0 ab",                  # short CRC
+        "00 1,2 0 0x12",
+        "00 1,2 00 abcd",               # payload wider than its bits
+        "0 1,2 0 abcd",                 # short header
+        "00  1,2 0 abcd",               # doubled separator
+        "00 1,2 0 abcd\n",
+        "00 1,2 0 12345",
+    ])
+    def test_noncanonical_spellings_rejected(self, line):
+        assert frame_from_wire("00 1,2 0 abcd").crc == 0xABCD
+        with pytest.raises(ValueError):
+            frame_from_wire(line)
+
+    def test_hex_rejects_nonascii_digits(self):
+        with pytest.raises(ValueError):
+            hex_to_bits("\u0661\u0662", 8)
+        with pytest.raises(ValueError):
+            hex_to_bits("A", 4)
 
 
 class TestFrameInvariants:

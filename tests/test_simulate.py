@@ -19,9 +19,9 @@ from polarlink.simulate import (
     run_session,
     run_sweep,
     run_trial,
+    trial_rngs,
     wilson_interval,
     write_outputs,
-    _rngs_for,
 )
 
 
@@ -153,9 +153,35 @@ class TestRunTrial:
 
     def test_schemes_share_channel_stream(self):
         cfg = SimConfig(snr_db=(8.0,), trials=1, k=96, master_seed=7)
-        rngs_a = _rngs_for(cfg.master_seed, 0, 0)
-        rngs_b = _rngs_for(cfg.master_seed, 0, 0)
+        rngs_a = trial_rngs(cfg.master_seed, 0, 0)
+        rngs_b = trial_rngs(cfg.master_seed, 0, 0)
         assert rngs_a[0].integers(0, 2, 96).tolist() == rngs_b[0].integers(0, 2, 96).tolist()
+
+    def test_fixed_budget_rounds_half_up(self):
+        # 9 / (2/5) = 22.5 coded bits; the session plan rounds half up
+        cfg = SimConfig(snr_db=(40.0,), trials=1, k=9, master_seed=6)
+        r = run_trial(cfg, "fixed:2/5", 0, 0)
+        assert r.bits_sent == 23 and r.success
+
+    def test_fixed_records_observed_fber(self, monkeypatch):
+        # the punctured decode's frozen pilots are mostly unobservable; the
+        # trial keeps the statistic over observed ones, as the protocol does
+        import polarlink.protocol as protocol
+
+        results = []
+        real = protocol.bp_decode
+        monkeypatch.setattr(protocol, "bp_decode",
+                            lambda *a, **kw: results.append(real(*a, **kw)) or results[-1])
+        cfg = SimConfig(snr_db=(3.0,), trials=1, k=96, master_seed=6)
+        r = run_trial(cfg, "fixed:1/2", 0, 0)
+        assert len(results) == 1
+        assert r.fber_first == results[0].fber_observed
+        assert results[0].fber_observed > results[0].fber
+
+    def test_fixed_rate_beyond_mother_code_rejected(self):
+        cfg = SimConfig(snr_db=(8.0,), trials=1, k=96)
+        with pytest.raises(ValueError):
+            run_trial(cfg, "fixed:1/11", 0, 0)
 
     def test_deep_failure_point(self):
         # far below the waterfall every session dies
@@ -196,7 +222,7 @@ class TestSessionReplay:
         plan = plan_session(cfg.k)
         record = SessionRecord(k=cfg.k, n_mother=plan.n_mother,
                                stage1_budget=plan.stage1_budget, snr_db=snr_db)
-        run_session(cfg, snr_db, _rngs_for(seed, 0, 0), record=record)
+        run_session(cfg, snr_db, trial_rngs(seed, 0, 0), record=record)
         return record
 
     def test_replay_reproduces_decisions_byte_exactly(self):
@@ -231,7 +257,7 @@ class TestSessionReplay:
                 monkeypatch.setattr(module, "encode_systematic",
                                     lambda *a, _real=real, **kw: calls.append(1) or _real(*a, **kw))
         cfg = SimConfig(snr_db=(4.0,), trials=1, k=96, master_seed=3)
-        _, _, aux = run_session(cfg, 4.0, _rngs_for(3, 0, 0))
+        _, _, aux = run_session(cfg, 4.0, trial_rngs(3, 0, 0))
         assert aux["frames_used"] == 2
         assert len(calls) == 1
 
