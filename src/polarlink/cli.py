@@ -117,9 +117,7 @@ def _cmd_decode(args) -> int:
     spec = design_code(int(spec_json["n_log2"]), int(spec_json["k"]),
                        eps=float(spec_json.get("eps", 0.5)))
     llrs = np.array([float(v) for v in llr_text.replace(",", "\n").split()])
-    cfg = BpConfig(max_iters=args.iters,
-                   update_rule="exact" if args.rule == "exact" else "minsum")
-    result = bp_decode(llrs, spec, cfg)
+    result = bp_decode(llrs, spec, BpConfig(max_iters=args.iters, update_rule=args.rule))
     print(json.dumps({
         "info_hex": bits_to_hex(result.info_bits),
         "fber": result.fber,

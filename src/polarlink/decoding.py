@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -44,25 +43,23 @@ class BpConfig:
     update_rule 'exact' uses the exact pairwise LLR combination (tanh rule in
     its numerically stable log form); 'minsum' uses the sign-min
     approximation.  early_stop 'frozen' stops once every frozen position's
-    extrinsic decision agrees with the known zero; 'crc' additionally
-    requires crc_check(info_bits) to pass; 'none' applies no decision rule.
-    In every mode the decoder also stops at an exact fixed point, an
-    iteration that leaves its messages bit-identical, because every later
-    iteration would repeat it; results equal those of running on to
-    max_iters.  crc_check must therefore be a pure function of its input.
+    extrinsic decision agrees with the known zero (and, when bp_decode gets a
+    crc_check, once that passes too); 'none' applies no decision rule.  In
+    every mode the decoder also stops at an exact fixed point, an iteration
+    that leaves its messages bit-identical, because every later iteration
+    would repeat it; results equal those of running on to max_iters.
     """
 
     max_iters: int = 60
     update_rule: str = "exact"
     early_stop: str = "frozen"
-    crc_check: Optional[Callable[[np.ndarray], bool]] = None
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.update_rule not in ("exact", "minsum"):
             raise ValueError(f"unknown update_rule {self.update_rule!r}")
-        if self.early_stop not in ("none", "frozen", "crc"):
+        if self.early_stop not in ("none", "frozen"):
             raise ValueError(f"unknown early_stop {self.early_stop!r}")
 
 
@@ -134,7 +131,8 @@ def _channel_only_u_llrs(llrs, pairs, n_log2, f):
     return cur
 
 
-def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig()) -> DecodeResult:
+def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
+              crc_check=None) -> DecodeResult:
     """Iteratively decode channel LLRs into info bits and frozen-side statistics.
 
     Parameters
@@ -144,6 +142,10 @@ def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig()) -> DecodeResult:
         positions carry exactly 0.
     spec : CodeSpec
     cfg : BpConfig
+    crc_check : callable(info_bits) -> bool, optional
+        Under early_stop 'frozen', the stop also waits for this to pass and
+        then reports stop_reason 'crc'; under 'none' it is unused.  It must
+        be a pure function of its input (see the fixed-point stop).
 
     Returns
     -------
@@ -199,12 +201,11 @@ def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig()) -> DecodeResult:
 
         if cfg.early_stop != "none":
             frozen_ok = bool(np.all(left[0, spec.frozen_set] >= 0.0))
-            by_crc = cfg.early_stop == "crc" and cfg.crc_check is not None
-            if frozen_ok and by_crc:
-                frozen_ok = bool(cfg.crc_check(info_from(left[0] + right[0])))
+            if frozen_ok and crc_check is not None:
+                frozen_ok = bool(crc_check(info_from(left[0] + right[0])))
             if frozen_ok:
                 converged = True
-                stop_reason = "crc" if by_crc else "frozen"
+                stop_reason = "frozen" if crc_check is None else "crc"
                 break
         # compared as bits, so a sign flip of a zero also counts as a change
         if np.array_equal(prev_state.view(np.uint64), state.view(np.uint64)):

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e
 
 __all__ = [
     "MAG_FLOOR",
@@ -202,6 +201,8 @@ def llr_conventional_many(bins, peaks, sigma2: float, p_hat: float) -> np.ndarra
     Collapses to 0 when p_hat = 0 and degrades as p_hat drifts from the true
     power the estimator cannot observe.
     """
+    from scipy.special import i0e  # imported here: no other path needs scipy
+
     bins, rows, s_bar, ms = _candidates(bins, peaks, sigma2)
     if p_hat < 0:
         raise ValueError("p_hat must be >= 0")

@@ -17,7 +17,7 @@ feedback path is a logical channel with a configurable loss probability.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .construction import CodeSpec, design_code
-from .decoding import BpConfig, bp_decode, combine_llrs
+from .decoding import bp_decode, combine_llrs
 
 __all__ = [
     "RATE_TABLE",
@@ -42,7 +42,6 @@ __all__ = [
     "crc16_verify",
     "estimate_rate",
     "rate_code_of",
-    "rate_from_code",
     "plan_session",
     "tag_stage1",
     "tag_stage2",
@@ -175,10 +174,6 @@ def rate_code_of(rate: Fraction) -> int:
     return RATE_TABLE.index(rate)
 
 
-def rate_from_code(code: int) -> Fraction:
-    return RATE_TABLE[code]
-
-
 def _budget(k: int, rate: Fraction) -> int:
     # round half up keeps budgets deterministic for odd K
     num = Fraction(k, 1) / rate
@@ -191,11 +186,14 @@ class SessionPlan:
 
     k: int
     spec: CodeSpec = field(repr=False)
-    stage1_budget: int
 
     @property
     def n_mother(self) -> int:
         return self.spec.n
+
+    @property
+    def stage1_budget(self) -> int:
+        return _budget(self.k, STAGE1_RATE)
 
     def cumulative_budget(self, rate: Fraction) -> int:
         """Total coded bits on air once stage 2 at ``rate`` completes."""
@@ -217,9 +215,9 @@ class SessionPlan:
 
     def stage2_positions(self, rate: Fraction) -> np.ndarray:
         """Parity positions stage 2 adds beyond stage 1, schedule order."""
-        start = self.stage1_budget - self.k
-        stop = self.cumulative_budget(rate) - self.k
-        return self.spec.parity_schedule[start:stop]
+        if rate not in RATE_TABLE:
+            raise ValueError(f"rate {rate} not in table")
+        return self.positions(rate)[self.stage1_budget:]
 
 
 @lru_cache(maxsize=32)
@@ -233,7 +231,7 @@ def plan_session(k: int) -> SessionPlan:
         raise ValueError(f"k must be in [8, 512], got {k}")
     n_log2 = (8 * k - 1).bit_length()
     spec = design_code(n_log2, k)
-    return SessionPlan(k=k, spec=spec, stage1_budget=_budget(k, STAGE1_RATE))
+    return SessionPlan(k=k, spec=spec)
 
 
 def _length_code(k: int) -> int:
@@ -274,34 +272,28 @@ def tag_stage2(codeword, plan: SessionPlan, requested_rate: Fraction) -> Frame:
                  payload_bits=codeword[positions], crc=None)
 
 
-@dataclass
 class GatewaySession:
     """Gateway-side decode state across the frames of one session."""
 
-    plan: SessionPlan
-    bp_config: BpConfig = field(default_factory=BpConfig)
-    combined: np.ndarray = None
-    seen_ids: set = field(default_factory=set)
-    expected_crc: Optional[int] = None
-    decisions: list = field(default_factory=list)
-    last_fber: float = 0.0
-    last_info: np.ndarray = None
-    succeeded: bool = False
-
-    def __post_init__(self):
-        if self.combined is None:
-            self.combined = np.zeros(self.plan.n_mother)
+    def __init__(self, plan: SessionPlan):
+        self.plan = plan
+        self.combined = np.zeros(plan.n_mother)
+        self.seen_ids = set()
+        self.expected_crc: Optional[int] = None
+        self.decisions = []
+        self.last_fber = 0.0
+        self.last_info: Optional[np.ndarray] = None
+        self.succeeded = False
 
 
-def crc_gated_decode(llrs, spec: CodeSpec, crc: int, bp_config: BpConfig = BpConfig()):
+def crc_gated_decode(llrs, spec: CodeSpec, crc: int):
     """BP-decode with the CRC as the early-stop gate; returns the DecodeResult.
 
     Frozen consistency alone fires too early on a heavily punctured graph,
     before the info positions settle, so the decoder also waits for
     ``crc16(info_bits) == crc``.
     """
-    cfg = replace(bp_config, early_stop="crc", crc_check=lambda bits: crc16_verify(bits, crc))
-    return bp_decode(llrs, spec, cfg)
+    return bp_decode(llrs, spec, crc_check=lambda bits: crc16_verify(bits, crc))
 
 
 def gateway_on_frame(frame: Frame, llrs, session: GatewaySession) -> dict:
@@ -354,14 +346,14 @@ def gateway_on_frame(frame: Frame, llrs, session: GatewaySession) -> dict:
     if pid == 0:
         session.expected_crc = frame.crc
 
-    result = crc_gated_decode(session.combined, session.plan.spec, session.expected_crc,
-                              session.bp_config)
+    result = crc_gated_decode(session.combined, session.plan.spec, session.expected_crc)
     # puncturing leaves most frozen pilots unobservable, so the rate
     # estimator reads the statistic over observed pilots only
     fber = result.fber_observed
     session.last_fber = fber
     session.last_info = result.info_bits
-    ok = crc16_verify(result.info_bits, session.expected_crc)
+    # a decode that stopped on the CRC has already passed it
+    ok = result.stop_reason == "crc" or crc16_verify(result.info_bits, session.expected_crc)
     if ok:
         session.succeeded = True
         decision = {"action": "ack", "packet_id": pid, "fber": fber}

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .decoding import BpConfig
 from .encoding import encode_systematic
 from .phy import LeakageModel, NoiseModel, llr_basic_many, llr_leakage_many, synthesize_symbols
 from .protocol import (
@@ -254,8 +253,7 @@ def _transmit(bits, cfg: SimConfig, noise: NoiseModel, channel_rng) -> np.ndarra
     return metric(bins, peaks, cfg.sigma2)
 
 
-def run_session(cfg: SimConfig, snr_db: float, rngs, bp_config: BpConfig = None,
-                record: SessionRecord = None):
+def run_session(cfg: SimConfig, snr_db: float, rngs, *, record: SessionRecord = None):
     """Run one two-stage adaptive session; returns (success, decoded, aux dict).
 
     The tag retransmits parity after a feedback timeout at the fallback rate,
@@ -267,7 +265,7 @@ def run_session(cfg: SimConfig, snr_db: float, rngs, bp_config: BpConfig = None,
     plan = plan_session(cfg.k)
     info = info_rng.integers(0, 2, size=cfg.k).astype(np.uint8)
     codeword = encode_systematic(info, plan.spec)  # both stages slice it
-    gw = GatewaySession(plan, bp_config or BpConfig())
+    gw = GatewaySession(plan)
 
     def send(frame):
         llrs = _transmit(frame.payload_bits, cfg, noise, channel_rng)
@@ -321,7 +319,7 @@ def run_session(cfg: SimConfig, snr_db: float, rngs, bp_config: BpConfig = None,
     return gw.succeeded, decoded, aux
 
 
-def replay_session(record_dict: dict, k: int, bp_config: BpConfig = None) -> list:
+def replay_session(record_dict: dict, k: int) -> list:
     """Re-run the gateway over a recorded trace; returns its decision list.
 
     Raises ValueError when the record's mother-code length does not match
@@ -331,7 +329,7 @@ def replay_session(record_dict: dict, k: int, bp_config: BpConfig = None) -> lis
     if record_dict["n_mother"] != plan.n_mother:
         raise ValueError(f"record n_mother {record_dict['n_mother']} does not match "
                          f"the K={k} plan's {plan.n_mother}")
-    gw = GatewaySession(plan, bp_config or BpConfig())
+    gw = GatewaySession(plan)
     for wire, llrs in zip(record_dict["frames"], record_dict["frame_llrs"]):
         gateway_on_frame(frame_from_wire(wire), np.asarray(llrs), gw)
     return gw.decisions
@@ -385,14 +383,12 @@ def run_trial(cfg: SimConfig, scheme: str, point: int, trial: int) -> TrialResul
         fber_first = result.fber_observed
         requested = ""
     else:  # hamming74
-        k4 = cfg.k - cfg.k % 4
         info = info_rng.integers(0, 2, size=cfg.k).astype(np.uint8)
-        coded = hamming74_encode(info[:k4])
+        # the last block is zero-padded, so every info bit goes on air
+        coded = hamming74_encode(np.pad(info, (0, -cfg.k % 4)))
         llrs = _transmit(coded, cfg, noise, channel_rng)
-        data = hamming74_decode(llrs)
-        decoded = info.copy()
-        decoded[:k4] = data
-        success = bool(np.array_equal(data, info[:k4]))
+        decoded = hamming74_decode(llrs)[:cfg.k]
+        success = bool(np.array_equal(decoded, info))
         bits_sent = len(coded)
         frames_used = 1
         fber_first = 0.0

@@ -30,7 +30,7 @@ def awgn_llrs(codeword, snr_db, rng):
     return 4.0 * g * signs + np.sqrt(8.0 * g) * rng.standard_normal(len(codeword))
 
 
-def bp_decode_no_fixed_point_oracle(llrs, spec, cfg):
+def bp_decode_no_fixed_point_oracle(llrs, spec, cfg, crc_check=None):
     """The decoder loop without the fixed-point stop (test oracle).
 
     It runs until the early-stop rule fires or max_iters is spent, and
@@ -67,8 +67,8 @@ def bp_decode_no_fixed_point_oracle(llrs, spec, cfg):
             right[s + 1, q] = rq + f(rp, lp)
         if cfg.early_stop != "none":
             frozen_ok = bool(np.all(left[0, spec.frozen_set] >= 0.0))
-            if frozen_ok and cfg.early_stop == "crc" and cfg.crc_check is not None:
-                frozen_ok = bool(cfg.crc_check(info_from(left[0] + right[0])))
+            if frozen_ok and crc_check is not None:
+                frozen_ok = bool(crc_check(info_from(left[0] + right[0])))
             if frozen_ok:
                 converged = True
                 break
@@ -127,18 +127,23 @@ def _small_code_cases():
 
 
 class TestFixedPointStop:
+    # the id names the rule that can end a decode early: "crc" is the frozen
+    # check gated by the CRC, as the gateway runs it; under "none" the
+    # predicate is unused
     @pytest.mark.parametrize("rule", ["exact", "minsum"])
-    @pytest.mark.parametrize("early_stop", ["none", "frozen", "crc"])
-    def test_bitwise_equal_to_running_on(self, rule, early_stop):
+    @pytest.mark.parametrize("early_stop, gated", [("none", False), ("frozen", False),
+                                                   ("frozen", True), ("none", True)],
+                             ids=["none", "frozen", "crc", "none_gated"])
+    def test_bitwise_equal_to_running_on(self, rule, early_stop, gated):
         stops = []
         for punctured, cases in ((False, _unpunctured_cases() + _small_code_cases()),
                                  (True, _punctured_cases())):
             for llrs, spec, crc in cases:
-                cfg = BpConfig(update_rule=rule, early_stop=early_stop,
-                               crc_check=lambda b, crc=crc: crc16_verify(b, crc))
-                res = bp_decode(llrs, spec, cfg)
+                cfg = BpConfig(update_rule=rule, early_stop=early_stop)
+                check = (lambda b, crc=crc: crc16_verify(b, crc)) if gated else None
+                res = bp_decode(llrs, spec, cfg, crc_check=check)
                 info, u_post, frozen_hard, fber, fber_observed, converged = \
-                    bp_decode_no_fixed_point_oracle(llrs, spec, cfg)
+                    bp_decode_no_fixed_point_oracle(llrs, spec, cfg, check)
                 assert res.info_bits.tobytes() == info.tobytes()
                 assert res.u_posterior.tobytes() == u_post.tobytes()
                 assert res.frozen_hard.tobytes() == frozen_hard.tobytes()
@@ -147,7 +152,7 @@ class TestFixedPointStop:
                 assert 1 <= res.iterations_used <= cfg.max_iters
                 if res.stop_reason in ("frozen", "crc"):
                     assert res.converged and early_stop != "none"
-                    assert res.stop_reason == ("crc" if early_stop == "crc" else "frozen")
+                    assert res.stop_reason == ("crc" if gated else "frozen")
                 else:
                     assert res.stop_reason in ("fixed_point", "max_iters")
                     assert res.converged == (early_stop == "none" and converged)
@@ -256,9 +261,17 @@ class TestBpDecode:
         rng = np.random.default_rng(6)
         info = rng.integers(0, 2, 8).astype(np.uint8)
         crc = crc16(info)
-        cfg = BpConfig(early_stop="crc", crc_check=lambda b: crc16_verify(b, crc))
-        res = bp_decode(noiseless_llrs(encode_systematic(info, spec)), spec, cfg)
+        res = bp_decode(noiseless_llrs(encode_systematic(info, spec)), spec,
+                        crc_check=lambda b: crc16_verify(b, crc))
         assert res.converged and np.array_equal(res.info_bits, info)
+        assert res.stop_reason == "crc"
+
+    def test_config_holds_settings_only(self):
+        # the CRC predicate is a per-call argument, not a stop mode
+        with pytest.raises(ValueError):
+            BpConfig(early_stop="crc")
+        with pytest.raises(TypeError):
+            BpConfig(crc_check=lambda b: True)
 
 
 class TestFber:

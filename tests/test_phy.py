@@ -1,10 +1,15 @@
 """PHY: peak mapping, observation synthesis, LLR metric properties."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polarlink
 from polarlink.phy import (
     NO_LEAKAGE,
     LeakageModel,
@@ -253,3 +258,13 @@ class TestLlrConventional:
         a = llr_basic_many(bins, peaks, 1.0)
         b = llr_basic_many(bins, peaks, 1.0)
         assert np.array_equal(a, b)
+
+    def test_scipy_loads_on_first_use_only(self):
+        # only this baseline needs scipy, so importing the package skips it
+        src = str(Path(polarlink.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, polarlink; print('scipy.special' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

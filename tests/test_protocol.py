@@ -1,5 +1,7 @@
 """Protocol: headers, CRC, rate table, budgets, state machines, wire format."""
 
+import dataclasses
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -177,6 +179,16 @@ class TestSessionPlan:
             stages = np.concatenate([plan.stage1_positions(), plan.stage2_positions(rate)])
             assert np.array_equal(plan.positions(rate), stages)
 
+    def test_fields_are_what_varies(self):
+        # everything else is derived from K and the code
+        assert [f.name for f in dataclasses.fields(plan_session(96))] == ["k", "spec"]
+
+    def test_stage2_positions_take_table_rates_only(self):
+        plan = plan_session(96)
+        assert len(plan.positions(Fraction(2, 5))) == 240
+        with pytest.raises(ValueError):
+            plan.stage2_positions(Fraction(2, 5))
+
     def test_positions_round_half_up(self):
         # 9 / (2/5) = 22.5 coded bits
         assert len(plan_session(9).positions(Fraction(2, 5))) == 23
@@ -258,6 +270,13 @@ def clean_llrs_for(frame):
 
 
 class TestGateway:
+    def test_session_takes_only_the_plan(self):
+        assert list(inspect.signature(GatewaySession).parameters) == ["plan"]
+        gw = GatewaySession(plan_session(96))
+        assert gw.combined.shape == (1024,) and not gw.combined.any()
+        assert (gw.seen_ids, gw.expected_crc, gw.decisions) == (set(), None, [])
+        assert (gw.last_fber, gw.last_info, gw.succeeded) == (0.0, None, False)
+
     def test_clean_stage1_acks(self):
         plan = plan_session(96)
         rng = np.random.default_rng(26)

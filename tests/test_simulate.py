@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import polarlink.protocol as protocol
+import polarlink.simulate as simulate
 from polarlink.simulate import (
     Metrics,
     SessionRecord,
@@ -195,6 +197,26 @@ class TestRunTrial:
         assert r.bits_sent == 96 * 7 // 4
         assert r.effective_rate == pytest.approx(4 / 7)
 
+    def test_hamming_sends_every_info_bit(self):
+        # K=9: the last block carries bit 8 and three zero pad bits
+        cfg = SimConfig(snr_db=(40.0,), trials=1, k=9, master_seed=9)
+        r = run_trial(cfg, "hamming74", 0, 0)
+        assert r.bits_sent == 21
+        assert r.effective_rate <= 4 / 7
+        assert r.success and r.bit_errors == 0
+        # bit 8 now crosses the channel and can err
+        cfg = SimConfig(snr_db=(-30.0,), trials=40, k=9, master_seed=9)
+        tail_wrong = 0
+        for t in range(cfg.trials):
+            info_rng, channel_rng, _ = trial_rngs(cfg.master_seed, 0, t)
+            info = info_rng.integers(0, 2, size=9).astype(np.uint8)
+            coded = hamming74_encode(np.concatenate([info, np.zeros(3, dtype=np.uint8)]))
+            decoded = hamming74_decode(simulate._transmit(coded, cfg, cfg.noise(-30.0),
+                                                          channel_rng))[:9]
+            tail_wrong += int(decoded[8] != info[8])
+            assert run_trial(cfg, "hamming74", 0, t).bit_errors == int(np.sum(decoded != info))
+        assert tail_wrong > 0
+
     def test_lost_ack_wastes_a_stage_two(self):
         # tag cannot tell a lost ACK from a lost rate request: it times out
         # and retransmits at the fallback rate; the session stays successful
@@ -247,8 +269,6 @@ class TestSessionReplay:
     def test_session_encodes_once(self, monkeypatch):
         # a two-frame session slices both frames from one codeword
         import polarlink.decoding as decoding
-        import polarlink.protocol as protocol
-        import polarlink.simulate as simulate
 
         calls = []
         for module in (simulate, protocol, decoding):
@@ -260,6 +280,19 @@ class TestSessionReplay:
         _, _, aux = run_session(cfg, 4.0, trial_rngs(3, 0, 0))
         assert aux["frames_used"] == 2
         assert len(calls) == 1
+
+    def test_accepted_frame_checks_its_crc_once(self, monkeypatch):
+        # the tag computes the CRC and the decoder's stop checks it; a stop
+        # on the CRC already says it passed, so the gateway does not repeat it
+        calls = []
+        real = protocol.crc16
+        monkeypatch.setattr(protocol, "crc16", lambda bits: calls.append(1) or real(bits))
+        cfg = SimConfig(snr_db=(18.0,), trials=1, k=96, master_seed=5)
+        success, decoded, aux = run_session(cfg, 18.0, trial_rngs(5, 0, 0))
+        assert success and aux["frames_used"] == 1
+        assert np.array_equal(decoded, aux["info"])
+        assert [d["action"] for d in aux["decisions"]] == ["ack"]
+        assert len(calls) == 2
 
     def test_midrange_rescue_occurs(self):
         # there is a band where stage 1 fails but combining saves the session
