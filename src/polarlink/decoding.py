@@ -3,8 +3,17 @@
 The graph mirrors the encoder circuit: layer 0 holds the pre-transform bits u
 (frozen positions pinned to 0 by a large finite prior), layer n holds the
 channel LLRs, and stage s connects layers s and s+1 through N/2 butterflies
-pairing positions (p, p + 2^s).  Positive LLRs favor bit 0 throughout, and a
+pairing positions p and p + 2^s.  Positive LLRs favor bit 0 throughout, and a
 posterior of exactly zero decides bit 0.
+
+The butterflies are addressed as strided views, layer.reshape(-1, 2, 2^s)
+split into its top and bottom halves, never as index arrays.  One iteration
+runs one stacked box-plus per stage half into buffers allocated once per
+decode, and it keeps a bit-identity contract: every message the decoder
+reads, and so every result field and stop, equals that of the plain
+per-butterfly update rules, signed zeros included, since the fixed-point
+stop compares messages as bits.  The test suite checks this against an
+index-pair reference loop.
 
 Frozen-position hard decisions are taken from a prior-free leftward pass
 that uses channel evidence only: the frozen bits act as known pilots, so any
@@ -15,7 +24,6 @@ regardless of channel quality and the frozen error ratio could not track it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -89,45 +97,62 @@ class DecodeResult:
     u_posterior: np.ndarray = field(repr=False, default=None)
 
 
-def _boxplus_exact(a, b):
-    # ln((1 + e^(a+b)) / (e^a + e^b)), stable for large |a|, |b|
-    return (
-        np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-        + np.log1p(np.exp(-np.abs(a + b)))
-        - np.log1p(np.exp(-np.abs(a - b)))
-    )
+def _boxplus(x, out, t, d, exact):
+    """out = x[0] boxplus x[1] elementwise, written through the scratch t and d.
+
+    x, t and d share one shape (2, ...) and out has the shape of x[0]; out
+    may alias x[0], as every read of x comes before the write.  The exact
+    rule is ln((1 + e^(a+b)) / (e^a + e^b)) in the stable form
+    sign(a)sign(b)min(|a|,|b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|), with
+    both correction terms taken in one pass over d.  Its leading term is
+    taken as copysign(min(|a|,|b|), a*b): that differs from the sign product
+    only in the sign of a zero, which the following + log1p(...) >= +0 turns
+    into +0.  Min-sum has no such term and np.sign(-0.0) is +0, so it keeps
+    the sign product.  Both rules are symmetric in a and b bit for bit.
+    """
+    a, b = x
+    m, u = t
+    np.abs(x, out=t)
+    np.minimum(m, u, out=m)
+    if exact:
+        np.multiply(a, b, out=u)
+        np.copysign(m, u, out=m)
+        np.add(a, b, out=d[0])
+        np.subtract(a, b, out=d[1])
+        np.copysign(d, -1.0, out=d)   # -|a +- b|
+        np.exp(d, out=d)
+        np.log1p(d, out=d)
+        np.add(m, d[0], out=m)
+        np.subtract(m, d[1], out=out)
+    else:
+        np.sign(x, out=d)
+        np.multiply(d[0], d[1], out=u)
+        np.multiply(u, m, out=out)
 
 
-def _boxplus_minsum(a, b):
-    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+def _halves(layer, s):
+    """Stage-s butterfly view of a layer: [top; bottom] at positions p and p + 2^s.
+
+    Each half is (N/2^(s+1), 2^s) in position order.  numpy loops fastest
+    over the last axis, so where 2^s is the shorter side the halves are
+    transposed to let the inner loop run the long way; element-wise kernels
+    see the same pairs either way.
+    """
+    v = layer.reshape(-1, 2, 1 << s).swapaxes(0, 1)
+    return v if v.shape[2] >= v.shape[1] else v.swapaxes(1, 2)
 
 
-@lru_cache(maxsize=17)
-def _stage_pairs(n_log2: int):
-    """Top/bottom position indices for each stage's butterflies (read-only)."""
-    n = 1 << n_log2
-    idx = np.arange(n)
-    pairs = []
-    for s in range(n_log2):
-        step = 1 << s
-        p = idx[(idx & step) == 0]
-        pairs.append((p, p + step))
-    return tuple(pairs)
-
-
-def _channel_only_u_llrs(llrs, pairs, n_log2, f):
+def _channel_only_u_llrs(llrs, n_log2, t, d, exact):
     """One leftward sweep with no bit priors: per-u-position channel evidence.
 
     With all rightward messages zero the bottom branch passes through and the
     top branch is a plain check combine, so a single pass reaches layer 0.
+    t and d are contiguous scratch of N values each.
     """
-    cur = llrs
+    cur = llrs.copy()
     for s in range(n_log2 - 1, -1, -1):
-        p, q = pairs[s]
-        nxt = np.empty_like(cur)
-        nxt[p] = f(cur[p], cur[q])
-        nxt[q] = cur[q]
-        cur = nxt
+        v = _halves(cur, s)
+        _boxplus(v, v[0], t.reshape(v.shape), d.reshape(v.shape), exact)
     return cur
 
 
@@ -160,18 +185,40 @@ def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     if not np.all(np.isfinite(llrs)):
         raise ValueError("llrs must be finite")
 
-    f = _boxplus_exact if cfg.update_rule == "exact" else _boxplus_minsum
+    exact = cfg.update_rule == "exact"
     n_log2, n = spec.n_log2, spec.n
-    pairs = _stage_pairs(n_log2)
 
     left = np.zeros((n_log2 + 1, n))   # leftward messages into each layer
     right = np.zeros((n_log2 + 1, n))  # rightward messages into each layer
     right[0, spec.frozen_set] = FROZEN_PRIOR_LLR
     left[n_log2] = llrs
     # the only state one iteration hands the next: left is recomputed from
-    # it, left[n_log2] and right[0] are constants, right[n_log2] is unread
+    # it, left[n_log2] and right[0] are constants, right[n_log2] is unused
     state = right[1:n_log2]
     prev_state = np.empty_like(state)
+
+    # One iteration is a leftward pass over stages n-1..0, then a rightward
+    # pass over 0..n-2, since right[n_log2] is never read.  Each stage half
+    # takes one box-plus f over operands [a; b] that stack its two outputs,
+    #   left[s]    = [f(lp, rq + lq); f(lp, rp) + lq]
+    #   right[s+1] = [f(rp, rq + lq); f(rp, lp) + rq]
+    # so both rows of a hold the shared operand (f is symmetric bit for
+    # bit).  The operand and scratch buffers are allocated once; every stage
+    # sees them, and the message layers, through butterfly views.
+    x = np.empty((2, 2, n // 2))
+    t = np.empty_like(x)
+    d = np.empty_like(x)
+
+    leftward, rightward = [], []
+    for s in range(n_log2):
+        (lp, lq), (rp, rq) = _halves(left[s + 1], s), _halves(right[s], s)
+        xs, ts, ds = (buf.reshape((2, 2) + lp.shape) for buf in (x, t, d))
+        for half, out, shared, other, tail in (
+                (leftward, _halves(left[s], s), lp, rp, lq),
+                (rightward, _halves(right[s + 1], s), rp, lp, rq)):
+            half.append((xs[0], shared, xs[1, 0], rq, lq, xs[1, 1], other,
+                         xs, ts, ds, out, out[1], tail))
+    schedule = leftward[::-1] + rightward[:-1]
 
     def info_from(u_post):
         # systematic read-out: hard-decide u at the info positions (frozen
@@ -186,18 +233,12 @@ def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     for _ in range(cfg.max_iters):
         iterations += 1
         np.copyto(prev_state, state)
-        for s in range(n_log2 - 1, -1, -1):
-            p, q = pairs[s]
-            lp, lq = left[s + 1, p], left[s + 1, q]
-            rp, rq = right[s, p], right[s, q]
-            left[s, p] = f(lp, rq + lq)
-            left[s, q] = f(rp, lp) + lq
-        for s in range(n_log2):
-            p, q = pairs[s]
-            lp, lq = left[s + 1, p], left[s + 1, q]
-            rp, rq = right[s, p], right[s, q]
-            right[s + 1, p] = f(rp, rq + lq)
-            right[s + 1, q] = rq + f(rp, lp)
+        for a, shared, b0, rq, lq, b1, other, xs, ts, ds, out, out_q, tail in schedule:
+            np.copyto(a, shared)
+            np.add(rq, lq, out=b0)
+            np.copyto(b1, other)
+            _boxplus(xs, out, ts, ds, exact)
+            np.add(out_q, tail, out=out_q)
 
         if cfg.early_stop != "none":
             frozen_ok = bool(np.all(left[0, spec.frozen_set] >= 0.0))
@@ -214,7 +255,8 @@ def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
 
     u_posterior = left[0] + right[0]
     info_bits = info_from(u_posterior)
-    frozen_pilot = _channel_only_u_llrs(llrs, pairs, n_log2, f)[spec.frozen_set]
+    pilot = _channel_only_u_llrs(llrs, n_log2, t[0], d[0], exact)
+    frozen_pilot = pilot[spec.frozen_set]
     frozen_hard = (frozen_pilot < 0).astype(np.uint8)
     fber = float(frozen_hard.mean()) if frozen_hard.size else 0.0
     observed = np.abs(frozen_pilot) > 0

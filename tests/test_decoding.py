@@ -7,10 +7,6 @@ from polarlink.construction import design_code
 from polarlink.decoding import (
     FROZEN_PRIOR_LLR,
     BpConfig,
-    _boxplus_exact,
-    _boxplus_minsum,
-    _channel_only_u_llrs,
-    _stage_pairs,
     bp_decode,
     combine_llrs,
     ml_decode_oracle,
@@ -30,17 +26,54 @@ def awgn_llrs(codeword, snr_db, rng):
     return 4.0 * g * signs + np.sqrt(8.0 * g) * rng.standard_normal(len(codeword))
 
 
-def bp_decode_no_fixed_point_oracle(llrs, spec, cfg, crc_check=None):
-    """The decoder loop without the fixed-point stop (test oracle).
+# The reference decoder below is the index-pair loop the kernel replaced.  It
+# keeps its own box-plus, butterfly indices and pilot sweep, so it shares no
+# code with the kernel it checks.
 
-    It runs until the early-stop rule fires or max_iters is spent, and
-    returns (info_bits, u_posterior, frozen_hard, fber, fber_observed,
-    converged).
+def _ref_boxplus_exact(a, b):
+    return (
+        np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+        + np.log1p(np.exp(-np.abs(a + b)))
+        - np.log1p(np.exp(-np.abs(a - b)))
+    )
+
+
+def _ref_boxplus_minsum(a, b):
+    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+
+
+def _ref_stage_pairs(n_log2):
+    idx = np.arange(1 << n_log2)
+    pairs = []
+    for s in range(n_log2):
+        p = idx[(idx & (1 << s)) == 0]
+        pairs.append((p, p + (1 << s)))
+    return pairs
+
+
+def _ref_channel_only_u_llrs(llrs, pairs, n_log2, f):
+    cur = llrs
+    for s in range(n_log2 - 1, -1, -1):
+        p, q = pairs[s]
+        nxt = np.empty_like(cur)
+        nxt[p] = f(cur[p], cur[q])
+        nxt[q] = cur[q]
+        cur = nxt
+    return cur
+
+
+def bp_decode_reference(llrs, spec, cfg, crc_check=None, fixed_point_stop=True):
+    """The index-pair decoder loop (test oracle).
+
+    It runs until the early-stop rule fires, max_iters is spent or, with
+    fixed_point_stop, an iteration leaves right[1:n_log2] bit-identical.
+    Returns (info_bits, u_posterior, frozen_hard, fber, fber_observed,
+    converged, iterations_used, stop_reason).
     """
     llrs = np.asarray(llrs, dtype=np.float64)
-    f = _boxplus_exact if cfg.update_rule == "exact" else _boxplus_minsum
+    f = _ref_boxplus_exact if cfg.update_rule == "exact" else _ref_boxplus_minsum
     n_log2, n = spec.n_log2, spec.n
-    pairs = _stage_pairs(n_log2)
+    pairs = _ref_stage_pairs(n_log2)
     left = np.zeros((n_log2 + 1, n))
     right = np.zeros((n_log2 + 1, n))
     right[0, spec.frozen_set] = FROZEN_PRIOR_LLR
@@ -52,7 +85,11 @@ def bp_decode_no_fixed_point_oracle(llrs, spec, cfg, crc_check=None):
         return polar_transform(u_hat)[spec.info_set]
 
     converged = False
+    iterations = 0
+    stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
+        iterations += 1
+        before = right[1:n_log2].copy()
         for s in range(n_log2 - 1, -1, -1):
             p, q = pairs[s]
             lp, lq = left[s + 1, p], left[s + 1, q]
@@ -71,17 +108,32 @@ def bp_decode_no_fixed_point_oracle(llrs, spec, cfg, crc_check=None):
                 frozen_ok = bool(crc_check(info_from(left[0] + right[0])))
             if frozen_ok:
                 converged = True
+                stop_reason = "frozen" if crc_check is None else "crc"
                 break
+        if fixed_point_stop and before.tobytes() == right[1:n_log2].tobytes():
+            stop_reason = "fixed_point"
+            break
 
     u_posterior = left[0] + right[0]
-    frozen_pilot = _channel_only_u_llrs(llrs, pairs, n_log2, f)[spec.frozen_set]
+    frozen_pilot = _ref_channel_only_u_llrs(llrs, pairs, n_log2, f)[spec.frozen_set]
     frozen_hard = (frozen_pilot < 0).astype(np.uint8)
     fber = float(frozen_hard.mean()) if frozen_hard.size else 0.0
     observed = np.abs(frozen_pilot) > 0
     fber_observed = float(frozen_hard[observed].mean()) if observed.any() else 0.0
     if cfg.early_stop == "none":
         converged = bool(np.all(left[0, spec.frozen_set] >= 0.0))
-    return info_from(u_posterior), u_posterior, frozen_hard, fber, fber_observed, converged
+    return (info_from(u_posterior), u_posterior, frozen_hard, fber, fber_observed,
+            converged, iterations, stop_reason)
+
+
+def bp_decode_no_fixed_point_oracle(llrs, spec, cfg, crc_check=None):
+    """The decoder loop without the fixed-point stop (test oracle).
+
+    It runs until the early-stop rule fires or max_iters is spent, and
+    returns (info_bits, u_posterior, frozen_hard, fber, fber_observed,
+    converged).
+    """
+    return bp_decode_reference(llrs, spec, cfg, crc_check, fixed_point_stop=False)[:6]
 
 
 def _punctured_cases():
@@ -126,6 +178,26 @@ def _small_code_cases():
     return cases
 
 
+def _signed_zero_cases():
+    """Short codes down to N=2 with exact zeros: LLRs on a half-unit grid,
+    so sums and differences tie, -0.0 at some transmitted positions and
+    +0.0 at some punctured ones."""
+    rng = np.random.default_rng(43)
+    cases = []
+    for n_log2, k in ((1, 1), (2, 1), (2, 2), (3, 4), (5, 16)):
+        spec = design_code(n_log2, k)
+        for t in range(12):
+            info = rng.integers(0, 2, k).astype(np.uint8)
+            llrs = np.round(2.0 * awgn_llrs(encode_systematic(info, spec),
+                                            rng.uniform(-6.0, 0.0), rng)) / 2.0
+            sent = rng.permutation(spec.n)
+            llrs[sent[:spec.n // 4 + 1]] = -0.0
+            if t % 2:
+                llrs[sent[-max(1, spec.n // 4):]] = 0.0
+            cases.append((llrs, spec, crc16(info)))
+    return cases
+
+
 class TestFixedPointStop:
     # the id names the rule that can end a decode early: "crc" is the frozen
     # check gated by the CRC, as the gateway runs it; under "none" the
@@ -136,12 +208,16 @@ class TestFixedPointStop:
                              ids=["none", "frozen", "crc", "none_gated"])
     def test_bitwise_equal_to_running_on(self, rule, early_stop, gated):
         stops = []
-        for punctured, cases in ((False, _unpunctured_cases() + _small_code_cases()),
-                                 (True, _punctured_cases())):
+        unpunctured = _unpunctured_cases() + _small_code_cases() + _signed_zero_cases()
+        for punctured, cases in ((False, unpunctured), (True, _punctured_cases())):
             for llrs, spec, crc in cases:
                 cfg = BpConfig(update_rule=rule, early_stop=early_stop)
                 check = (lambda b, crc=crc: crc16_verify(b, crc)) if gated else None
                 res = bp_decode(llrs, spec, cfg, crc_check=check)
+                # a zero of the other sign in a message could move the
+                # fixed-point stop, so the stop must match the reference loop's
+                assert (res.iterations_used, res.stop_reason) == \
+                    bp_decode_reference(llrs, spec, cfg, check)[6:]
                 info, u_post, frozen_hard, fber, fber_observed, converged = \
                     bp_decode_no_fixed_point_oracle(llrs, spec, cfg, check)
                 assert res.info_bits.tobytes() == info.tobytes()
@@ -162,6 +238,11 @@ class TestFixedPointStop:
                     stops.append((res.stop_reason, res.iterations_used))
         # the fixed-point path runs on punctured mother codes
         assert any(reason == "fixed_point" and iters < 60 for reason, iters in stops)
+
+    def test_signed_zero_cases_cover_short_codes(self):
+        cases = _signed_zero_cases()
+        assert {2, 4} <= {spec.n for _, spec, _ in cases}
+        assert all(np.signbit(llrs[llrs == 0]).any() for llrs, _, _ in cases)
 
     def test_reports_max_iters_when_budget_runs_out(self):
         llrs, spec, _ = _unpunctured_cases()[0]
