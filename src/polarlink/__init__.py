@@ -9,7 +9,6 @@ harness with a Hamming(7,4) baseline.
 
 from .construction import (
     CodeSpec,
-    DesignChannel,
     ReliabilityOrder,
     bhattacharyya_evolve,
     build_reliability_order,

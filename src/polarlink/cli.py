@@ -25,6 +25,7 @@ from .simulate import (
     run_session,
     run_sweep,
     snr_to_power,
+    summary_json,
     trial_rngs,
     write_outputs,
 )
@@ -173,15 +174,7 @@ def _run_config(args, write: bool) -> int:
             print(f"i/o error: {exc}", file=sys.stderr)
             return 3
         return 0
-    print(json.dumps({
-        "snr_definition": SNR_NOTE,
-        "points": [
-            {"scheme": m.scheme, "snr_db": m.snr_db, "prr": m.prr, "ber": m.ber,
-             "brr": m.brr, "goodput": m.goodput,
-             "mean_effective_rate": m.mean_effective_rate}
-            for m in metrics
-        ],
-    }, sort_keys=True, indent=2))
+    print(summary_json(cfg, metrics))
     return 0
 
 

@@ -8,7 +8,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "DesignChannel",
     "ReliabilityOrder",
     "CodeSpec",
     "bhattacharyya_evolve",
@@ -19,21 +18,6 @@ __all__ = [
 ]
 
 MAX_N_LOG2 = 16
-
-
-@dataclass(frozen=True)
-class DesignChannel:
-    """Binary erasure design channel; capacity is 1 - erasure_prob."""
-
-    erasure_prob: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.erasure_prob <= 1.0:
-            raise ValueError(f"erasure_prob must be in [0, 1], got {self.erasure_prob}")
-
-    @property
-    def capacity(self) -> float:
-        return 1.0 - self.erasure_prob
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ bit error ratio to one of four deeper rates and feeds that back; stage 2 then
 transmits exactly the additional parity positions the requested rate needs.
 Because both stages draw from one codeword, the gateway combines per-position
 LLRs across frames and decodes the mother code with zeros at the positions it
-never received.
+never received.  A fixed-rate baseline is a one-frame session: a first frame
+at its own rate, decoded by the same gateway.  This module is the only place
+that turns frames into a decode.
 
 Headers and the CRC ride the excitation link and are modeled error-free; the
 feedback path is a logical channel with a configurable loss probability.
@@ -41,11 +43,9 @@ __all__ = [
     "crc16",
     "crc16_verify",
     "estimate_rate",
-    "rate_code_of",
     "plan_session",
     "tag_stage1",
     "tag_stage2",
-    "crc_gated_decode",
     "gateway_on_frame",
     "feedback_channel",
     "frame_to_wire",
@@ -134,9 +134,7 @@ def header_decode(bits) -> PacketHeader:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape != (7,):
         raise ValueError(f"header must be 7 bits, got shape {bits.shape}")
-    v = 0
-    for b in bits:
-        v = (v << 1) | int(b)
+    v = int(np.packbits(bits)[0]) >> 1
     return PacketHeader(rate_code=(v >> 5) & 3, length_code=(v >> 1) & 0xF, packet_id=v & 1)
 
 
@@ -168,10 +166,6 @@ def estimate_rate(fber: float) -> Fraction:
         if fber >= edge:
             choice = rate
     return choice
-
-
-def rate_code_of(rate: Fraction) -> int:
-    return RATE_TABLE.index(rate)
 
 
 def _budget(k: int, rate: Fraction) -> int:
@@ -210,9 +204,6 @@ class SessionPlan:
                              f"[K={self.k}, N={self.n_mother}]")
         return np.concatenate([self.spec.info_set, self.spec.parity_schedule[:budget - self.k]])
 
-    def stage1_positions(self) -> np.ndarray:
-        return self.positions(STAGE1_RATE)
-
     def stage2_positions(self, rate: Fraction) -> np.ndarray:
         """Parity positions stage 2 adds beyond stage 1, schedule order."""
         if rate not in RATE_TABLE:
@@ -245,15 +236,17 @@ def _session_codeword(codeword, plan: SessionPlan) -> np.ndarray:
     return codeword
 
 
-def tag_stage1(codeword, plan: SessionPlan) -> Frame:
+def tag_stage1(codeword, plan: SessionPlan, rate: Fraction = STAGE1_RATE) -> Frame:
     """Send info plus the first scheduled parity, CRC of the info appended.
 
     ``codeword`` is the session's systematic mother codeword
     (``encode_systematic(info, plan.spec)``), encoded once and shared with
-    stage 2; its info positions carry the info bits the CRC covers.
+    stage 2; its info positions carry the info bits the CRC covers.  The
+    frame carries ``plan.positions(rate)``: stage 1 of an adaptive session
+    at the default rate 3/4, or the only frame of a fixed-rate baseline.
     """
     codeword = _session_codeword(codeword, plan)
-    positions = plan.stage1_positions()
+    positions = plan.positions(rate)
     header = PacketHeader(rate_code=0, length_code=_length_code(plan.k), packet_id=0)
     return Frame(header=header, payload_positions=positions,
                  payload_bits=codeword[positions], crc=crc16(codeword[plan.spec.info_set]))
@@ -266,7 +259,7 @@ def tag_stage2(codeword, plan: SessionPlan, requested_rate: Fraction) -> Frame:
     """
     codeword = _session_codeword(codeword, plan)
     positions = plan.stage2_positions(requested_rate)
-    header = PacketHeader(rate_code=rate_code_of(requested_rate),
+    header = PacketHeader(rate_code=RATE_TABLE.index(requested_rate),
                           length_code=_length_code(plan.k), packet_id=1)
     return Frame(header=header, payload_positions=positions,
                  payload_bits=codeword[positions], crc=None)
@@ -284,16 +277,6 @@ class GatewaySession:
         self.last_fber = 0.0
         self.last_info: Optional[np.ndarray] = None
         self.succeeded = False
-
-
-def crc_gated_decode(llrs, spec: CodeSpec, crc: int):
-    """BP-decode with the CRC as the early-stop gate; returns the DecodeResult.
-
-    Frozen consistency alone fires too early on a heavily punctured graph,
-    before the info positions settle, so the decoder also waits for
-    ``crc16(info_bits) == crc``.
-    """
-    return bp_decode(llrs, spec, crc_check=lambda bits: crc16_verify(bits, crc))
 
 
 def gateway_on_frame(frame: Frame, llrs, session: GatewaySession) -> dict:
@@ -346,14 +329,18 @@ def gateway_on_frame(frame: Frame, llrs, session: GatewaySession) -> dict:
     if pid == 0:
         session.expected_crc = frame.crc
 
-    result = crc_gated_decode(session.combined, session.plan.spec, session.expected_crc)
+    # frozen consistency alone fires too early on a heavily punctured graph,
+    # before the info positions settle, so the decoder also waits for the CRC
+    crc = session.expected_crc
+    result = bp_decode(session.combined, session.plan.spec,
+                       crc_check=lambda bits: crc16_verify(bits, crc))
     # puncturing leaves most frozen pilots unobservable, so the rate
     # estimator reads the statistic over observed pilots only
     fber = result.fber_observed
     session.last_fber = fber
     session.last_info = result.info_bits
     # a decode that stopped on the CRC has already passed it
-    ok = result.stop_reason == "crc" or crc16_verify(result.info_bits, session.expected_crc)
+    ok = result.stop_reason == "crc" or crc16_verify(result.info_bits, crc)
     if ok:
         session.succeeded = True
         decision = {"action": "ack", "packet_id": pid, "fber": fber}
@@ -399,24 +386,13 @@ def bits_to_hex(bits) -> str:
     """Pack bits into hex: first bit is the most significant bit of the
     first nibble; trailing pad bits are zero."""
     bits = np.asarray(bits, dtype=np.uint8)
-    out = []
-    for i in range(0, len(bits), 4):
-        nib = 0
-        chunk = bits[i:i + 4]
-        for j, b in enumerate(chunk):
-            nib |= int(b) << (3 - j)
-        out.append(f"{nib:x}")
-    return "".join(out)
+    return np.packbits(bits).tobytes().hex()[:-(-bits.size // 4)]
 
 
 def hex_to_bits(s: str, nbits: int) -> np.ndarray:
     """Unpack nbits bits from their bits_to_hex spelling, the only one accepted."""
     _hex_field(s, nbits)
-    bits = np.zeros(len(s) * 4, dtype=np.uint8)
-    for i, ch in enumerate(s):
-        nib = int(ch, 16)
-        for j in range(4):
-            bits[4 * i + j] = (nib >> (3 - j)) & 1
+    bits = np.unpackbits(np.frombuffer(bytes.fromhex(s + "0" * (len(s) % 2)), dtype=np.uint8))
     if np.any(bits[nbits:]):
         raise ValueError("nonzero pad bits")
     return bits[:nbits]

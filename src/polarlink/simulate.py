@@ -26,8 +26,6 @@ from .protocol import (
     FeedbackMsg,
     GatewaySession,
     bits_to_hex,
-    crc16,
-    crc_gated_decode,
     feedback_channel,
     frame_from_wire,
     frame_to_wire,
@@ -51,6 +49,7 @@ __all__ = [
     "replay_session",
     "run_trial",
     "run_sweep",
+    "summary_json",
     "write_outputs",
     "SNR_NOTE",
 ]
@@ -86,6 +85,14 @@ class SimConfig:
             raise ValueError("snr_db sweep must be non-empty")
         if self.metric not in ("basic", "leakage"):
             raise ValueError(f"unknown metric {self.metric!r}")
+        if not 0.0 <= self.fb_loss < 1.0:
+            raise ValueError(f"fb_loss must be in [0, 1), got {self.fb_loss}")
+        if self.n_fft < 4 or self.n_fft & (self.n_fft - 1):
+            raise ValueError(f"n_fft must be a power of two >= 4, got {self.n_fft}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        self.leakage()  # LeakageModel and NoiseModel check leak and sigma2
+        NoiseModel(sigma2=self.sigma2)
         for s in self.schemes:
             parse_scheme(s)
 
@@ -368,19 +375,19 @@ def run_trial(cfg: SimConfig, scheme: str, point: int, trial: int) -> TrialResul
         fber_first = aux["fber_first"]
         requested = aux["requested_rate"]
     elif kind == "fixed":
+        # one first frame at the fixed rate, decoded by a fresh gateway
         plan = plan_session(cfg.k)
-        positions = plan.positions(fixed_rate)
         info = info_rng.integers(0, 2, size=cfg.k).astype(np.uint8)
-        codeword = encode_systematic(info, plan.spec)
-        full = np.zeros(plan.n_mother)
-        full[positions] = _transmit(codeword[positions], cfg, noise, channel_rng)
-        result = crc_gated_decode(full, plan.spec, crc16(info))
-        decoded = result.info_bits
+        frame = tag_stage1(encode_systematic(info, plan.spec), plan, fixed_rate)
+        gw = GatewaySession(plan)
+        llrs = _transmit(frame.payload_bits, cfg, noise, channel_rng)
+        decision = gateway_on_frame(frame, llrs, gw)
+        decoded = gw.last_info
         # judged against the true bits, not the CRC gate
         success = bool(np.array_equal(decoded, info))
-        bits_sent = len(positions)
+        bits_sent = len(frame.payload_positions)
         frames_used = 1
-        fber_first = result.fber_observed
+        fber_first = decision["fber"]
         requested = ""
     else:  # hamming74
         info = info_rng.integers(0, 2, size=cfg.k).astype(np.uint8)
@@ -464,13 +471,8 @@ def metrics_csv(metrics) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_outputs(cfg: SimConfig, metrics, trials, out_dir) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.csv").write_text(metrics_csv(metrics))
-    with open(out / "trials.jsonl", "w") as fh:
-        for t in trials:
-            fh.write(t.to_json() + "\n")
+def summary_json(cfg: SimConfig, metrics) -> str:
+    """The sweep summary: SNR convention, configuration and per-point metrics."""
     summary = {
         "snr_definition": SNR_NOTE,
         "config": {
@@ -488,4 +490,14 @@ def write_outputs(cfg: SimConfig, metrics, trials, out_dir) -> None:
             for m in metrics
         ],
     }
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    return json.dumps(summary, sort_keys=True, indent=2)
+
+
+def write_outputs(cfg: SimConfig, metrics, trials, out_dir) -> None:
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "metrics.csv").write_text(metrics_csv(metrics))
+    with open(out / "trials.jsonl", "w") as fh:
+        for t in trials:
+            fh.write(t.to_json() + "\n")
+    (out / "summary.json").write_text(summary_json(cfg, metrics) + "\n")

@@ -144,6 +144,23 @@ class TestSweepCommands:
         assert len(summary["points"]) == 4
         assert "snr_definition" in summary
 
+    def test_simulate_prints_the_sweep_summary(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(CONFIG)
+        _, out, _ = run_cli(capsys, "simulate", "--config", str(cfg))
+        run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "results"))
+        assert out == (tmp_path / "results" / "summary.json").read_text()
+        summary = json.loads(out)
+        assert summary["config"]["k"] == 16
+        assert [p["trials"] for p in summary["points"]] == [2] * 4
+
+    def test_bad_config_value_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(CONFIG + "workers = 0\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert "workers" in err
+
     def test_sweep_writes_outputs(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(CONFIG)

@@ -5,23 +5,12 @@ import pytest
 
 from polarlink.construction import (
     CodeSpec,
-    DesignChannel,
     bhattacharyya_evolve,
     build_reliability_order,
     capacity_evolve,
     design_code,
     make_code_spec,
 )
-
-
-def test_design_channel_validates_range():
-    DesignChannel(0.0)
-    DesignChannel(1.0)
-    assert DesignChannel(0.4).capacity == pytest.approx(0.6)
-    with pytest.raises(ValueError):
-        DesignChannel(1.5)
-    with pytest.raises(ValueError):
-        DesignChannel(-0.1)
 
 
 class TestBhattacharyyaEvolve:

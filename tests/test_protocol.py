@@ -174,9 +174,8 @@ class TestSessionPlan:
 
     def test_positions_extend_the_stages(self):
         plan = plan_session(96)
-        assert np.array_equal(plan.positions(STAGE1_RATE), plan.stage1_positions())
         for rate in RATE_TABLE:
-            stages = np.concatenate([plan.stage1_positions(), plan.stage2_positions(rate)])
+            stages = np.concatenate([plan.positions(STAGE1_RATE), plan.stage2_positions(rate)])
             assert np.array_equal(plan.positions(rate), stages)
 
     def test_fields_are_what_varies(self):
@@ -253,6 +252,18 @@ class TestTagFrames:
             tag_stage1(info, plan)
         with pytest.raises(ValueError):
             tag_stage2(info, plan, Fraction(1, 2))
+
+    def test_stage1_at_a_fixed_rate(self):
+        # a fixed-rate baseline sends one first frame at its own rate
+        plan = plan_session(96)
+        rng = np.random.default_rng(26)
+        info = rng.integers(0, 2, 96).astype(np.uint8)
+        cw = encode_systematic(info, plan.spec)
+        frame = tag_stage1(cw, plan, Fraction(1, 2))
+        assert np.array_equal(frame.payload_positions, plan.positions(Fraction(1, 2)))
+        assert np.array_equal(frame.payload_bits, cw[frame.payload_positions])
+        assert frame.header.packet_id == 0
+        assert frame.crc == crc16(info)
 
     def test_both_stages_from_one_codeword(self):
         plan = plan_session(96)
@@ -518,6 +529,18 @@ class TestWireFormat:
     def test_msb_first_packing(self):
         assert bits_to_hex([1, 0, 0, 1]) == "9"
         assert bits_to_hex([1, 0, 0, 0, 1]) == "88"
+
+    def test_hex_matches_per_nibble_spelling(self):
+        # an independent spelling: each group of four bits, zero-padded on
+        # the right, read as one binary digit string
+        rng = np.random.default_rng(34)
+        for n in range(71):
+            for bits in (rng.integers(0, 2, n).astype(np.uint8), np.ones(n, dtype=np.uint8)):
+                text = "".join(str(int(b)) for b in bits)
+                nibbles = [text[i:i + 4].ljust(4, "0") for i in range(0, n, 4)]
+                expected = "".join("0123456789abcdef"[int(nib, 2)] for nib in nibbles)
+                assert bits_to_hex(bits) == expected
+                assert np.array_equal(hex_to_bits(expected, n), bits)
 
     def test_frame_roundtrip(self):
         plan = plan_session(96)

@@ -1,5 +1,6 @@
 """Harness: baselines, trial/session flow, metrics, sweep reproducibility."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,9 @@ import pytest
 
 import polarlink.protocol as protocol
 import polarlink.simulate as simulate
+from polarlink.decoding import bp_decode
+from polarlink.encoding import encode_systematic
+from polarlink.protocol import crc16, plan_session
 from polarlink.simulate import (
     Metrics,
     SessionRecord,
@@ -49,6 +53,23 @@ class TestConfig:
             SimConfig(snr_db=())
         with pytest.raises(ValueError):
             SimConfig(metric="psychic")
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(fb_loss=1.5, schemes=("hamming74",)),
+        dict(fb_loss=1.0),
+        dict(fb_loss=-0.1),
+        dict(workers=0),
+        dict(workers=-3),
+        dict(n_fft=6, metric="basic"),
+        dict(n_fft=2),
+        dict(leak=(0.5, 0.25, 0.25)),
+        dict(leak=(0.2, 0.5, 0.2)),
+        dict(sigma2=0.0),
+    ], ids=["fb_loss_1.5", "fb_loss_1", "fb_loss_negative", "workers_0", "workers_negative",
+            "n_fft_6", "n_fft_2", "leak_off_center", "leak_sum", "sigma2_0"])
+    def test_rejects_bad_values_when_built(self, kwargs):
+        with pytest.raises(ValueError):
+            SimConfig(**kwargs)
 
 
 class TestWilson:
@@ -132,6 +153,58 @@ class TestHamming74:
             hamming74_encode(np.zeros(5, dtype=np.uint8))
         with pytest.raises(ValueError):
             hamming74_decode(np.zeros(8, dtype=np.uint8))
+
+
+def fixed_trial_reference(cfg, scheme, point, trial):
+    """A fixed-rate receiver of its own: zero-fill the unsent positions and
+    BP-decode with the CRC of the true info as the stop predicate."""
+    _, rate = parse_scheme(scheme)
+    snr_db = float(cfg.snr_db[point])
+    info_rng, channel_rng, _ = trial_rngs(cfg.master_seed, point, trial)
+    plan = plan_session(cfg.k)
+    positions = plan.positions(rate)
+    info = info_rng.integers(0, 2, size=cfg.k).astype(np.uint8)
+    codeword = encode_systematic(info, plan.spec)
+    full = np.zeros(plan.n_mother)
+    full[positions] = simulate._transmit(codeword[positions], cfg, cfg.noise(snr_db), channel_rng)
+    crc = crc16(info)
+    result = bp_decode(full, plan.spec, crc_check=lambda bits: crc16(bits) == crc)
+    errs = result.info_bits ^ info
+    n_bytes = cfg.k // 8
+    success = not errs.any()
+    return TrialResult(
+        scheme=scheme, snr_db=snr_db, trial=trial, success=success,
+        bits_sent=len(positions), clean_bits=cfg.k if success else 0,
+        bit_errors=int(errs.sum()),
+        byte_errors=int(errs[:8 * n_bytes].reshape(-1, 8).any(axis=1).sum()),
+        n_bytes=n_bytes, k=cfg.k, frames_used=1, fber_first=result.fber_observed,
+        requested_rate="",
+    )
+
+
+class TestFixedTrialIsOneFrameSession:
+    @pytest.mark.parametrize("k", [9, 16, 96])
+    @pytest.mark.parametrize("scheme", ["fixed:2/5", "fixed:1/2", "fixed:2/3"])
+    def test_matches_reference_receiver(self, k, scheme):
+        cfg = SimConfig(snr_db=(-3.0, 3.0, 8.0, 40.0), trials=1, k=k, master_seed=21)
+        outcomes = set()
+        for point in range(len(cfg.snr_db)):
+            got = run_trial(cfg, scheme, point, 0)
+            want = fixed_trial_reference(cfg, scheme, point, 0)
+            for f in dataclasses.fields(TrialResult):
+                assert getattr(got, f.name) == getattr(want, f.name), (point, f.name)
+            outcomes.add(got.success)
+        assert outcomes == {False, True}
+
+    def test_calls_tag_and_gateway_once(self, monkeypatch):
+        calls = []
+        for name in ("tag_stage1", "gateway_on_frame"):
+            real = getattr(simulate, name)
+            monkeypatch.setattr(simulate, name,
+                                lambda *a, _n=name, _real=real, **kw: calls.append(_n) or _real(*a, **kw))
+        cfg = SimConfig(snr_db=(8.0,), trials=1, k=96, master_seed=21)
+        run_trial(cfg, "fixed:1/2", 0, 0)
+        assert calls == ["tag_stage1", "gateway_on_frame"]
 
 
 class TestRunTrial:
