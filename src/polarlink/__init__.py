@@ -14,7 +14,6 @@ from .construction import (
     build_reliability_order,
     capacity_evolve,
     design_code,
-    make_code_spec,
 )
 from .decoding import BpConfig, DecodeResult, bp_decode, combine_llrs, ml_decode_oracle
 from .encoding import (

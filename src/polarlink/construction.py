@@ -13,7 +13,6 @@ __all__ = [
     "bhattacharyya_evolve",
     "capacity_evolve",
     "build_reliability_order",
-    "make_code_spec",
     "design_code",
 ]
 
@@ -26,55 +25,55 @@ class ReliabilityOrder:
 
     ``order[0]`` is the index of the most reliable virtual channel; ties in
     the underlying reliability metric are broken toward the lower index.
+    N is ``len(order)``, a power of two.
     """
 
-    n_log2: int
     order: tuple[int, ...]
 
     def __post_init__(self):
-        n = 1 << self.n_log2
+        n = len(self.order)
+        if n < 2 or n & (n - 1):
+            raise ValueError(f"length must be a power of two >= 2, got {n}")
         if sorted(self.order) != list(range(n)):
             raise ValueError("order must be a permutation of 0..N-1")
 
     @property
-    def n(self) -> int:
-        return 1 << self.n_log2
+    def n_log2(self) -> int:
+        return len(self.order).bit_length() - 1
 
 
 @dataclass(frozen=True)
 class CodeSpec:
     """An (N, K) polar code: info positions are the K most reliable channels.
 
-    ``info_set`` / ``frozen_set`` are ascending index arrays. The full
-    reliability order is kept so that parity positions can be scheduled by
-    descending reliability (``parity_schedule``), and so that specs for a
-    smaller K are guaranteed prefix-nested in this one.
+    N and n_log2 are read off the reliability order.  ``info_set`` /
+    ``frozen_set`` are ascending index arrays; ``parity_schedule`` holds the
+    frozen positions in descending reliability (strongest first), the order
+    in which parity is sent.  Specs for a smaller K from the same order are
+    prefix-nested in this one.
     """
 
-    n_log2: int
-    k: int
     reliability: ReliabilityOrder
+    k: int
     info_set: np.ndarray = field(init=False, repr=False)
     frozen_set: np.ndarray = field(init=False, repr=False)
+    parity_schedule: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = 1 << self.n_log2
-        if not 1 <= self.k <= n:
-            raise ValueError(f"k must be in [1, {n}], got {self.k}")
-        if self.reliability.n_log2 != self.n_log2:
-            raise ValueError("reliability order length does not match n_log2")
+        if not 1 <= self.k <= self.n:
+            raise ValueError(f"k must be in [1, {self.n}], got {self.k}")
         order = np.asarray(self.reliability.order, dtype=np.int64)
         object.__setattr__(self, "info_set", np.sort(order[: self.k]))
         object.__setattr__(self, "frozen_set", np.sort(order[self.k :]))
+        object.__setattr__(self, "parity_schedule", order[self.k :])
 
     @property
     def n(self) -> int:
-        return 1 << self.n_log2
+        return len(self.reliability.order)
 
     @property
-    def parity_schedule(self) -> np.ndarray:
-        """Frozen positions in descending reliability (strongest first)."""
-        return np.asarray(self.reliability.order[self.k :], dtype=np.int64)
+    def n_log2(self) -> int:
+        return self.reliability.n_log2
 
 
 def _check_n_log2(n_log2):
@@ -131,18 +130,10 @@ def build_reliability_order(z) -> ReliabilityOrder:
 
     Ties are resolved toward the smaller index (stable sort), so the result
     is deterministic for degenerate inputs such as an all-equal Z vector.
+    The length must be a power of two >= 2 (checked by ReliabilityOrder).
     """
-    z = np.asarray(z, dtype=np.float64)
-    n = z.size
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError(f"length must be a power of two >= 2, got {n}")
-    order = np.argsort(z, kind="stable")
-    return ReliabilityOrder(n_log2=int(n).bit_length() - 1, order=tuple(int(i) for i in order))
-
-
-def make_code_spec(order: ReliabilityOrder, k: int) -> CodeSpec:
-    """Pick the K most reliable channels as the info set; freeze the rest."""
-    return CodeSpec(n_log2=order.n_log2, k=k, reliability=order)
+    order = np.argsort(np.asarray(z, dtype=np.float64), kind="stable")
+    return ReliabilityOrder(tuple(int(i) for i in order))
 
 
 @lru_cache(maxsize=64)
@@ -157,4 +148,4 @@ def design_code(n_log2: int, k: int, eps: float = 0.5) -> CodeSpec:
     from the same mother length shares one order table and the info sets for
     smaller K are prefixes of those for larger K.
     """
-    return make_code_spec(_cached_order(float(eps), int(n_log2)), k)
+    return CodeSpec(_cached_order(float(eps), int(n_log2)), k)

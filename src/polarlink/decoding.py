@@ -52,10 +52,11 @@ class BpConfig:
     its numerically stable log form); 'minsum' uses the sign-min
     approximation.  early_stop 'frozen' stops once every frozen position's
     extrinsic decision agrees with the known zero (and, when bp_decode gets a
-    crc_check, once that passes too); 'none' applies no decision rule.  In
-    every mode the decoder also stops at an exact fixed point, an iteration
-    that leaves its messages bit-identical, because every later iteration
-    would repeat it; results equal those of running on to max_iters.
+    crc_check, once that passes too); 'none' applies no decision rule, so
+    its decodes never report converged.  In every mode the decoder also
+    stops at an exact fixed point, an iteration that leaves its messages
+    bit-identical, because every later iteration would repeat it; results
+    equal those of running on to max_iters.
     """
 
     max_iters: int = 60
@@ -75,26 +76,29 @@ class BpConfig:
 class DecodeResult:
     """Decode output.
 
-    fber averages the pilot decisions over every frozen position;
-    fber_observed averages only those whose channel-only evidence is nonzero.
-    The two coincide for unpunctured inputs, but puncturing leaves most
-    frozen pilots unobservable (they tie to 0), so rate estimation on a
-    punctured mother code must use the observed variant.
+    frozen_hard holds the prior-free pilot decision at every frozen
+    position.  fber is the share decided 1 among the pilots whose
+    channel-only evidence is nonzero (0.0 when none is): puncturing leaves
+    most frozen pilots unobservable, tied to 0, and counting them would
+    dilute the ratio the rate estimator reads.
 
     iterations_used counts the iterations actually computed.  stop_reason
     says why the loop ended: 'frozen' or 'crc' when the early-stop rule
-    fired (converged is then true), 'fixed_point' when an iteration left
-    the messages bit-identical, and 'max_iters' when the budget ran out.
+    fired, 'fixed_point' when an iteration left the messages bit-identical,
+    and 'max_iters' when the budget ran out.  converged is true exactly
+    when the early-stop rule fired.
     """
 
     info_bits: np.ndarray
     frozen_hard: np.ndarray
     fber: float
-    fber_observed: float
     iterations_used: int
-    converged: bool
     stop_reason: str
     u_posterior: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("frozen", "crc")
 
 
 def _boxplus(x, out, t, d, exact):
@@ -177,7 +181,7 @@ def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     DecodeResult
         info_bits in ascending info-position order; frozen_hard holds the
         prior-free hard decisions at frozen positions (ascending order), and
-        fber is their mean.
+        fber is their mean over the observed ones.
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.shape != (spec.n,):
@@ -228,7 +232,6 @@ def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
         return polar_transform(u_hat)[spec.info_set]
 
     iterations = 0
-    converged = False
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
         iterations += 1
@@ -245,7 +248,6 @@ def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
             if frozen_ok and crc_check is not None:
                 frozen_ok = bool(crc_check(info_from(left[0] + right[0])))
             if frozen_ok:
-                converged = True
                 stop_reason = "frozen" if crc_check is None else "crc"
                 break
         # compared as bits, so a sign flip of a zero also counts as a change
@@ -258,18 +260,13 @@ def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     pilot = _channel_only_u_llrs(llrs, n_log2, t[0], d[0], exact)
     frozen_pilot = pilot[spec.frozen_set]
     frozen_hard = (frozen_pilot < 0).astype(np.uint8)
-    fber = float(frozen_hard.mean()) if frozen_hard.size else 0.0
     observed = np.abs(frozen_pilot) > 0
-    fber_observed = float(frozen_hard[observed].mean()) if observed.any() else 0.0
-    if cfg.early_stop == "none":
-        converged = bool(np.all(left[0, spec.frozen_set] >= 0.0))
+    fber = float(frozen_hard[observed].mean()) if observed.any() else 0.0
     return DecodeResult(
         info_bits=info_bits,
         frozen_hard=frozen_hard,
         fber=fber,
-        fber_observed=fber_observed,
         iterations_used=iterations,
-        converged=converged,
         stop_reason=stop_reason,
         u_posterior=u_posterior,
     )

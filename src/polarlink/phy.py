@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "MAG_FLOOR",
+    "check_n_fft",
     "NoiseModel",
     "LeakageModel",
     "SymbolObservation",
@@ -38,6 +39,22 @@ __all__ = [
 
 # Magnitudes are clamped here before any log so synthetic zero bins stay finite.
 MAG_FLOOR = 1e-30
+
+
+def check_n_fft(n_fft) -> None:
+    """Raise ValueError unless n_fft is an integer power of two >= 4."""
+    if not (isinstance(n_fft, (int, np.integer)) and n_fft >= 4 and (n_fft & (n_fft - 1)) == 0):
+        raise ValueError(f"n_fft must be a power of two >= 4, got {n_fft!r}")
+
+
+def _check_peaks(peaks, m: int, n_fft: int) -> np.ndarray:
+    """One integer excitation peak in [0, n_fft) per symbol, as int64."""
+    peaks = np.asarray(peaks)
+    if peaks.shape != (m,):
+        raise ValueError(f"need one peak per symbol: {m} symbols, peaks of shape {peaks.shape}")
+    if m and (peaks.dtype.kind not in "iu" or peaks.min() < 0 or peaks.max() >= n_fft):
+        raise ValueError(f"peaks must be integers in [0, {n_fft})")
+    return peaks.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -86,8 +103,7 @@ class SymbolObservation:
 
     def __post_init__(self):
         n = self.bins.shape[0]
-        if n < 4 or (n & (n - 1)) != 0:
-            raise ValueError("bin count must be a power of two >= 4")
+        check_n_fft(n)
         if not 0 <= self.excitation_peak < n:
             raise ValueError("excitation_peak out of range")
 
@@ -115,7 +131,6 @@ def synthesize_observation(bit, s_i, noise: NoiseModel, leak: LeakageModel,
     over the shifted bin and its two neighbors per the leakage fractions
     (the antenna-switching discontinuity appears only on bit 1).
     """
-    tag_peak_position(bit, s_i, n_fft)  # validates bit and s_i
     bins = synthesize_symbols([bit], [s_i], noise, leak, n_fft, np.random.default_rng(rng_seed))
     return SymbolObservation(bins=bins[0], excitation_peak=int(s_i))
 
@@ -124,13 +139,19 @@ def synthesize_symbols(bits, peaks, noise: NoiseModel, leak: LeakageModel,
                        n_fft: int, rng) -> np.ndarray:
     """Vectorized synthesis of many symbols; returns an (M, n_fft) bin array.
 
-    ``peaks`` gives the excitation peak per symbol.  Consumes the generator's
-    stream in one block so the result is a pure function of the generator
-    state.
+    ``bits`` is 1-D, each 0 or 1, and ``peaks`` gives the excitation peak
+    per symbol, an integer in [0, n_fft); anything else raises ValueError.
+    Consumes the generator's stream in one block so the result is a pure
+    function of the generator state.
     """
-    bits = np.asarray(bits, dtype=np.int64)
-    peaks = np.asarray(peaks, dtype=np.int64)
+    check_n_fft(n_fft)
+    bits = np.asarray(bits)
+    if bits.ndim != 1:
+        raise ValueError(f"bits must be 1-D, got shape {bits.shape}")
     m = bits.size
+    if m and (bits.dtype.kind not in "biu" or bits.min() < 0 or bits.max() > 1):
+        raise ValueError("bits must be 0 or 1")
+    peaks = _check_peaks(peaks, m, n_fft)
     g = rng.standard_normal((m, n_fft, 2))
     bins = np.sqrt(noise.sigma2) * (g[..., 0] + 1j * g[..., 1])
     if noise.signal_power > 0 and m:
@@ -151,11 +172,18 @@ def _mags(bins):
 
 
 def _candidates(bins, peaks, sigma2):
-    """Validate a batch and locate its candidates: (bins, rows, s_bar, |f_s|)."""
+    """Validate a batch and locate its candidates: (bins, rows, s_bar, |f_s|).
+
+    bins is (M, n_fft) with n_fft a power of two >= 4, and peaks holds one
+    integer in [0, n_fft) per row.
+    """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
-    bins = np.atleast_2d(np.asarray(bins))
-    peaks = np.atleast_1d(np.asarray(peaks, dtype=np.int64))
+    bins = np.asarray(bins)
+    if bins.ndim != 2:
+        raise ValueError(f"bins must be 2-D (symbols, n_fft), got shape {bins.shape}")
+    check_n_fft(bins.shape[1])
+    peaks = _check_peaks(peaks, bins.shape[0], bins.shape[1])
     rows = np.arange(bins.shape[0])
     s_bar = (peaks + bins.shape[1] // 2) % bins.shape[1]
     return bins, rows, s_bar, _mags(bins[rows, peaks])
@@ -181,8 +209,6 @@ def llr_leakage_many(bins, peaks, sigma2: float) -> np.ndarray:
     its two cyclic neighbors, since the antenna step spills peak power there."""
     bins, rows, s_bar, ms = _candidates(bins, peaks, sigma2)
     n_fft = bins.shape[1]
-    if n_fft < 4:
-        raise ValueError("need at least 4 bins")
     pooled = np.zeros_like(ms)
     for off in (-1, 0, 1):
         pooled += _mags(bins[rows, (s_bar + off) % n_fft]) ** 2

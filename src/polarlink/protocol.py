@@ -334,22 +334,19 @@ def gateway_on_frame(frame: Frame, llrs, session: GatewaySession) -> dict:
     crc = session.expected_crc
     result = bp_decode(session.combined, session.plan.spec,
                        crc_check=lambda bits: crc16_verify(bits, crc))
-    # puncturing leaves most frozen pilots unobservable, so the rate
-    # estimator reads the statistic over observed pilots only
-    fber = result.fber_observed
-    session.last_fber = fber
+    session.last_fber = result.fber
     session.last_info = result.info_bits
     # a decode that stopped on the CRC has already passed it
     ok = result.stop_reason == "crc" or crc16_verify(result.info_bits, crc)
     if ok:
         session.succeeded = True
-        decision = {"action": "ack", "packet_id": pid, "fber": fber}
+        decision = {"action": "ack", "packet_id": pid, "fber": result.fber}
     elif pid == 0:
-        rate = estimate_rate(fber)
-        decision = {"action": "request_rate", "packet_id": pid, "fber": fber,
+        rate = estimate_rate(result.fber)
+        decision = {"action": "request_rate", "packet_id": pid, "fber": result.fber,
                     "rate": str(rate)}
     else:
-        decision = {"action": "fail", "packet_id": pid, "fber": fber}
+        decision = {"action": "fail", "packet_id": pid, "fber": result.fber}
     session.decisions.append(decision)
     return decision
 

@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .encoding import encode_systematic
-from .phy import LeakageModel, NoiseModel, llr_basic_many, llr_leakage_many, synthesize_symbols
+from .phy import LeakageModel, NoiseModel, check_n_fft, llr_basic_many, llr_leakage_many, synthesize_symbols
 from .protocol import (
+    STAGE1_RATE,
     TIMEOUT_FALLBACK_RATE,
     FeedbackMsg,
     GatewaySession,
@@ -83,18 +84,22 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if not self.snr_db:
             raise ValueError("snr_db sweep must be non-empty")
+        if not np.all(np.isfinite(np.asarray(self.snr_db, dtype=np.float64))):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if self.metric not in ("basic", "leakage"):
             raise ValueError(f"unknown metric {self.metric!r}")
         if not 0.0 <= self.fb_loss < 1.0:
             raise ValueError(f"fb_loss must be in [0, 1), got {self.fb_loss}")
-        if self.n_fft < 4 or self.n_fft & (self.n_fft - 1):
-            raise ValueError(f"n_fft must be a power of two >= 4, got {self.n_fft}")
+        check_n_fft(self.n_fft)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         self.leakage()  # LeakageModel and NoiseModel check leak and sigma2
         NoiseModel(sigma2=self.sigma2)
         for s in self.schemes:
-            parse_scheme(s)
+            kind, rate = parse_scheme(s)
+            if kind != "hamming74":
+                # the session plan rules on K and on each budget, as trials do
+                plan_session(self.k).positions(STAGE1_RATE if rate is None else rate)
 
     def noise(self, snr_db: float) -> NoiseModel:
         return NoiseModel(sigma2=self.sigma2, signal_power=snr_to_power(snr_db, self.sigma2))

@@ -9,7 +9,6 @@ from polarlink.construction import (
     build_reliability_order,
     capacity_evolve,
     design_code,
-    make_code_spec,
 )
 
 
@@ -86,22 +85,22 @@ class TestReliabilityOrder:
 class TestCodeSpec:
     def test_info_and_frozen_partition(self):
         order = build_reliability_order([0.9375, 0.5625, 0.4375, 0.0625])
-        spec = make_code_spec(order, 2)
+        spec = CodeSpec(order, 2)
         assert set(spec.info_set) == {3, 2}
         assert set(spec.frozen_set) == {1, 0}
         assert sorted(np.concatenate([spec.info_set, spec.frozen_set])) == [0, 1, 2, 3]
 
     def test_full_rate_empty_frozen(self):
         order = build_reliability_order(bhattacharyya_evolve(0.5, 3))
-        spec = make_code_spec(order, 8)
+        spec = CodeSpec(order, 8)
         assert spec.frozen_set.size == 0
 
     def test_rejects_bad_k(self):
         order = build_reliability_order(bhattacharyya_evolve(0.5, 3))
         with pytest.raises(ValueError):
-            make_code_spec(order, 0)
+            CodeSpec(order, 0)
         with pytest.raises(ValueError):
-            make_code_spec(order, 9)
+            CodeSpec(order, 9)
 
     @pytest.mark.parametrize("k_small,k_big", [(4, 8), (8, 16), (16, 24), (4, 24)])
     def test_nesting_n32(self, k_small, k_big):

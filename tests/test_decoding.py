@@ -67,7 +67,7 @@ def bp_decode_reference(llrs, spec, cfg, crc_check=None, fixed_point_stop=True):
 
     It runs until the early-stop rule fires, max_iters is spent or, with
     fixed_point_stop, an iteration leaves right[1:n_log2] bit-identical.
-    Returns (info_bits, u_posterior, frozen_hard, fber, fber_observed,
+    Returns (info_bits, u_posterior, frozen_hard, fber, fber_over_observed,
     converged, iterations_used, stop_reason).
     """
     llrs = np.asarray(llrs, dtype=np.float64)
@@ -119,10 +119,10 @@ def bp_decode_reference(llrs, spec, cfg, crc_check=None, fixed_point_stop=True):
     frozen_hard = (frozen_pilot < 0).astype(np.uint8)
     fber = float(frozen_hard.mean()) if frozen_hard.size else 0.0
     observed = np.abs(frozen_pilot) > 0
-    fber_observed = float(frozen_hard[observed].mean()) if observed.any() else 0.0
+    fber_over_observed = float(frozen_hard[observed].mean()) if observed.any() else 0.0
     if cfg.early_stop == "none":
         converged = bool(np.all(left[0, spec.frozen_set] >= 0.0))
-    return (info_from(u_posterior), u_posterior, frozen_hard, fber, fber_observed,
+    return (info_from(u_posterior), u_posterior, frozen_hard, fber, fber_over_observed,
             converged, iterations, stop_reason)
 
 
@@ -130,7 +130,7 @@ def bp_decode_no_fixed_point_oracle(llrs, spec, cfg, crc_check=None):
     """The decoder loop without the fixed-point stop (test oracle).
 
     It runs until the early-stop rule fires or max_iters is spent, and
-    returns (info_bits, u_posterior, frozen_hard, fber, fber_observed,
+    returns (info_bits, u_posterior, frozen_hard, fber, fber_over_observed,
     converged).
     """
     return bp_decode_reference(llrs, spec, cfg, crc_check, fixed_point_stop=False)[:6]
@@ -218,20 +218,20 @@ class TestFixedPointStop:
                 # fixed-point stop, so the stop must match the reference loop's
                 assert (res.iterations_used, res.stop_reason) == \
                     bp_decode_reference(llrs, spec, cfg, check)[6:]
-                info, u_post, frozen_hard, fber, fber_observed, converged = \
+                info, u_post, frozen_hard, fber, fber_over_observed, converged = \
                     bp_decode_no_fixed_point_oracle(llrs, spec, cfg, check)
                 assert res.info_bits.tobytes() == info.tobytes()
                 assert res.u_posterior.tobytes() == u_post.tobytes()
                 assert res.frozen_hard.tobytes() == frozen_hard.tobytes()
-                assert (res.fber, res.fber_observed, res.converged) == \
-                    (fber, fber_observed, converged)
+                assert (res.fber, res.converged) == \
+                    (fber_over_observed, early_stop != "none" and converged)
                 assert 1 <= res.iterations_used <= cfg.max_iters
                 if res.stop_reason in ("frozen", "crc"):
                     assert res.converged and early_stop != "none"
                     assert res.stop_reason == ("crc" if gated else "frozen")
                 else:
                     assert res.stop_reason in ("fixed_point", "max_iters")
-                    assert res.converged == (early_stop == "none" and converged)
+                    assert not res.converged
                 if res.stop_reason == "max_iters":
                     assert res.iterations_used == cfg.max_iters
                 if punctured:
@@ -357,8 +357,8 @@ class TestBpDecode:
 
 class TestFber:
     def test_counting(self):
-        # fber is the share of frozen pilots decided 1, fber_observed the
-        # share among pilots with nonzero channel evidence
+        # fber is the share of frozen pilots decided 1 among pilots with
+        # nonzero channel evidence
         spec = design_code(5, 16)
         rng = np.random.default_rng(2)
         info = rng.integers(0, 2, 16).astype(np.uint8)
@@ -366,10 +366,10 @@ class TestFber:
         llr[rng.permutation(32)[:8]] = 0.0
         res = bp_decode(llr, spec)
         assert res.frozen_hard.shape == (spec.n - spec.k,)
-        assert res.fber == np.count_nonzero(res.frozen_hard) / res.frozen_hard.size
+        assert res.fber == bp_decode_reference(llr, spec, BpConfig())[4]  # observed ratio
         assert 0.0 < res.fber < 1.0
-        # unobserved pilots tie to 0, so dropping them raises the ratio here
-        assert res.fber_observed > res.fber
+        # unobserved pilots tie to 0, so counting them would lower the ratio
+        assert res.fber > np.count_nonzero(res.frozen_hard) / res.frozen_hard.size
         assert bp_decode(np.zeros(32), spec).fber == 0.0
 
     def test_monotone_in_snr(self):
@@ -394,7 +394,7 @@ class TestFber:
         info = rng.integers(0, 2, 16).astype(np.uint8)
         llr = awgn_llrs(encode_systematic(info, spec), 0.0, rng)
         res = bp_decode(llr, spec)
-        assert res.fber == pytest.approx(res.fber_observed)
+        assert res.fber == pytest.approx(np.count_nonzero(res.frozen_hard) / res.frozen_hard.size)
 
 
 class TestCombine:

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import polarlink
 from polarlink.phy import (
@@ -15,6 +18,7 @@ from polarlink.phy import (
     LeakageModel,
     NoiseModel,
     SymbolObservation,
+    check_n_fft,
     llr_basic,
     llr_basic_many,
     llr_conventional,
@@ -127,6 +131,137 @@ class TestSynthesize:
         # the signal lands where the bit says it should
         assert np.abs(bins[0, 3]) > 1.5
         assert np.abs(bins[1, (3 + 32) % 64]) > 1.5
+
+
+NOISE = NoiseModel(sigma2=1.0, signal_power=4.0)
+LEAK = LeakageModel((0.25, 0.5, 0.25))
+METRICS = (llr_basic_many, llr_leakage_many,
+           lambda bins, peaks, sigma2: llr_conventional_many(bins, peaks, sigma2, 1.0))
+
+
+def _synth(bits, peaks, n_fft=128):
+    return synthesize_symbols(bits, peaks, NOISE, LEAK, n_fft, np.random.default_rng(0))
+
+
+# The boundary rule written out independently of phy.py, and batches for the
+# properties: a valid batch with at most one part replaced by an arbitrary one.
+
+_shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=8)
+
+
+def _n_fft_ok(n_fft):
+    return n_fft >= 4 and bin(n_fft).count("1") == 1
+
+
+def _peaks_ok(peaks, m, n_fft):
+    return peaks.shape == (m,) and (m == 0 or (
+        peaks.dtype.kind in "iu" and all(0 <= p < n_fft for p in peaks.tolist())))
+
+
+def _ints(draw, values, shape):
+    n = int(np.prod(shape))
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.int64).reshape(shape)
+
+
+@st.composite
+def _any_ints(draw, hi, shape):
+    """Integers in [0, hi), or reaching -1 or hi, of ``shape`` or any small
+    one, cast to one of several dtypes."""
+    shape = draw(st.one_of(st.just(shape), _shapes))
+    values = st.integers(draw(st.sampled_from([0, -1])), hi - draw(st.sampled_from([1, 0])))
+    dtype = draw(st.sampled_from([np.int64, np.uint8, np.float64, np.bool_]))
+    return _ints(draw, values, shape).astype(dtype)
+
+
+@st.composite
+def _symbol_batches(draw):
+    n_fft, m = draw(st.sampled_from([4, 8, 64])), draw(st.integers(0, 6))
+    bits = _ints(draw, st.integers(0, 1), (m,)).astype(np.uint8)
+    peaks = _ints(draw, st.integers(0, n_fft - 1), (m,))
+    part = draw(st.sampled_from(["none", "bits", "peaks", "n_fft"]))
+    if part == "bits":
+        bits = draw(_any_ints(2, (m,)))
+    elif part == "peaks":
+        peaks = draw(_any_ints(n_fft, (m,)))
+    elif part == "n_fft":
+        n_fft = draw(st.integers(-4, 70))
+    return bits, peaks, n_fft
+
+
+@st.composite
+def _bin_batches(draw):
+    n_fft, m = draw(st.sampled_from([4, 8, 16])), draw(st.integers(0, 4))
+    peaks = _ints(draw, st.integers(0, n_fft - 1), (m,))
+    shape = (m, n_fft)
+    part = draw(st.sampled_from(["none", "bins", "peaks"]))
+    if part == "bins":
+        shape = draw(st.one_of(st.tuples(st.just(m), st.integers(0, 9)), _shapes))
+    elif part == "peaks":
+        peaks = draw(_any_ints(n_fft, (m,)))
+    bins = draw(hnp.arrays(np.complex128, shape, elements=st.complex_numbers(
+        max_magnitude=1e3, allow_nan=False, allow_infinity=False)))
+    return bins, peaks
+
+
+class TestBatchBoundary:
+    @pytest.mark.parametrize("n_fft", [4, 8, 128, np.int64(64)])
+    def test_n_fft_accepts_powers_of_two(self, n_fft):
+        check_n_fft(n_fft)
+
+    @pytest.mark.parametrize("n_fft", [-4, 0, 1, 2, 6, 100, 128.0, "128", None])
+    def test_n_fft_rejects_the_rest(self, n_fft):
+        with pytest.raises(ValueError):
+            check_n_fft(n_fft)
+
+    @pytest.mark.parametrize("call", [
+        lambda: _synth([0, 1], [5, -1]),
+        lambda: _synth([0, 2], [5, 6]),
+        lambda: _synth([0, 1], [5, 128]),
+        lambda: _synth([0, 1, 1], [5, 6]),
+        lambda: _synth([[0, 1]], [5, 6]),
+        lambda: _synth([0.0, 1.0], [5, 6]),
+        lambda: _synth([0, 1], [5.0, 6.0]),
+        lambda: _synth([0, 1], [5, 6], n_fft=6),
+        lambda: llr_basic_many(np.ones((2, 128)), [5, -1], 1.0),
+        lambda: llr_leakage_many(np.ones((2, 128)), [5, 128], 1.0),
+        lambda: llr_basic_many(np.ones((2, 128)), [5], 1.0),
+        lambda: llr_basic_many(np.ones((2, 6)), [1, 2], 1.0),
+        lambda: llr_basic_many(np.ones(128), [5], 1.0),
+        lambda: llr_conventional_many(np.ones((1, 128)), [[5]], 1.0, 1.0),
+        lambda: SymbolObservation(bins=np.ones(6), excitation_peak=0),
+    ], ids=["peak_negative", "bit_2", "peak_n_fft", "length_mismatch", "bits_2d",
+            "float_bits", "float_peaks", "synth_n_fft_6", "llr_peak_negative",
+            "llr_peak_n_fft", "llr_length_mismatch", "llr_6_bins", "llr_1d_bins",
+            "llr_2d_peaks", "observation_6_bins"])
+    def test_shown_defects_raise_value_error(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch=_symbol_batches())
+    def test_synthesis_raises_only_value_error(self, batch):
+        bits, peaks, n_fft = batch
+        valid = (_n_fft_ok(n_fft) and bits.ndim == 1 and _peaks_ok(peaks, bits.size, n_fft)
+                 and (bits.size == 0 or (bits.dtype.kind in "biu"
+                                         and set(bits.tolist()) <= {0, 1})))
+        if valid:
+            assert _synth(bits, peaks, n_fft).shape == (bits.size, n_fft)
+        else:
+            with pytest.raises(ValueError):
+                _synth(bits, peaks, n_fft)
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch=_bin_batches())
+    def test_llrs_raise_only_value_error(self, batch):
+        bins, peaks = batch
+        valid = (bins.ndim == 2 and _n_fft_ok(bins.shape[1])
+                 and _peaks_ok(peaks, bins.shape[0], bins.shape[1]))
+        for metric in METRICS:
+            if valid:
+                assert metric(bins, peaks, 1.0).shape == (bins.shape[0],)
+            else:
+                with pytest.raises(ValueError):
+                    metric(bins, peaks, 1.0)
 
 
 class TestLlrBasic:

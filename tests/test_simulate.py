@@ -65,11 +65,24 @@ class TestConfig:
         dict(leak=(0.5, 0.25, 0.25)),
         dict(leak=(0.2, 0.5, 0.2)),
         dict(sigma2=0.0),
+        dict(k=7),
+        dict(k=513, schemes=("hamming74", "fixed:1/2")),
+        dict(schemes=("fixed:1/11",)),
+        dict(k=9, schemes=("fixed:1/15",)),
+        dict(snr_db=(float("nan"),)),
+        dict(snr_db=(3.0, float("inf"))),
+        dict(n_fft=128.0),
     ], ids=["fb_loss_1.5", "fb_loss_1", "fb_loss_negative", "workers_0", "workers_negative",
-            "n_fft_6", "n_fft_2", "leak_off_center", "leak_sum", "sigma2_0"])
+            "n_fft_6", "n_fft_2", "leak_off_center", "leak_sum", "sigma2_0", "k_7",
+            "k_513_fixed", "fixed_beyond_mother", "fixed_k9_beyond_mother", "snr_nan",
+            "snr_inf", "n_fft_float"])
     def test_rejects_bad_values_when_built(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    def test_hamming74_alone_takes_any_k(self):
+        # only the polar schemes need a session plan
+        assert SimConfig(k=7, schemes=("hamming74",)).k == 7
 
 
 class TestWilson:
@@ -177,7 +190,7 @@ def fixed_trial_reference(cfg, scheme, point, trial):
         bits_sent=len(positions), clean_bits=cfg.k if success else 0,
         bit_errors=int(errs.sum()),
         byte_errors=int(errs[:8 * n_bytes].reshape(-1, 8).any(axis=1).sum()),
-        n_bytes=n_bytes, k=cfg.k, frames_used=1, fber_first=result.fber_observed,
+        n_bytes=n_bytes, k=cfg.k, frames_used=1, fber_first=result.fber,
         requested_rate="",
     )
 
@@ -250,8 +263,9 @@ class TestRunTrial:
         cfg = SimConfig(snr_db=(3.0,), trials=1, k=96, master_seed=6)
         r = run_trial(cfg, "fixed:1/2", 0, 0)
         assert len(results) == 1
-        assert r.fber_first == results[0].fber_observed
-        assert results[0].fber_observed > results[0].fber
+        assert r.fber_first == results[0].fber
+        frozen_hard = results[0].frozen_hard
+        assert results[0].fber > np.count_nonzero(frozen_hard) / frozen_hard.size
 
     def test_fixed_rate_beyond_mother_code_rejected(self):
         cfg = SimConfig(snr_db=(8.0,), trials=1, k=96)
