@@ -21,6 +21,7 @@ from .encoding import (
     StorageAccount,
     encode_dense_oracle,
     encode_systematic,
+    encode_transform_pair,
     g_element,
     polar_transform,
     storage_report,

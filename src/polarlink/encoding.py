@@ -5,6 +5,8 @@ materialized on the encode path: each element is derived from the bit patterns
 of its row and column index, and the encoder works through the matrix one
 column at a time with two K-bit buffers.  A dense Kronecker-product encoder is
 provided as a test oracle, together with a storage model contrasting the two.
+The simulator encodes with ``encode_transform_pair``, two butterfly passes over
+an N-bit vector, which gives the same codeword in O(N log N) vectorized work.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "g_element",
     "polar_transform",
     "encode_systematic",
+    "encode_transform_pair",
     "encode_dense_oracle",
     "kronecker_generator",
     "storage_report",
@@ -132,6 +135,36 @@ def encode_systematic(info, spec: CodeSpec, meter: AllocationMeter | None = None
 
     meter.release(t)
     meter.release(colbuf)
+    return codeword
+
+
+def encode_transform_pair(info, spec: CodeSpec) -> np.ndarray:
+    """Systematic polar encode with two butterfly transforms.
+
+    Sets u[info_set] = info, transforms, zeroes the frozen positions and
+    transforms again (Sarkis et al., "Flexible and low-complexity encoding
+    and decoding of systematic polar codes", IEEE Trans. Commun. 2016).  The
+    result equals ``encode_systematic(info, spec)`` when the info set is
+    closed under bit domination (every index whose bits cover an info
+    index's bits is an info index), as every ``plan_session`` spec is.
+
+    The output is always a codeword of the code, so the systematic check
+    after the second transform is complete: if x[info_set] == info, x is the
+    unique systematic codeword.  Raises ValueError when that check fails
+    (an info set that is not closed) and on an info length other than
+    spec.k.  Stores a full N-bit vector, unlike the streaming encoder.
+    """
+    info = np.asarray(info, dtype=np.uint8)
+    if info.shape != (spec.k,):
+        raise ValueError(f"info must have length {spec.k}, got shape {info.shape}")
+    u = np.zeros(spec.n, dtype=np.uint8)
+    u[spec.info_set] = info
+    v = polar_transform(u)
+    v[spec.frozen_set] = 0
+    codeword = polar_transform(v)
+    if not np.array_equal(codeword[spec.info_set], info):
+        raise ValueError("info set is not closed under bit domination; "
+                         "the transform pair is not systematic for this code")
     return codeword
 
 

@@ -138,14 +138,39 @@ def header_decode(bits) -> PacketHeader:
     return PacketHeader(rate_code=(v >> 5) & 3, length_code=(v >> 1) & 0xF, packet_id=v & 1)
 
 
+def _crc16_bit_step(reg: int, bit: int) -> int:
+    top = ((reg >> 15) ^ bit) & 1
+    reg = (reg << 1) & 0xFFFF
+    return reg ^ CRC_POLY if top else reg
+
+
+def _crc16_byte_table() -> tuple:
+    """Register update for one whole byte, indexed by (reg >> 8) ^ byte."""
+    table = []
+    for v in range(256):
+        reg = v << 8
+        for _ in range(8):
+            reg = _crc16_bit_step(reg, 0)
+        table.append(reg)
+    return tuple(table)
+
+
+_CRC16_TABLE = _crc16_byte_table()
+
+
 def crc16(bits) -> int:
-    """CRC-16 over a bit sequence: poly 0x1021, init 0xFFFF, no reflection."""
+    """CRC-16 over a bit sequence: poly 0x1021, init 0xFFFF, no reflection.
+
+    Each bit is 0 or 1.  Whole bytes go through a 256-entry table; the
+    trailing len % 8 bits, if any, go through the bitwise shift-register step.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    whole = bits.size - bits.size % 8
     reg = CRC_INIT
-    for b in np.asarray(bits, dtype=np.uint8):
-        top = ((reg >> 15) ^ int(b)) & 1
-        reg = (reg << 1) & 0xFFFF
-        if top:
-            reg ^= CRC_POLY
+    for byte in np.packbits(bits[:whole]).tolist():
+        reg = ((reg << 8) & 0xFFFF) ^ _CRC16_TABLE[(reg >> 8) ^ byte]
+    for b in bits[whole:].tolist():
+        reg = _crc16_bit_step(reg, b)
     return reg
 
 
@@ -239,9 +264,11 @@ def _session_codeword(codeword, plan: SessionPlan) -> np.ndarray:
 def tag_stage1(codeword, plan: SessionPlan, rate: Fraction = STAGE1_RATE) -> Frame:
     """Send info plus the first scheduled parity, CRC of the info appended.
 
-    ``codeword`` is the session's systematic mother codeword
-    (``encode_systematic(info, plan.spec)``), encoded once and shared with
-    stage 2; its info positions carry the info bits the CRC covers.  The
+    ``codeword`` is the session's systematic mother codeword, encoded once
+    and shared with stage 2; its info positions carry the info bits the CRC
+    covers.  Either encoder gives it: ``encode_transform_pair(info,
+    plan.spec)`` (the simulator's) or ``encode_systematic(info, plan.spec)``
+    (the streaming, two-K-bit-buffer one), which agree on every plan.  The
     frame carries ``plan.positions(rate)``: stage 1 of an adaptive session
     at the default rate 3/4, or the only frame of a fixed-rate baseline.
     """

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .encoding import encode_systematic
+from .encoding import encode_transform_pair
 from .phy import LeakageModel, NoiseModel, check_n_fft, llr_basic_many, llr_leakage_many, synthesize_symbols
 from .protocol import (
     STAGE1_RATE,
@@ -247,7 +247,10 @@ class SessionRecord:
     info_hex: str = ""
 
     def to_json(self, indent=None) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=indent)
+        # the fields are plain JSON values, so a shallow dict serializes the
+        # same as asdict() without its recursive copy of every LLR list
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return json.dumps(d, sort_keys=True, indent=indent)
 
 
 def trial_rngs(master_seed: int, point: int, trial: int):
@@ -276,7 +279,7 @@ def run_session(cfg: SimConfig, snr_db: float, rngs, *, record: SessionRecord = 
     noise = cfg.noise(snr_db)
     plan = plan_session(cfg.k)
     info = info_rng.integers(0, 2, size=cfg.k).astype(np.uint8)
-    codeword = encode_systematic(info, plan.spec)  # both stages slice it
+    codeword = encode_transform_pair(info, plan.spec)  # both stages slice it
     gw = GatewaySession(plan)
 
     def send(frame):
@@ -383,7 +386,7 @@ def run_trial(cfg: SimConfig, scheme: str, point: int, trial: int) -> TrialResul
         # one first frame at the fixed rate, decoded by a fresh gateway
         plan = plan_session(cfg.k)
         info = info_rng.integers(0, 2, size=cfg.k).astype(np.uint8)
-        frame = tag_stage1(encode_systematic(info, plan.spec), plan, fixed_rate)
+        frame = tag_stage1(encode_transform_pair(info, plan.spec), plan, fixed_rate)
         gw = GatewaySession(plan)
         llrs = _transmit(frame.payload_bits, cfg, noise, channel_rng)
         decision = gateway_on_frame(frame, llrs, gw)

@@ -2,17 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarlink.construction import design_code
 from polarlink.encoding import (
     AllocationMeter,
     encode_dense_oracle,
     encode_systematic,
+    encode_transform_pair,
     g_element,
     kronecker_generator,
     polar_transform,
     storage_report,
 )
+from polarlink.protocol import plan_session
 
 from gf2 import gf2_inverse, gf2_matmul
 
@@ -137,6 +141,42 @@ class TestSystematicEncoder:
             encode_systematic(np.ones(k, dtype=np.uint8), spec, meter=meter)
             assert meter.peak_bits <= 2 * k + 64
             assert meter.live_bits == 0
+
+
+class TestTransformPair:
+    """The simulator's encoder against the streaming one it replaces there."""
+
+    # each side of every mother-length step of plan_session (N = 16 .. 1024)
+    @pytest.mark.parametrize("k", [8, 9, 16, 17, 32, 33, 64, 65, 96, 128, 129,
+                                   256, 257, 511, 512])
+    def test_equals_streaming_encoder_on_plans(self, k):
+        spec = plan_session(k).spec
+        rng = np.random.default_rng(k)
+        for _ in range(10):
+            info = rng.integers(0, 2, k).astype(np.uint8)
+            assert np.array_equal(encode_transform_pair(info, spec),
+                                  encode_systematic(info, spec))
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(8, 512), seed=st.integers(0, 2**32 - 1))
+    def test_equals_streaming_encoder_property(self, k, seed):
+        spec = plan_session(k).spec
+        info = np.random.default_rng(seed).integers(0, 2, k).astype(np.uint8)
+        assert np.array_equal(encode_transform_pair(info, spec),
+                              encode_systematic(info, spec))
+
+    def test_rejects_info_set_not_closed_under_domination(self):
+        # the streaming encoder stays systematic here; the pair would not be
+        spec = design_code(7, 124)
+        info = np.random.default_rng(3).integers(0, 2, 124).astype(np.uint8)
+        assert np.array_equal(encode_systematic(info, spec)[spec.info_set], info)
+        with pytest.raises(ValueError):
+            encode_transform_pair(info, spec)
+
+    def test_rejects_length_mismatch(self):
+        spec = plan_session(96).spec
+        with pytest.raises(ValueError):
+            encode_transform_pair(np.zeros(95, dtype=np.uint8), spec)
 
 
 class TestStorageReport:

@@ -58,6 +58,17 @@ def crc16_longdivision_oracle(bits):
     return out
 
 
+def crc16_bitwise_reference(bits):
+    """Second CRC reference: one shift-register step per bit, no table."""
+    reg = 0xFFFF
+    for b in np.asarray(bits, dtype=np.uint8):
+        top = ((reg >> 15) ^ int(b)) & 1
+        reg = (reg << 1) & 0xFFFF
+        if top:
+            reg ^= 0x1021
+    return reg
+
+
 class TestHeader:
     def test_defined_layout(self):
         h = PacketHeader(rate_code=0b10, length_code=0b0101, packet_id=1)
@@ -93,6 +104,23 @@ class TestCrc16:
         for _ in range(50):
             n = int(rng.integers(1, 200))
             bits = rng.integers(0, 2, n).astype(np.uint8)
+            assert crc16(bits) == crc16_longdivision_oracle(bits)
+
+    def test_matches_bitwise_reference_on_every_short_length(self):
+        # 0-17 bits: no byte, one byte, and each count of trailing bits
+        rng = np.random.default_rng(23)
+        for n in range(18):
+            for _ in range(8):
+                bits = rng.integers(0, 2, n).astype(np.uint8)
+                assert crc16(bits) == crc16_bitwise_reference(bits)
+
+    def test_matches_both_references_on_random_lengths(self):
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            bits = rng.integers(0, 2, int(rng.integers(0, 301))).astype(np.uint8)
+            assert crc16(bits) == crc16_bitwise_reference(bits)
+        for _ in range(20):
+            bits = rng.integers(0, 2, int(rng.integers(0, 301))).astype(np.uint8)
             assert crc16(bits) == crc16_longdivision_oracle(bits)
 
     def test_detects_every_single_bit_flip(self):

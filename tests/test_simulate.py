@@ -353,15 +353,22 @@ class TestSessionReplay:
         with pytest.raises(ValueError):
             replay_session(record, k=96)
 
+    def test_to_json_equals_asdict_dump(self):
+        record = self._record(4.0, 3)
+        assert len(record.frames) == 2
+        for indent in (None, 2):
+            assert record.to_json(indent=indent) == \
+                json.dumps(dataclasses.asdict(record), sort_keys=True, indent=indent)
+
     def test_session_encodes_once(self, monkeypatch):
         # a two-frame session slices both frames from one codeword
         import polarlink.decoding as decoding
 
         calls = []
         for module in (simulate, protocol, decoding):
-            real = getattr(module, "encode_systematic", None)
+            real = getattr(module, "encode_transform_pair", None)
             if real is not None:
-                monkeypatch.setattr(module, "encode_systematic",
+                monkeypatch.setattr(module, "encode_transform_pair",
                                     lambda *a, _real=real, **kw: calls.append(1) or _real(*a, **kw))
         cfg = SimConfig(snr_db=(4.0,), trials=1, k=96, master_seed=3)
         _, _, aux = run_session(cfg, 4.0, trial_rngs(3, 0, 0))
