@@ -115,6 +115,12 @@ def _cmd_decode(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    if not isinstance(spec_json, dict):
+        raise ValueError(f"spec must be a JSON object with n_log2 and k, "
+                         f"got a JSON {type(spec_json).__name__}")
+    missing = [key for key in ("n_log2", "k") if key not in spec_json]
+    if missing:
+        raise ValueError(f"spec is missing {' and '.join(missing)}")
     spec = design_code(int(spec_json["n_log2"]), int(spec_json["k"]),
                        eps=float(spec_json.get("eps", 0.5)))
     llrs = np.array([float(v) for v in llr_text.replace(",", "\n").split()])

@@ -19,6 +19,15 @@ Frozen-position hard decisions are taken from a prior-free leftward pass
 that uses channel evidence only: the frozen bits act as known pilots, so any
 prior influence (their own or each other's) would drag the statistic to zero
 regardless of channel quality and the frozen error ratio could not track it.
+No separate sweep computes it.  In iteration 1 every rightward message above
+layer 0 is still zero, so the leftward pass leaves in layers n_log2..1 what
+the prior-free pass would, up to the sign of zeros, which neither the hard
+decision (< 0) nor the observed mask (|x| > 0) reads; the pilot is iteration
+1's layer 1 plus one prior-free stage-0 box-plus.
+
+Work whose output nothing reads is skipped: the stop rule reads only left[0]
+and the constant right[0], both final once leftward stage 0 has run, so it
+is checked between the halves and a stop skips the rightward half.
 """
 
 from __future__ import annotations
@@ -82,7 +91,9 @@ class DecodeResult:
     most frozen pilots unobservable, tied to 0, and counting them would
     dilute the ratio the rate estimator reads.
 
-    iterations_used counts the iterations actually computed.  stop_reason
+    iterations_used counts the iterations actually computed; an iteration
+    the early-stop rule ends is counted, though only its leftward half ran,
+    since the rule reads nothing the rightward half writes.  stop_reason
     says why the loop ended: 'frozen' or 'crc' when the early-stop rule
     fired, 'fixed_point' when an iteration left the messages bit-identical,
     and 'max_iters' when the budget ran out.  converged is true exactly
@@ -146,20 +157,6 @@ def _halves(layer, s):
     return v if v.shape[2] >= v.shape[1] else v.swapaxes(1, 2)
 
 
-def _channel_only_u_llrs(llrs, n_log2, t, d, exact):
-    """One leftward sweep with no bit priors: per-u-position channel evidence.
-
-    With all rightward messages zero the bottom branch passes through and the
-    top branch is a plain check combine, so a single pass reaches layer 0.
-    t and d are contiguous scratch of N values each.
-    """
-    cur = llrs.copy()
-    for s in range(n_log2 - 1, -1, -1):
-        v = _halves(cur, s)
-        _boxplus(v, v[0], t.reshape(v.shape), d.reshape(v.shape), exact)
-    return cur
-
-
 def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
               crc_check=None) -> DecodeResult:
     """Iteratively decode channel LLRs into info bits and frozen-side statistics.
@@ -173,8 +170,9 @@ def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     cfg : BpConfig
     crc_check : callable(info_bits) -> bool, optional
         Under early_stop 'frozen', the stop also waits for this to pass and
-        then reports stop_reason 'crc'; under 'none' it is unused.  It must
-        be a pure function of its input (see the fixed-point stop).
+        then reports stop_reason 'crc', returning the info bits it passed;
+        under 'none' it is unused.  It must be a pure function of its input
+        (see the fixed-point stop).
 
     Returns
     -------
@@ -201,9 +199,10 @@ def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     state = right[1:n_log2]
     prev_state = np.empty_like(state)
 
-    # One iteration is a leftward pass over stages n-1..0, then a rightward
-    # pass over 0..n-2, since right[n_log2] is never read.  Each stage half
-    # takes one box-plus f over operands [a; b] that stack its two outputs,
+    # One iteration is a leftward pass over stages n-1..0, the stop rule,
+    # then a rightward pass over 0..n-2, since right[n_log2] is never read.
+    # Each stage half takes one box-plus f over operands [a; b] that stack
+    # its two outputs,
     #   left[s]    = [f(lp, rq + lq); f(lp, rp) + lq]
     #   right[s+1] = [f(rp, rq + lq); f(rp, lp) + rq]
     # so both rows of a hold the shared operand (f is symmetric bit for
@@ -222,7 +221,15 @@ def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
                 (rightward, _halves(right[s + 1], s), rp, lp, rq)):
             half.append((xs[0], shared, xs[1, 0], rq, lq, xs[1, 1], other,
                          xs, ts, ds, out, out[1], tail))
-    schedule = leftward[::-1] + rightward[:-1]
+    leftward, rightward = leftward[::-1], rightward[:-1]
+
+    def run(half):
+        for a, shared, b0, rq, lq, b1, other, xs, ts, ds, out, out_q, tail in half:
+            np.copyto(a, shared)
+            np.add(rq, lq, out=b0)
+            np.copyto(b1, other)
+            _boxplus(xs, out, ts, ds, exact)
+            np.add(out_q, tail, out=out_q)
 
     def info_from(u_post):
         # systematic read-out: hard-decide u at the info positions (frozen
@@ -231,33 +238,36 @@ def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
         u_hat[spec.info_set] = u_post[spec.info_set] < 0
         return polar_transform(u_hat)[spec.info_set]
 
-    iterations = 0
     stop_reason = "max_iters"
-    for _ in range(cfg.max_iters):
-        iterations += 1
-        np.copyto(prev_state, state)
-        for a, shared, b0, rq, lq, b1, other, xs, ts, ds, out, out_q, tail in schedule:
-            np.copyto(a, shared)
-            np.add(rq, lq, out=b0)
-            np.copyto(b1, other)
-            _boxplus(xs, out, ts, ds, exact)
-            np.add(out_q, tail, out=out_q)
+    for iterations in range(1, cfg.max_iters + 1):
+        run(leftward)
+        if iterations == 1:
+            # the prior-free pilot: iteration 1's layer 1 (see the module
+            # docstring) through one stage-0 box-plus with no right[0] prior
+            pilot = left[1].copy()
+            v = _halves(pilot, 0)
+            _boxplus(v, v[0], t[0].reshape(v.shape), d[0].reshape(v.shape), exact)
 
-        if cfg.early_stop != "none":
-            frozen_ok = bool(np.all(left[0, spec.frozen_set] >= 0.0))
-            if frozen_ok and crc_check is not None:
-                frozen_ok = bool(crc_check(info_from(left[0] + right[0])))
-            if frozen_ok:
-                stop_reason = "frozen" if crc_check is None else "crc"
+        if cfg.early_stop != "none" and np.all(left[0, spec.frozen_set] >= 0.0):
+            if crc_check is None:
+                stop_reason = "frozen"
                 break
+            u_posterior = left[0] + right[0]
+            info_bits = info_from(u_posterior)
+            if crc_check(info_bits):
+                stop_reason = "crc"
+                break
+
+        np.copyto(prev_state, state)
+        run(rightward)
         # compared as bits, so a sign flip of a zero also counts as a change
         if np.array_equal(prev_state.view(np.uint64), state.view(np.uint64)):
             stop_reason = "fixed_point"
             break
 
-    u_posterior = left[0] + right[0]
-    info_bits = info_from(u_posterior)
-    pilot = _channel_only_u_llrs(llrs, n_log2, t[0], d[0], exact)
+    if stop_reason != "crc":
+        u_posterior = left[0] + right[0]
+        info_bits = info_from(u_posterior)
     frozen_pilot = pilot[spec.frozen_set]
     frozen_hard = (frozen_pilot < 0).astype(np.uint8)
     observed = np.abs(frozen_pilot) > 0

@@ -153,7 +153,8 @@ def synthesize_symbols(bits, peaks, noise: NoiseModel, leak: LeakageModel,
         raise ValueError("bits must be 0 or 1")
     peaks = _check_peaks(peaks, m, n_fft)
     g = rng.standard_normal((m, n_fft, 2))
-    bins = np.sqrt(noise.sigma2) * (g[..., 0] + 1j * g[..., 1])
+    g *= np.sqrt(noise.sigma2)
+    bins = g.view(np.complex128).reshape(m, n_fft)   # (re, im) pairs as one complex
     if noise.signal_power > 0 and m:
         rows = np.arange(m)
         zero = bits == 0

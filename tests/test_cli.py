@@ -85,6 +85,18 @@ class TestDecode:
                                "--llrs", str(tmp_path / "nope.csv"))
         assert code == 3
 
+    @pytest.mark.parametrize("spec, names", [({"n_log2": 4}, "k"), ({"k": 8}, "n_log2"),
+                                             ({}, "n_log2 and k"), ([4, 8], "JSON list")])
+    def test_malformed_spec_is_config_error(self, capsys, tmp_path, spec, names):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        llr_file = tmp_path / "llrs.csv"
+        llr_file.write_text(",".join(["1.0"] * 16))
+        code, out, err = run_cli(capsys, "decode", "--spec", str(spec_file),
+                                 "--llrs", str(llr_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and names in err
+
 
 class TestLlr:
     def test_csv_shape(self, capsys):

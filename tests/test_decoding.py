@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polarlink import decoding
 from polarlink.construction import design_code
 from polarlink.decoding import (
     FROZEN_PRIOR_LLR,
@@ -234,10 +237,13 @@ class TestFixedPointStop:
                     assert not res.converged
                 if res.stop_reason == "max_iters":
                     assert res.iterations_used == cfg.max_iters
-                if punctured:
-                    stops.append((res.stop_reason, res.iterations_used))
+                stops.append((punctured, res.stop_reason, res.iterations_used))
         # the fixed-point path runs on punctured mother codes
-        assert any(reason == "fixed_point" and iters < 60 for reason, iters in stops)
+        assert any(punctured and reason == "fixed_point" and iters < 60
+                   for punctured, reason, iters in stops)
+        # the stop rule fires in iteration 1, before any rightward half ran
+        if early_stop != "none":
+            assert any(reason in ("frozen", "crc") and iters == 1 for _, reason, iters in stops)
 
     def test_signed_zero_cases_cover_short_codes(self):
         cases = _signed_zero_cases()
@@ -248,6 +254,108 @@ class TestFixedPointStop:
         llrs, spec, _ = _unpunctured_cases()[0]
         res = bp_decode(llrs, spec, BpConfig(max_iters=1, early_stop="none"))
         assert (res.iterations_used, res.stop_reason) == (1, "max_iters")
+
+
+MODES = [("none", False), ("frozen", False), ("frozen", True), ("none", True)]
+
+
+@st.composite
+def _grid_inputs(draw):
+    """A short code and channel LLRs on a half-unit grid around a codeword,
+    with zeros of either sign at random positions."""
+    n_log2 = draw(st.integers(1, 5))
+    n = 1 << n_log2
+    spec = design_code(n_log2, draw(st.integers(1, n)))
+    info = np.array(draw(st.lists(st.integers(0, 1), min_size=spec.k, max_size=spec.k)),
+                    dtype=np.uint8)
+    mags = np.array(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))) / 2.0
+    flips = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    llrs = np.where(flips, -1.0, 1.0) * (1.0 - 2.0 * encode_systematic(info, spec)) * mags
+    return llrs, spec, crc16(info)
+
+
+class TestAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_grid_inputs(), rule=st.sampled_from(["exact", "minsum"]),
+           mode=st.sampled_from(MODES))
+    def test_every_field_bitwise(self, case, rule, mode):
+        # the pilot read off iteration 1 must match the reference's own
+        # prior-free sweep though zeros may carry either sign
+        llrs, spec, crc = case
+        early_stop, gated = mode
+        cfg = BpConfig(update_rule=rule, early_stop=early_stop)
+        check = (lambda b: crc16_verify(b, crc)) if gated else None
+        res = bp_decode(llrs, spec, cfg, crc_check=check)
+        (info, u_post, frozen_hard, _, fber, converged, iterations, stop_reason) = \
+            bp_decode_reference(llrs, spec, cfg, check)
+        assert res.info_bits.tobytes() == info.tobytes()
+        assert res.u_posterior.tobytes() == u_post.tobytes()
+        assert res.frozen_hard.tobytes() == frozen_hard.tobytes()
+        assert np.float64(res.fber).tobytes() == np.float64(fber).tobytes()
+        assert (res.iterations_used, res.stop_reason) == (iterations, stop_reason)
+        assert res.converged == (early_stop != "none" and converged)
+
+
+class TestSkippedWork:
+    """One box-plus per stage half: an iteration runs 2n - 1 of them, one
+    that the stop rule ends runs only its leftward n, and the pilot adds 1."""
+
+    @pytest.fixture
+    def boxplus_calls(self, monkeypatch):
+        calls = []
+        kernel = decoding._boxplus
+
+        def counted(*args):
+            calls.append(None)
+            return kernel(*args)
+
+        monkeypatch.setattr(decoding, "_boxplus", counted)
+        return calls
+
+    @pytest.mark.parametrize("n_log2, k", [(10, 96), (5, 16)])
+    def test_calls_per_stop_reason(self, boxplus_calls, n_log2, k):
+        spec = design_code(n_log2, k)
+        n = n_log2
+        rng = np.random.default_rng(60)
+        seen = set()
+        for snr in (30.0, 3.0, 0.0, -3.0):
+            info = rng.integers(0, 2, k).astype(np.uint8)
+            llrs = awgn_llrs(encode_systematic(info, spec), snr, rng)
+            for early_stop, gated in MODES:
+                cfg = BpConfig(max_iters=4, early_stop=early_stop)
+                check = (lambda b, crc=crc16(info): crc16_verify(b, crc)) if gated else None
+                boxplus_calls.clear()
+                res = bp_decode(llrs, spec, cfg, crc_check=check)
+                iters = res.iterations_used
+                if res.converged:
+                    assert len(boxplus_calls) == (iters - 1) * (2 * n - 1) + n + 1
+                else:
+                    assert len(boxplus_calls) == iters * (2 * n - 1) + 1
+                seen.add((res.stop_reason, iters == 1))
+        # rule stops in and after iteration 1, and both whole-iteration stops
+        assert {("crc", True), ("crc", False), ("frozen", True),
+                ("fixed_point", False), ("max_iters", False)} <= seen
+
+    def test_rule_stopped_first_iteration_at_n1024(self, boxplus_calls):
+        spec = design_code(10, 96)
+        info = np.random.default_rng(61).integers(0, 2, 96).astype(np.uint8)
+        res = bp_decode(noiseless_llrs(encode_systematic(info, spec)), spec,
+                        crc_check=lambda b: crc16_verify(b, crc16(info)))
+        assert (res.stop_reason, res.iterations_used) == ("crc", 1)
+        assert len(boxplus_calls) == 11
+        assert np.array_equal(res.info_bits, info)
+
+    def test_fixed_point_and_budget_stops_run_whole_iterations(self, boxplus_calls):
+        spec = design_code(5, 16)
+        llrs = np.zeros(spec.n)
+        res = bp_decode(llrs, spec, BpConfig(early_stop="none"))
+        assert res.stop_reason == "fixed_point"
+        assert len(boxplus_calls) == res.iterations_used * 9 + 1
+        boxplus_calls.clear()
+        res = bp_decode(_unpunctured_cases()[0][0], design_code(6, 32),
+                        BpConfig(max_iters=3, early_stop="none"))
+        assert (res.stop_reason, res.iterations_used) == ("max_iters", 3)
+        assert len(boxplus_calls) == 3 * 11 + 1
 
 
 class TestBpDecode:

@@ -121,6 +121,39 @@ class TestSynthesize:
                 ref = scalar_observation_oracle(bit, s_i, noise, leak, 64, seed)
                 assert obs.bins.tobytes() == row.tobytes() == ref.tobytes()
 
+    def test_bins_equal_the_complex_sum_expression(self):
+        # the batch synthesizer views its scaled (re, im) draws as complex;
+        # the reference builds the bins as sqrt(sigma2) * (re + 1j * im)
+        def reference(bits, peaks, noise, leak, n_fft, rng):
+            m = bits.size
+            g = rng.standard_normal((m, n_fft, 2))
+            bins = np.sqrt(noise.sigma2) * (g[..., 0] + 1j * g[..., 1])
+            for row in range(m):
+                if noise.signal_power > 0 and bits[row] == 0:
+                    bins[row, peaks[row]] += np.sqrt(noise.signal_power)
+                elif noise.signal_power > 0:
+                    s_bar = (peaks[row] + n_fft // 2) % n_fft
+                    for off, frac in zip((-1, 0, 1), leak.fractions):
+                        if frac > 0:
+                            bins[row, (s_bar + off) % n_fft] += np.sqrt(frac * noise.signal_power)
+            return bins
+
+        rng = np.random.default_rng(12)
+        for case in range(200):
+            m = int(rng.integers(0, 40))
+            n_fft = 1 << int(rng.integers(2, 9))
+            sigma2 = float(rng.choice([1e-12, 0.37, 1.0, 2.5, 1e6]))
+            power = 0.0 if case % 5 == 0 else snr_to_power(rng.uniform(-30.0, 30.0), sigma2)
+            noise = NoiseModel(sigma2=sigma2, signal_power=power)
+            leak = (NO_LEAKAGE, LEAK)[case % 2]
+            bits = rng.integers(0, 2, m)
+            peaks = rng.integers(0, n_fft, m)
+            got = synthesize_symbols(bits, peaks, noise, leak, n_fft, np.random.default_rng(case))
+            ref = reference(bits, peaks, noise, leak, n_fft, np.random.default_rng(case))
+            assert got.shape == ref.shape == (m, n_fft)
+            assert got.dtype == ref.dtype == np.complex128
+            assert got.tobytes() == ref.tobytes()
+
     def test_batch_matches_scalar_distribution_contract(self):
         noise = NoiseModel(sigma2=1.0, signal_power=9.0)
         rng = np.random.default_rng(11)
