@@ -15,7 +15,14 @@ from .construction import (
     capacity_evolve,
     design_code,
 )
-from .decoding import BpConfig, DecodeResult, bp_decode, combine_llrs, ml_decode_oracle
+from .decoding import (
+    BpConfig,
+    DecodeResult,
+    bp_decode,
+    bp_decode_many,
+    combine_llrs,
+    ml_decode_oracle,
+)
 from .encoding import (
     AllocationMeter,
     StorageAccount,
@@ -48,6 +55,7 @@ from .protocol import (
     estimate_rate,
     feedback_channel,
     gateway_on_frame,
+    gateway_on_frames,
     header_decode,
     header_encode,
     plan_session,
@@ -61,6 +69,7 @@ from .simulate import (
     goodput,
     hamming74_decode,
     hamming74_encode,
+    run_point,
     run_sweep,
     run_trial,
     wilson_interval,

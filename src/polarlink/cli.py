@@ -121,8 +121,14 @@ def _cmd_decode(args) -> int:
     missing = [key for key in ("n_log2", "k") if key not in spec_json]
     if missing:
         raise ValueError(f"spec is missing {' and '.join(missing)}")
-    spec = design_code(int(spec_json["n_log2"]), int(spec_json["k"]),
-                       eps=float(spec_json.get("eps", 0.5)))
+    # JSON true/false load as bool, a subclass of int, so both are refused
+    for key in ("n_log2", "k"):
+        if type(spec_json[key]) is not int:
+            raise ValueError(f"spec {key} must be an integer, got {json.dumps(spec_json[key])}")
+    eps = spec_json.get("eps", 0.5)
+    if type(eps) not in (int, float):
+        raise ValueError(f"spec eps must be a number, got {json.dumps(eps)}")
+    spec = design_code(spec_json["n_log2"], spec_json["k"], eps=float(eps))
     llrs = np.array([float(v) for v in llr_text.replace(",", "\n").split()])
     result = bp_decode(llrs, spec, BpConfig(max_iters=args.iters, update_rule=args.rule))
     print(json.dumps({

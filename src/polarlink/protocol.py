@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .construction import CodeSpec, design_code
-from .decoding import bp_decode, combine_llrs
+from .decoding import bp_decode_many, combine_llrs
 
 __all__ = [
     "RATE_TABLE",
@@ -47,6 +47,7 @@ __all__ = [
     "tag_stage1",
     "tag_stage2",
     "gateway_on_frame",
+    "gateway_on_frames",
     "feedback_channel",
     "frame_to_wire",
     "frame_from_wire",
@@ -306,19 +307,9 @@ class GatewaySession:
         self.succeeded = False
 
 
-def gateway_on_frame(frame: Frame, llrs, session: GatewaySession) -> dict:
-    """Fold one received frame into the session and decide what to do next.
-
-    ``llrs`` are the demodulated per-position LLRs aligned with
-    frame.payload_positions.  Returns the decision record, one of
-    {"ack"} | {"request_rate", rate} | {"fail"}; a frame with an already-seen
-    packet id is ignored (the combine stays idempotent per position set).
-
-    Frames must arrive in id order: a second frame before a first is an
-    error.  Malformed input (positions outside [0, n_mother) or repeated,
-    LLRs that are misaligned or not finite, a header length other than the
-    plan's) raises ValueError before the session changes.
-    """
+def _checked_frame(frame: Frame, llrs, session: GatewaySession):
+    """The frame's positions and LLRs as arrays; ValueError if either is
+    malformed for the session, which is left unchanged."""
     positions = np.asarray(frame.payload_positions)
     llrs = np.asarray(llrs, dtype=np.float64)
     if positions.ndim != 1 or positions.dtype.kind not in "iu":
@@ -335,47 +326,93 @@ def gateway_on_frame(frame: Frame, llrs, session: GatewaySession) -> dict:
     if frame.header.length_code != _length_code(session.plan.k):
         raise ValueError(f"header length_code {frame.header.length_code} does not match "
                          f"the K={session.plan.k} plan's {_length_code(session.plan.k)}")
-    pid = frame.header.packet_id
-    if pid == 1 and 0 not in session.seen_ids:
+    if frame.header.packet_id == 1 and 0 not in session.seen_ids:
         raise ValueError("second frame received before first")
-    if pid in session.seen_ids:
-        decision = {"action": "duplicate_ignored", "packet_id": pid}
-        session.decisions.append(decision)
-        return decision
-    session.seen_ids.add(pid)
-    if session.succeeded:
-        # already decoded and acknowledged; the extra frame (a lost-ACK
-        # retransmission) changes nothing
-        decision = {"action": "ack", "packet_id": pid, "fber": session.last_fber}
-        session.decisions.append(decision)
-        return decision
+    return positions, llrs
 
-    frame_llrs = np.zeros(session.plan.n_mother)
-    frame_llrs[positions] = llrs
-    session.combined = combine_llrs([session.combined, frame_llrs])
-    if pid == 0:
-        session.expected_crc = frame.crc
 
-    # frozen consistency alone fires too early on a heavily punctured graph,
-    # before the info positions settle, so the decoder also waits for the CRC
-    crc = session.expected_crc
-    result = bp_decode(session.combined, session.plan.spec,
-                       crc_check=lambda bits: crc16_verify(bits, crc))
+def gateway_on_frames(frames, llrs, sessions) -> list:
+    """Fold one received frame into each session and decide what each does next.
+
+    ``frames[i]`` with its LLRs ``llrs[i]`` goes to ``sessions[i]``, and the
+    i-th decision record is returned, exactly as ``gateway_on_frame`` would
+    return it; a session may appear once per call.  Every frame is checked
+    before any session changes, so one malformed frame raises ValueError and
+    leaves every session as it was.  The sessions whose frame needs a decode
+    (not a duplicate, not already acknowledged) are decoded in one lockstep
+    batch per code.
+    """
+    frames, llrs, sessions = list(frames), list(llrs), list(sessions)
+    if not len(frames) == len(llrs) == len(sessions):
+        raise ValueError("need one frame, one LLR array and one session per entry")
+    if len({id(s) for s in sessions}) != len(sessions):
+        raise ValueError("a session may receive one frame per call")
+    checked = [_checked_frame(f, l, s) for f, l, s in zip(frames, llrs, sessions)]
+
+    decisions = [None] * len(frames)
+    by_code = {}  # sessions to decode, grouped by the code they share
+    for i, (frame, (positions, frame_llrs), session) in enumerate(zip(frames, checked, sessions)):
+        pid = frame.header.packet_id
+        if pid in session.seen_ids:
+            decisions[i] = {"action": "duplicate_ignored", "packet_id": pid}
+            continue
+        session.seen_ids.add(pid)
+        if session.succeeded:
+            # already decoded and acknowledged; the extra frame (a lost-ACK
+            # retransmission) changes nothing
+            decisions[i] = {"action": "ack", "packet_id": pid, "fber": session.last_fber}
+            continue
+        full = np.zeros(session.plan.n_mother)
+        full[positions] = frame_llrs
+        session.combined = combine_llrs([session.combined, full])
+        if pid == 0:
+            session.expected_crc = frame.crc
+        by_code.setdefault(id(session.plan.spec), []).append(i)
+
+    for rows in by_code.values():
+        # frozen consistency alone fires too early on a heavily punctured
+        # graph, before the info positions settle, so each decode also waits
+        # for its session's CRC
+        results = bp_decode_many(
+            [sessions[i].combined for i in rows], sessions[rows[0]].plan.spec,
+            crc_checks=[lambda bits, crc=sessions[i].expected_crc: crc16_verify(bits, crc)
+                        for i in rows])
+        for i, result in zip(rows, results):
+            decisions[i] = _decide(sessions[i], frames[i].header.packet_id, result)
+
+    for session, decision in zip(sessions, decisions):
+        session.decisions.append(decision)
+    return decisions
+
+
+def _decide(session: GatewaySession, pid: int, result) -> dict:
     session.last_fber = result.fber
     session.last_info = result.info_bits
     # a decode that stopped on the CRC has already passed it
-    ok = result.stop_reason == "crc" or crc16_verify(result.info_bits, crc)
-    if ok:
+    if result.stop_reason == "crc" or crc16_verify(result.info_bits, session.expected_crc):
         session.succeeded = True
-        decision = {"action": "ack", "packet_id": pid, "fber": result.fber}
-    elif pid == 0:
-        rate = estimate_rate(result.fber)
-        decision = {"action": "request_rate", "packet_id": pid, "fber": result.fber,
-                    "rate": str(rate)}
-    else:
-        decision = {"action": "fail", "packet_id": pid, "fber": result.fber}
-    session.decisions.append(decision)
-    return decision
+        return {"action": "ack", "packet_id": pid, "fber": result.fber}
+    if pid == 0:
+        return {"action": "request_rate", "packet_id": pid, "fber": result.fber,
+                "rate": str(estimate_rate(result.fber))}
+    return {"action": "fail", "packet_id": pid, "fber": result.fber}
+
+
+def gateway_on_frame(frame: Frame, llrs, session: GatewaySession) -> dict:
+    """Fold one received frame into the session and decide what to do next.
+
+    ``llrs`` are the demodulated per-position LLRs aligned with
+    frame.payload_positions.  Returns the decision record, one of
+    {"ack"} | {"request_rate", rate} | {"fail"}; a frame with an already-seen
+    packet id is ignored (the combine stays idempotent per position set).
+
+    Frames must arrive in id order: a second frame before a first is an
+    error.  Malformed input (positions outside [0, n_mother) or repeated,
+    LLRs that are misaligned or not finite, a header length other than the
+    plan's) raises ValueError before the session changes.  It is the
+    one-frame call of gateway_on_frames.
+    """
+    return gateway_on_frames([frame], [llrs], [session])[0]
 
 
 def feedback_channel(msg: FeedbackMsg, loss_prob: float, rng_seed) -> FeedbackMsg:

@@ -31,6 +31,7 @@ from .protocol import (
     frame_from_wire,
     frame_to_wire,
     gateway_on_frame,
+    gateway_on_frames,
     plan_session,
     tag_stage1,
     tag_stage2,
@@ -49,6 +50,7 @@ __all__ = [
     "run_session",
     "replay_session",
     "run_trial",
+    "run_point",
     "run_sweep",
     "summary_json",
     "write_outputs",
@@ -268,70 +270,90 @@ def _transmit(bits, cfg: SimConfig, noise: NoiseModel, channel_rng) -> np.ndarra
     return metric(bins, peaks, cfg.sigma2)
 
 
+def _lockstep_sessions(cfg: SimConfig, snr_db: float, lanes, records) -> list:
+    """Run sessions side by side; returns one (success, decoded, aux) per lane.
+
+    ``lanes`` holds (rngs, rate): rate None runs a two-stage adaptive
+    session, a Fraction a one-frame session at that fixed rate.  The first
+    frames of every lane go to the gateway in one call, so they decode as one
+    batch, and so do the adaptive lanes' second frames.  Each lane draws
+    from its own generators only, in the order a lone session does, so its
+    outcome does not depend on the lanes beside it.  ``records`` holds a
+    SessionRecord or None per lane.
+    """
+    noise = cfg.noise(snr_db)
+    plan = plan_session(cfg.k)
+    infos = [info_rng.integers(0, 2, size=cfg.k).astype(np.uint8)
+             for (info_rng, _, _), _ in lanes]
+    codewords = [encode_transform_pair(info, plan.spec) for info in infos]  # both stages slice it
+    gws = [GatewaySession(plan) for _ in lanes]
+
+    def send(idx, frames):
+        llrs = []
+        for i, frame in zip(idx, frames):
+            _, channel_rng, _ = lanes[i][0]
+            llrs.append(_transmit(frame.payload_bits, cfg, noise, channel_rng))
+            if records[i] is not None:
+                records[i].frames.append(frame_to_wire(frame))
+                records[i].frame_llrs.append([float(v) for v in llrs[-1]])
+        return gateway_on_frames(frames, llrs, [gws[i] for i in idx])
+
+    first = [tag_stage1(codeword, plan, STAGE1_RATE if rate is None else rate)
+             for codeword, (_, rate) in zip(codewords, lanes)]
+    aux = [{"bits_sent": len(frame.payload_positions), "frames_used": 1,
+            "fber_first": decision["fber"], "requested_rate": "", "info": info,
+            "decisions": gw.decisions}
+           for frame, decision, info, gw in zip(first, send(range(len(lanes)), first), infos, gws)]
+
+    second_idx, second = [], []
+    for i, ((_, _, feedback_rng), rate) in enumerate(lanes):
+        if rate is not None:
+            continue  # a fixed-rate session has no feedback
+        d1 = gws[i].decisions[0]
+        if d1["action"] == "ack":
+            msg = FeedbackMsg(kind="ack")
+        else:
+            msg = FeedbackMsg(kind="request_rate", rate=Fraction(d1["rate"]))
+        fb = feedback_channel(msg, cfg.fb_loss, feedback_rng)
+        requested = "" if msg.rate is None else str(msg.rate)
+        aux[i]["requested_rate"] = requested
+        if records[i] is not None:
+            entry = {"kind": fb.kind, "delivered": fb.delivered}
+            if msg.rate is not None:
+                entry["rate"] = requested
+            records[i].feedback.append(entry)
+        # after a timeout the tag cannot tell a lost ACK from a lost request,
+        # so it sends the fallback stage 2 (wasted if the ACK was what got lost)
+        stage2_rate = fb.rate if fb.delivered else TIMEOUT_FALLBACK_RATE
+        if stage2_rate is not None:
+            second_idx.append(i)
+            second.append(tag_stage2(codewords[i], plan, stage2_rate))
+    if second:
+        send(second_idx, second)
+    for i, frame in zip(second_idx, second):
+        aux[i]["bits_sent"] += len(frame.payload_positions)
+        aux[i]["frames_used"] = 2
+
+    for record, gw, a in zip(records, gws, aux):
+        if record is not None:
+            record.decisions = list(gw.decisions)
+            record.fber_first = a["fber_first"]
+            record.requested_rate = a["requested_rate"]
+            record.outcome = "success" if gw.succeeded else "fail"
+            record.bits_sent = a["bits_sent"]
+            record.info_hex = bits_to_hex(a["info"])
+    return [(gw.succeeded, gw.last_info, a) for gw, a in zip(gws, aux)]
+
+
 def run_session(cfg: SimConfig, snr_db: float, rngs, *, record: SessionRecord = None):
     """Run one two-stage adaptive session; returns (success, decoded, aux dict).
 
     The tag retransmits parity after a feedback timeout at the fallback rate,
     since it cannot know whether an ACK or a rate request was lost; the
-    session is scored by the gateway's final decode outcome.
+    session is scored by the gateway's final decode outcome.  It is the
+    one-lane call of the lockstep sessions run_point runs.
     """
-    info_rng, channel_rng, feedback_rng = rngs
-    noise = cfg.noise(snr_db)
-    plan = plan_session(cfg.k)
-    info = info_rng.integers(0, 2, size=cfg.k).astype(np.uint8)
-    codeword = encode_transform_pair(info, plan.spec)  # both stages slice it
-    gw = GatewaySession(plan)
-
-    def send(frame):
-        llrs = _transmit(frame.payload_bits, cfg, noise, channel_rng)
-        if record is not None:
-            record.frames.append(frame_to_wire(frame))
-            record.frame_llrs.append([float(v) for v in llrs])
-        return gateway_on_frame(frame, llrs, gw)
-
-    f1 = tag_stage1(codeword, plan)
-    d1 = send(f1)
-    bits_sent = len(f1.payload_positions)
-    fber_first = d1["fber"]
-    frames_used = 1
-
-    if d1["action"] == "ack":
-        msg = FeedbackMsg(kind="ack")
-    else:
-        msg = FeedbackMsg(kind="request_rate", rate=Fraction(d1["rate"]))
-    fb = feedback_channel(msg, cfg.fb_loss, feedback_rng)
-    requested = "" if msg.rate is None else str(msg.rate)
-    if record is not None:
-        entry = {"kind": fb.kind, "delivered": fb.delivered}
-        if msg.rate is not None:
-            entry["rate"] = requested
-        record.feedback.append(entry)
-    # after a timeout the tag cannot tell a lost ACK from a lost request, so
-    # it sends the fallback stage 2 (wasted if the ACK was what got lost)
-    stage2_rate = fb.rate if fb.delivered else TIMEOUT_FALLBACK_RATE
-    if stage2_rate is not None:
-        f2 = tag_stage2(codeword, plan, stage2_rate)
-        send(f2)
-        bits_sent += len(f2.payload_positions)
-        frames_used = 2
-
-    decoded = gw.last_info
-    aux = {
-        "bits_sent": bits_sent,
-        "frames_used": frames_used,
-        "fber_first": fber_first,
-        "requested_rate": requested,
-        "info": info,
-        "decisions": gw.decisions,
-    }
-    if record is not None:
-        record.decisions = list(gw.decisions)
-        record.fber_first = fber_first
-        record.requested_rate = requested
-        record.outcome = "success" if gw.succeeded else "fail"
-        record.bits_sent = bits_sent
-        record.info_hex = bits_to_hex(info)
-    return gw.succeeded, decoded, aux
+    return _lockstep_sessions(cfg, snr_db, [(rngs, None)], [record])[0]
 
 
 def replay_session(record_dict: dict, k: int) -> list:
@@ -363,65 +385,76 @@ def _bit_and_byte_errors(decoded, info):
     return bit_errors, byte_errors, n_bytes
 
 
+def _hamming_trial(cfg: SimConfig, snr_db: float, rngs):
+    """One Hamming(7,4) packet; returns (info, decoded, bits_sent)."""
+    info_rng, channel_rng, _ = rngs
+    info = info_rng.integers(0, 2, size=cfg.k).astype(np.uint8)
+    # the last block is zero-padded, so every info bit goes on air
+    coded = hamming74_encode(np.pad(info, (0, -cfg.k % 4)))
+    llrs = _transmit(coded, cfg, cfg.noise(snr_db), channel_rng)
+    return info, hamming74_decode(llrs)[:cfg.k], len(coded)
+
+
+def run_point(cfg: SimConfig, point: int, schemes=None, trials=None) -> list:
+    """The trials of each scheme at sweep point ``point``, ordered by (scheme, trial).
+
+    ``schemes`` defaults to cfg.schemes and ``trials`` to range(cfg.trials).
+    Every sozu and fixed-rate trial at the point shares one session plan, so
+    they run as lockstep sessions: all their first frames decode as one
+    batch, then the sozu second frames as another.  Hamming(7,4) trials run
+    one by one.  Trial t of every scheme draws from its own fresh
+    trial_rngs(master_seed, point, t), so the channel stream is shared across
+    schemes and each result equals run_trial's.
+    """
+    schemes = cfg.schemes if schemes is None else tuple(schemes)
+    trials = range(cfg.trials) if trials is None else trials
+    snr_db = float(cfg.snr_db[point])
+    kinds = [parse_scheme(s) for s in schemes]
+    keys, lanes = [], []
+    for scheme, (kind, rate) in zip(schemes, kinds):
+        if kind != "hamming74":
+            for t in trials:
+                keys.append((scheme, t))
+                lanes.append((trial_rngs(cfg.master_seed, point, t), rate))
+    sessions = dict(zip(keys, _lockstep_sessions(cfg, snr_db, lanes, [None] * len(lanes))
+                              if lanes else ()))
+
+    results = []
+    for scheme, (kind, _) in zip(schemes, kinds):
+        for t in trials:
+            if kind == "hamming74":
+                info, decoded, bits_sent = _hamming_trial(
+                    cfg, snr_db, trial_rngs(cfg.master_seed, point, t))
+                success = bool(np.array_equal(decoded, info))
+                fber_first, requested = 0.0, ""
+                frames_used = 1
+            else:
+                success, decoded, aux = sessions[(scheme, t)]
+                info = aux["info"]
+                if kind == "fixed":
+                    # judged against the true bits, not the CRC gate
+                    success = bool(np.array_equal(decoded, info))
+                bits_sent, frames_used = aux["bits_sent"], aux["frames_used"]
+                fber_first, requested = aux["fber_first"], aux["requested_rate"]
+            bit_errors, byte_errors, n_bytes = _bit_and_byte_errors(decoded, info)
+            results.append(TrialResult(
+                scheme=scheme, snr_db=snr_db, trial=t, success=success,
+                bits_sent=bits_sent, clean_bits=cfg.k if success else 0,
+                bit_errors=bit_errors, byte_errors=byte_errors, n_bytes=n_bytes,
+                k=cfg.k, frames_used=frames_used, fber_first=fber_first,
+                requested_rate=requested,
+            ))
+    return results
+
+
 def run_trial(cfg: SimConfig, scheme: str, point: int, trial: int) -> TrialResult:
     """One packet/session of ``scheme`` at sweep point ``point``.
 
     Identical (cfg, point, trial) always produce the identical result, and
-    the channel stream is shared across schemes.
+    the channel stream is shared across schemes.  It is the one-trial call
+    of run_point.
     """
-    kind, fixed_rate = parse_scheme(scheme)
-    snr_db = float(cfg.snr_db[point])
-    rngs = trial_rngs(cfg.master_seed, point, trial)
-    info_rng, channel_rng, _ = rngs
-    noise = cfg.noise(snr_db)
-
-    if kind == "sozu":
-        success, decoded, aux = run_session(cfg, snr_db, rngs)
-        info = aux["info"]
-        bits_sent = aux["bits_sent"]
-        frames_used = aux["frames_used"]
-        fber_first = aux["fber_first"]
-        requested = aux["requested_rate"]
-    elif kind == "fixed":
-        # one first frame at the fixed rate, decoded by a fresh gateway
-        plan = plan_session(cfg.k)
-        info = info_rng.integers(0, 2, size=cfg.k).astype(np.uint8)
-        frame = tag_stage1(encode_transform_pair(info, plan.spec), plan, fixed_rate)
-        gw = GatewaySession(plan)
-        llrs = _transmit(frame.payload_bits, cfg, noise, channel_rng)
-        decision = gateway_on_frame(frame, llrs, gw)
-        decoded = gw.last_info
-        # judged against the true bits, not the CRC gate
-        success = bool(np.array_equal(decoded, info))
-        bits_sent = len(frame.payload_positions)
-        frames_used = 1
-        fber_first = decision["fber"]
-        requested = ""
-    else:  # hamming74
-        info = info_rng.integers(0, 2, size=cfg.k).astype(np.uint8)
-        # the last block is zero-padded, so every info bit goes on air
-        coded = hamming74_encode(np.pad(info, (0, -cfg.k % 4)))
-        llrs = _transmit(coded, cfg, noise, channel_rng)
-        decoded = hamming74_decode(llrs)[:cfg.k]
-        success = bool(np.array_equal(decoded, info))
-        bits_sent = len(coded)
-        frames_used = 1
-        fber_first = 0.0
-        requested = ""
-
-    bit_errors, byte_errors, n_bytes = _bit_and_byte_errors(decoded, info)
-    return TrialResult(
-        scheme=scheme, snr_db=snr_db, trial=trial, success=success,
-        bits_sent=bits_sent, clean_bits=cfg.k if success else 0,
-        bit_errors=bit_errors, byte_errors=byte_errors, n_bytes=n_bytes,
-        k=cfg.k, frames_used=frames_used, fber_first=fber_first,
-        requested_rate=requested,
-    )
-
-
-def _run_point(args):
-    cfg, scheme, point = args
-    return [run_trial(cfg, scheme, point, t) for t in range(cfg.trials)]
+    return run_point(cfg, point, (scheme,), (trial,))[0]
 
 
 def run_sweep(cfg: SimConfig):
@@ -430,33 +463,41 @@ def run_sweep(cfg: SimConfig):
     Trials may execute in parallel processes; outputs are ordered by
     (scheme, point, trial) regardless of worker count.
     """
-    tasks = [(cfg, scheme, p) for scheme in cfg.schemes for p in range(len(cfg.snr_db))]
+    points = range(len(cfg.snr_db))
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            per_point = list(pool.map(_run_point, tasks))
+            per_point = list(pool.map(run_point, [cfg] * len(points), points))
     else:
-        per_point = [_run_point(t) for t in tasks]
+        per_point = [run_point(cfg, p) for p in points]
 
+    # each point's results run scheme by scheme; the outputs run point by
+    # point within each scheme
     all_trials = []
     metrics = []
-    for (cfg_, scheme, point), results in zip(tasks, per_point):
-        all_trials.extend(results)
-        n = len(results)
-        succ = sum(r.success for r in results)
-        total_bits = sum(r.k for r in results)
-        bit_err = sum(r.bit_errors for r in results)
-        total_bytes = sum(r.n_bytes for r in results)
-        byte_ok = total_bytes - sum(r.byte_errors for r in results)
-        metrics.append(Metrics(
-            scheme=scheme, snr_db=float(cfg.snr_db[point]), trials=n,
-            ber=bit_err / total_bits, ber_ci=wilson_interval(bit_err, total_bits),
-            prr=succ / n, prr_ci=wilson_interval(succ, n),
-            brr=byte_ok / total_bytes if total_bytes else 0.0,
-            brr_ci=wilson_interval(byte_ok, total_bytes) if total_bytes else (0.0, 1.0),
-            goodput=goodput(results),
-            mean_effective_rate=float(np.mean([r.effective_rate for r in results])),
-        ))
+    for i, scheme in enumerate(cfg.schemes):
+        for point, point_results in enumerate(per_point):
+            results = point_results[i * cfg.trials:(i + 1) * cfg.trials]
+            all_trials.extend(results)
+            metrics.append(_metrics(scheme, float(cfg.snr_db[point]), results))
     return metrics, all_trials
+
+
+def _metrics(scheme: str, snr_db: float, results) -> Metrics:
+    n = len(results)
+    succ = sum(r.success for r in results)
+    total_bits = sum(r.k for r in results)
+    bit_err = sum(r.bit_errors for r in results)
+    total_bytes = sum(r.n_bytes for r in results)
+    byte_ok = total_bytes - sum(r.byte_errors for r in results)
+    return Metrics(
+        scheme=scheme, snr_db=snr_db, trials=n,
+        ber=bit_err / total_bits, ber_ci=wilson_interval(bit_err, total_bits),
+        prr=succ / n, prr_ci=wilson_interval(succ, n),
+        brr=byte_ok / total_bytes if total_bytes else 0.0,
+        brr_ci=wilson_interval(byte_ok, total_bytes) if total_bytes else (0.0, 1.0),
+        goodput=goodput(results),
+        mean_effective_rate=float(np.mean([r.effective_rate for r in results])),
+    )
 
 
 def _fmt(v) -> str:

@@ -39,9 +39,9 @@ from polarlink.simulate import (
     goodput,
     metrics_csv,
     replay_session,
+    run_point,
     run_session,
     run_sweep,
-    run_trial,
     trial_rngs,
     wilson_interval,
 )
@@ -217,8 +217,8 @@ def test_criterion_08_adaptive_vs_hamming_baseline():
     every_point_ok = True
     witness_ok = False
     for point, pre in enumerate(pres):
-        adaptive = [run_trial(cfg, "sozu", point, t) for t in range(cfg.trials)]
-        baseline = [run_trial(cfg, "hamming74", point, t) for t in range(cfg.trials)]
+        adaptive = run_point(cfg, point, ("sozu",))
+        baseline = run_point(cfg, point, ("hamming74",))
         ga, gb = goodput(adaptive), goodput(baseline)
         prr_b = np.mean([r.success for r in baseline])
         if ga < gb:

@@ -97,6 +97,39 @@ class TestDecode:
         assert (code, out) == (2, "")
         assert err.startswith("config error: ") and names in err
 
+    @pytest.mark.parametrize("spec, names", [
+        ({"n_log2": 4, "k": None}, "k must be an integer"),
+        ({"n_log2": None, "k": 8}, "n_log2 must be an integer"),
+        ({"n_log2": 4, "k": True}, "k must be an integer"),
+        ({"n_log2": 4.0, "k": 8}, "n_log2 must be an integer"),
+        ({"n_log2": 4, "k": 8.5}, "k must be an integer"),
+        ({"n_log2": [4], "k": 8}, "n_log2 must be an integer"),
+        ({"n_log2": 4, "k": {"v": 8}}, "k must be an integer"),
+        ({"n_log2": 4, "k": "8"}, "k must be an integer"),
+        ({"n_log2": 4, "k": 8, "eps": None}, "eps must be a number"),
+        ({"n_log2": 4, "k": 8, "eps": "0.5"}, "eps must be a number"),
+        ({"n_log2": 4, "k": 8, "eps": False}, "eps must be a number"),
+        ({"n_log2": 4, "k": 8, "eps": [0.5]}, "eps must be a number"),
+    ])
+    def test_non_integer_spec_field_is_config_error(self, capsys, tmp_path, spec, names):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        llr_file = tmp_path / "llrs.csv"
+        llr_file.write_text(",".join(["1.0"] * 16))
+        code, out, err = run_cli(capsys, "decode", "--spec", str(spec_file),
+                                 "--llrs", str(llr_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and names in err
+
+    @pytest.mark.parametrize("eps", [0.5, 1, 0.25])
+    def test_numeric_eps_accepted(self, capsys, tmp_path, eps):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"n_log2": 4, "k": 8, "eps": eps}))
+        llr_file = tmp_path / "llrs.csv"
+        llr_file.write_text(",".join(["1.0"] * 16))
+        code, out, _ = run_cli(capsys, "decode", "--spec", str(spec_file), "--llrs", str(llr_file))
+        assert code == 0 and json.loads(out)["iterations"] >= 1
+
 
 class TestLlr:
     def test_csv_shape(self, capsys):

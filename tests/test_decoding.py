@@ -11,6 +11,7 @@ from polarlink.decoding import (
     FROZEN_PRIOR_LLR,
     BpConfig,
     bp_decode,
+    bp_decode_many,
     combine_llrs,
     ml_decode_oracle,
 )
@@ -259,19 +260,29 @@ class TestFixedPointStop:
 MODES = [("none", False), ("frozen", False), ("frozen", True), ("none", True)]
 
 
-@st.composite
-def _grid_inputs(draw):
-    """A short code and channel LLRs on a half-unit grid around a codeword,
-    with zeros of either sign at random positions."""
-    n_log2 = draw(st.integers(1, 5))
-    n = 1 << n_log2
-    spec = design_code(n_log2, draw(st.integers(1, n)))
+def _draw_grid_row(draw, spec):
+    """Channel LLRs on a half-unit grid around a codeword of spec, with zeros
+    of either sign at random positions; returns (llrs, crc of the info)."""
+    n = spec.n
     info = np.array(draw(st.lists(st.integers(0, 1), min_size=spec.k, max_size=spec.k)),
                     dtype=np.uint8)
     mags = np.array(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))) / 2.0
     flips = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     llrs = np.where(flips, -1.0, 1.0) * (1.0 - 2.0 * encode_systematic(info, spec)) * mags
-    return llrs, spec, crc16(info)
+    return llrs, crc16(info)
+
+
+def _draw_short_code(draw):
+    n_log2 = draw(st.integers(1, 5))
+    return design_code(n_log2, draw(st.integers(1, 1 << n_log2)))
+
+
+@st.composite
+def _grid_inputs(draw):
+    """A short code and grid channel LLRs around a codeword of it."""
+    spec = _draw_short_code(draw)
+    llrs, crc = _draw_grid_row(draw, spec)
+    return llrs, spec, crc
 
 
 class TestAgainstReference:
@@ -294,6 +305,104 @@ class TestAgainstReference:
         assert np.float64(res.fber).tobytes() == np.float64(fber).tobytes()
         assert (res.iterations_used, res.stop_reason) == (iterations, stop_reason)
         assert res.converged == (early_stop != "none" and converged)
+
+
+@st.composite
+def _grid_batches(draw):
+    """A short code and 1-6 rows of grid LLRs around codewords of it; each
+    row has its own CRC and is gated by it or not."""
+    spec = _draw_short_code(draw)
+    rows = [_draw_grid_row(draw, spec) for _ in range(draw(st.integers(1, 6)))]
+    gated = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    return np.array([llrs for llrs, _ in rows]), spec, [crc for _, crc in rows], gated
+
+
+def _row_checks(crcs, gated):
+    return [(lambda b, crc=crc: crc16_verify(b, crc)) if g else None
+            for crc, g in zip(crcs, gated)]
+
+
+def assert_results_bitwise_equal(got, want):
+    assert got.info_bits.dtype == want.info_bits.dtype
+    assert got.info_bits.tobytes() == want.info_bits.tobytes()
+    assert got.frozen_hard.tobytes() == want.frozen_hard.tobytes()
+    assert got.u_posterior.tobytes() == want.u_posterior.tobytes()
+    assert np.float64(got.fber).tobytes() == np.float64(want.fber).tobytes()
+    assert (got.iterations_used, got.stop_reason) == (want.iterations_used, want.stop_reason)
+
+
+class TestBatch:
+    """bp_decode_many row i equals row i decoded alone, bit for bit, and the
+    index-pair reference; rows stop on their own rules."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_grid_batches(), rule=st.sampled_from(["exact", "minsum"]),
+           early_stop=st.sampled_from(["none", "frozen"]), max_iters=st.sampled_from([60, 2]))
+    def test_every_row_bitwise(self, case, rule, early_stop, max_iters):
+        llrs, spec, crcs, gated = case
+        cfg = BpConfig(max_iters=max_iters, update_rule=rule, early_stop=early_stop)
+        checks = _row_checks(crcs, gated)
+        got = bp_decode_many(llrs, spec, cfg, checks)
+        assert len(got) == len(llrs)
+        for row, check, res in zip(llrs, checks, got):
+            assert_results_bitwise_equal(res, bp_decode(row, spec, cfg, crc_check=check))
+            (info, u_post, frozen_hard, _, fber, _, iterations, stop_reason) = \
+                bp_decode_reference(row, spec, cfg, check)
+            assert res.info_bits.tobytes() == info.tobytes()
+            assert res.u_posterior.tobytes() == u_post.tobytes()
+            assert res.frozen_hard.tobytes() == frozen_hard.tobytes()
+            assert np.float64(res.fber).tobytes() == np.float64(fber).tobytes()
+            assert (res.iterations_used, res.stop_reason) == (iterations, stop_reason)
+
+    @pytest.mark.parametrize("rule", ["exact", "minsum"])
+    def test_rows_stopping_apart(self, rule):
+        # every other row gated by its CRC: rows stop on 'crc', 'frozen',
+        # 'fixed_point' and 'max_iters' at different iterations of one batch
+        for cases in (_small_code_cases(), _punctured_cases()):
+            spec = cases[0][1]
+            llrs = np.array([c[0] for c in cases])
+            checks = _row_checks([c[2] for c in cases], [i % 2 == 0 for i in range(len(cases))])
+            cfg = BpConfig(max_iters=20, update_rule=rule)
+            got = bp_decode_many(llrs, spec, cfg, checks)
+            for row, check, res in zip(llrs, checks, got):
+                assert_results_bitwise_equal(res, bp_decode(row, spec, cfg, crc_check=check))
+            stops = {(r.stop_reason, r.iterations_used) for r in got}
+            if spec.n == 32:
+                assert {"crc", "frozen", "fixed_point", "max_iters"} <= {r for r, _ in stops}
+                assert len({i for _, i in stops}) >= 4
+
+    def test_rows_of_signed_zero_cases(self):
+        by_code = {}
+        for llrs, spec, crc in _signed_zero_cases():
+            by_code.setdefault((spec.n_log2, spec.k), (spec, []))[1].append((llrs, crc))
+        for spec, rows in by_code.values():
+            llrs = np.array([r[0] for r in rows])
+            for early_stop in ("none", "frozen"):
+                cfg = BpConfig(early_stop=early_stop)
+                checks = _row_checks([r[1] for r in rows], [i % 3 != 0 for i in range(len(rows))])
+                for row, check, res in zip(llrs, checks, bp_decode_many(llrs, spec, cfg, checks)):
+                    assert_results_bitwise_equal(res, bp_decode(row, spec, cfg, crc_check=check))
+
+    def test_no_checks_means_none_per_row(self):
+        llrs = np.array([c[0] for c in _small_code_cases()[:8]])
+        spec = design_code(5, 16)
+        for a, b in zip(bp_decode_many(llrs, spec), bp_decode_many(llrs, spec, crc_checks=[None] * 8)):
+            assert_results_bitwise_equal(a, b)
+
+    def test_rejects_bad_input(self):
+        spec = design_code(3, 4)
+        for bad in (np.zeros(8), np.zeros((2, 7)), np.zeros((2, 8, 1))):
+            with pytest.raises(ValueError):
+                bp_decode_many(bad, spec)
+        nonfinite = np.zeros((2, 8))
+        nonfinite[1, 3] = np.nan
+        with pytest.raises(ValueError):
+            bp_decode_many(nonfinite, spec)
+        with pytest.raises(ValueError):
+            bp_decode_many(np.zeros((2, 8)), spec, crc_checks=[None])
+
+    def test_empty_batch(self):
+        assert bp_decode_many(np.zeros((0, 8)), design_code(3, 4)) == []
 
 
 class TestSkippedWork:
@@ -344,6 +453,15 @@ class TestSkippedWork:
         assert (res.stop_reason, res.iterations_used) == ("crc", 1)
         assert len(boxplus_calls) == 11
         assert np.array_equal(res.info_bits, info)
+
+    def test_one_boxplus_per_stage_half_covers_the_batch(self, boxplus_calls):
+        # three rows that no rule stops: the batch runs the box-plus count of
+        # one decode, not three
+        spec = design_code(6, 32)
+        llrs = np.array([c[0] for c in _unpunctured_cases()])
+        res = bp_decode_many(llrs, spec, BpConfig(max_iters=3, early_stop="none"))
+        assert [r.stop_reason for r in res] == ["max_iters"] * 3
+        assert len(boxplus_calls) == 3 * 11 + 1
 
     def test_fixed_point_and_budget_stops_run_whole_iterations(self, boxplus_calls):
         spec = design_code(5, 16)

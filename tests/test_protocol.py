@@ -1,5 +1,6 @@
 """Protocol: headers, CRC, rate table, budgets, state machines, wire format."""
 
+import copy
 import dataclasses
 import inspect
 from fractions import Fraction
@@ -27,6 +28,7 @@ from polarlink.protocol import (
     frame_from_wire,
     frame_to_wire,
     gateway_on_frame,
+    gateway_on_frames,
     header_decode,
     header_encode,
     hex_to_bits,
@@ -425,6 +427,137 @@ class TestGateway:
         with pytest.raises(ValueError):
             gateway_on_frame(f1, llrs, gw)
         assert not gw.seen_ids
+
+
+# How a session stands before the batch, and the frame it then receives:
+# "first" a fresh session gets its first frame, "second" a session whose
+# first frame failed gets its second, "duplicate" such a session gets its
+# first frame again, "acked" a session whose first frame decoded gets its
+# second (a lost-ACK retransmission).
+SCENARIOS = ("first", "second", "duplicate", "acked")
+
+
+def _prepared_session(k, scenario, rng):
+    """A session in the given scenario's starting state, and its next frame
+    with LLRs; 'first' frames are clean or noisy at random.  A first frame
+    that must fail carries no evidence: its decode returns all-zero info
+    bits, which the CRC rejects since info[0] is 1."""
+    plan = plan_session(k)
+    info = rng.integers(0, 2, k).astype(np.uint8)
+    info[0] = 1
+    cw = encode_systematic(info, plan.spec)
+    f1, f2 = tag_stage1(cw, plan), tag_stage2(cw, plan, RATE_TABLE[rng.integers(0, 4)])
+    gw = GatewaySession(plan)
+
+    def noisy(frame, scale):
+        signs = 1.0 - 2.0 * frame.payload_bits.astype(np.float64)
+        return scale * signs + rng.standard_normal(len(signs))
+
+    if scenario == "first":
+        return gw, f1, noisy(f1, rng.choice([0.3, 1.5, 12.0]))
+    if scenario == "acked":
+        gateway_on_frame(f1, clean_llrs_for(f1), gw)
+        assert gw.succeeded
+        return gw, f2, noisy(f2, 2.0)
+    gateway_on_frame(f1, np.zeros(len(f1.payload_positions)), gw)
+    assert not gw.succeeded
+    if scenario == "duplicate":
+        return gw, f1, noisy(f1, 2.0)
+    return gw, f2, noisy(f2, rng.choice([0.5, 3.0]))
+
+
+def session_state(gw):
+    info = None if gw.last_info is None else (gw.last_info.dtype.str, gw.last_info.tobytes())
+    return (gw.combined.tobytes(), sorted(gw.seen_ids), gw.expected_crc, gw.decisions,
+            np.float64(gw.last_fber).tobytes(), info, gw.succeeded)
+
+
+class TestGatewayBatch:
+    """gateway_on_frames equals gateway_on_frame called frame by frame."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(cases=st.lists(st.tuples(st.sampled_from(SCENARIOS), st.sampled_from([8, 16])),
+                          min_size=1, max_size=6),
+           seed=st.integers(0, 2**16))
+    def test_equals_sequential_calls(self, cases, seed):
+        rng = np.random.default_rng(seed)
+        prepared = [_prepared_session(k, scenario, rng) for scenario, k in cases]
+        batch = [gw for gw, _, _ in prepared]
+        alone = copy.deepcopy(batch)
+        got = gateway_on_frames([f for _, f, _ in prepared], [l for _, _, l in prepared], batch)
+        want = [gateway_on_frame(f, l, gw) for gw, (_, f, l) in zip(alone, prepared)]
+        assert got == want
+        for a, b in zip(batch, alone):
+            assert session_state(a) == session_state(b)
+
+    def test_decodes_only_what_needs_a_decode(self, monkeypatch):
+        import polarlink.protocol as protocol
+
+        batches = []
+        real = protocol.bp_decode_many
+        monkeypatch.setattr(protocol, "bp_decode_many",
+                            lambda llrs, *a, **kw: batches.append(len(llrs)) or real(llrs, *a, **kw))
+        rng = np.random.default_rng(7)
+        scenarios = ["first", "duplicate", "second", "acked", "first", "second"]
+        prepared = [_prepared_session(16, s, rng) for s in scenarios]
+        batches.clear()
+        decisions = gateway_on_frames([f for _, f, _ in prepared], [l for _, _, l in prepared],
+                                      [gw for gw, _, _ in prepared])
+        # one batch holds the two first and the two second frames
+        assert batches == [4]
+        assert decisions[1]["action"] == "duplicate_ignored"
+        assert decisions[3]["action"] == "ack"
+        # sessions of two codes decode in one batch per code
+        prepared = [_prepared_session(k, "first", rng) for k in (8, 16, 8)]
+        batches.clear()
+        gateway_on_frames([f for _, f, _ in prepared], [l for _, _, l in prepared],
+                          [gw for gw, _, _ in prepared])
+        assert sorted(batches) == [1, 2]
+
+    @pytest.mark.parametrize("fault", ["position", "misaligned", "nonfinite", "length_code",
+                                       "second_before_first"])
+    def test_one_malformed_frame_changes_no_session(self, fault):
+        rng = np.random.default_rng(8)
+        prepared = [_prepared_session(16, s, rng) for s in SCENARIOS]
+        frames = [f for _, f, _ in prepared]
+        llrs = [l for _, _, l in prepared]
+        sessions = [gw for gw, _, _ in prepared]
+        if fault == "second_before_first":
+            # a fresh session handed a second frame
+            sessions[0] = GatewaySession(plan_session(16))
+            frames[0] = frames[1]
+            llrs[0] = llrs[1]
+        else:
+            f = frames[2]
+            positions, bits, header = f.payload_positions.copy(), f.payload_bits, f.header
+            bad_llrs = llrs[2].copy()
+            if fault == "position":
+                positions[0] = plan_session(16).n_mother
+            elif fault == "misaligned":
+                bad_llrs = bad_llrs[:-1]
+            elif fault == "nonfinite":
+                bad_llrs[0] = np.inf
+            else:
+                header = dataclasses.replace(header, length_code=header.length_code + 1)
+            frames[2] = Frame(header=header, payload_positions=positions, payload_bits=bits,
+                              crc=f.crc)
+            llrs[2] = bad_llrs
+        before = [session_state(gw) for gw in sessions]
+        with pytest.raises(ValueError):
+            gateway_on_frames(frames, llrs, sessions)
+        assert [session_state(gw) for gw in sessions] == before
+
+    def test_a_session_takes_one_frame_per_call(self):
+        rng = np.random.default_rng(9)
+        gw, f1, l1 = _prepared_session(16, "first", rng)
+        with pytest.raises(ValueError):
+            gateway_on_frames([f1, f1], [l1, l1], [gw, gw])
+        with pytest.raises(ValueError):
+            gateway_on_frames([f1], [l1, l1], [gw])
+        assert session_state(gw) == session_state(GatewaySession(gw.plan))
+
+    def test_empty_batch(self):
+        assert gateway_on_frames([], [], []) == []
 
 
 _HEX = "0123456789abcdefABCDEF"

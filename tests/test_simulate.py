@@ -22,6 +22,7 @@ from polarlink.simulate import (
     metrics_csv,
     parse_scheme,
     replay_session,
+    run_point,
     run_session,
     run_sweep,
     run_trial,
@@ -211,13 +212,13 @@ class TestFixedTrialIsOneFrameSession:
 
     def test_calls_tag_and_gateway_once(self, monkeypatch):
         calls = []
-        for name in ("tag_stage1", "gateway_on_frame"):
+        for name in ("tag_stage1", "gateway_on_frames"):
             real = getattr(simulate, name)
             monkeypatch.setattr(simulate, name,
                                 lambda *a, _n=name, _real=real, **kw: calls.append(_n) or _real(*a, **kw))
         cfg = SimConfig(snr_db=(8.0,), trials=1, k=96, master_seed=21)
         run_trial(cfg, "fixed:1/2", 0, 0)
-        assert calls == ["tag_stage1", "gateway_on_frame"]
+        assert calls == ["tag_stage1", "gateway_on_frames"]
 
 
 class TestRunTrial:
@@ -256,16 +257,17 @@ class TestRunTrial:
         # trial keeps the statistic over observed ones, as the protocol does
         import polarlink.protocol as protocol
 
-        results = []
-        real = protocol.bp_decode
-        monkeypatch.setattr(protocol, "bp_decode",
-                            lambda *a, **kw: results.append(real(*a, **kw)) or results[-1])
+        batches = []
+        real = protocol.bp_decode_many
+        monkeypatch.setattr(protocol, "bp_decode_many",
+                            lambda *a, **kw: batches.append(real(*a, **kw)) or batches[-1])
         cfg = SimConfig(snr_db=(3.0,), trials=1, k=96, master_seed=6)
         r = run_trial(cfg, "fixed:1/2", 0, 0)
-        assert len(results) == 1
-        assert r.fber_first == results[0].fber
-        frozen_hard = results[0].frozen_hard
-        assert results[0].fber > np.count_nonzero(frozen_hard) / frozen_hard.size
+        assert [len(b) for b in batches] == [1]
+        result = batches[0][0]
+        assert r.fber_first == result.fber
+        frozen_hard = result.frozen_hard
+        assert result.fber > np.count_nonzero(frozen_hard) / frozen_hard.size
 
     def test_fixed_rate_beyond_mother_code_rejected(self):
         cfg = SimConfig(snr_db=(8.0,), trials=1, k=96)
@@ -275,7 +277,7 @@ class TestRunTrial:
     def test_deep_failure_point(self):
         # far below the waterfall every session dies
         cfg = SimConfig(snr_db=(-30.0,), trials=1000, k=32, master_seed=8)
-        succ = sum(run_trial(cfg, "sozu", 0, t).success for t in range(1000))
+        succ = sum(r.success for r in run_point(cfg, 0, ("sozu",)))
         assert succ / 1000 < 0.05
 
     def test_hamming_effective_rate(self):
@@ -321,6 +323,47 @@ class TestRunTrial:
             results = [run_trial(cfg, "sozu", point, t) for t in range(cfg.trials)]
             rates.append(np.mean([r.effective_rate for r in results]))
         assert rates[0] <= rates[1] + 0.02 <= rates[2] + 0.04
+
+
+class TestRunPoint:
+    SCHEMES = ("sozu", "fixed:2/5", "fixed:1/2", "hamming74")
+
+    @pytest.mark.parametrize("k, snr_db", [(9, (2.0, 6.0, 12.0)), (96, (4.0, 7.0, 10.0))])
+    def test_run_trial_equals_its_row(self, k, snr_db):
+        cfg = SimConfig(snr_db=snr_db, trials=4, k=k, master_seed=31, schemes=self.SCHEMES,
+                        fb_loss=0.3)
+        seen = set()
+        for point in range(len(cfg.snr_db)):
+            rows = run_point(cfg, point)
+            assert [(r.scheme, r.trial) for r in rows] == \
+                [(s, t) for s in self.SCHEMES for t in range(cfg.trials)]
+            for r in rows:
+                assert r == run_trial(cfg, r.scheme, point, r.trial)
+                seen.add((r.scheme, r.success, r.frames_used))
+        # the rows cover failures and successes, and one- and two-frame sessions
+        assert {("sozu", False, 2), ("sozu", True, 1), ("sozu", True, 2),
+                ("fixed:1/2", True, 1), ("fixed:1/2", False, 1)} <= seen
+
+    def test_scheme_and_trial_subsets(self):
+        cfg = SimConfig(snr_db=(6.0,), trials=5, k=16, master_seed=32, schemes=self.SCHEMES)
+        full = run_point(cfg, 0)
+        part = run_point(cfg, 0, ("hamming74", "sozu"), (3, 1))
+        index = {(r.scheme, r.trial): r for r in full}
+        assert part == [index[key] for key in (("hamming74", 3), ("hamming74", 1),
+                                               ("sozu", 3), ("sozu", 1))]
+
+    def test_point_decodes_in_two_batches(self, monkeypatch):
+        # every polar first frame at the point in one batch, then the sozu
+        # second frames in another
+        batches = []
+        real = protocol.bp_decode_many
+        monkeypatch.setattr(protocol, "bp_decode_many",
+                            lambda llrs, *a, **kw: batches.append(len(llrs)) or real(llrs, *a, **kw))
+        cfg = SimConfig(snr_db=(-3.0,), trials=3, k=16, master_seed=33, schemes=self.SCHEMES)
+        rows = run_point(cfg, 0)
+        second = sum(r.frames_used == 2 for r in rows)
+        assert second == 3
+        assert batches == [9, 3]
 
 
 class TestSessionReplay:
