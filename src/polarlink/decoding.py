@@ -233,6 +233,10 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
                    crc_checks=None) -> list:
     """Decode a batch of channel-LLR rows in lockstep; one DecodeResult per row.
 
+    The batch's messages take 2 (n_log2 + 1) B N floats and grow the work
+    per row once they leave the cache, so a caller with many codewords
+    decodes them in groups (run_point sizes its groups from N).
+
     Parameters
     ----------
     llrs : array-like of float, shape (B, spec.n)

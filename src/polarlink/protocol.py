@@ -336,11 +336,12 @@ def gateway_on_frames(frames, llrs, sessions) -> list:
 
     ``frames[i]`` with its LLRs ``llrs[i]`` goes to ``sessions[i]``, and the
     i-th decision record is returned, exactly as ``gateway_on_frame`` would
-    return it; a session may appear once per call.  Every frame is checked
-    before any session changes, so one malformed frame raises ValueError and
-    leaves every session as it was.  The sessions whose frame needs a decode
-    (not a duplicate, not already acknowledged) are decoded in one lockstep
-    batch per code.
+    return it; a session may appear once per call.  The sessions whose frame
+    needs a decode (not a duplicate, not already acknowledged) must share
+    one code, and are decoded in one lockstep batch.  Every frame is
+    checked, and every decode run, before any session changes, so a
+    malformed frame, a combine that overflows, or sessions of two codes
+    raise ValueError and leave every session as it was.
     """
     frames, llrs, sessions = list(frames), list(llrs), list(sessions)
     if not len(frames) == len(llrs) == len(sessions):
@@ -350,13 +351,14 @@ def gateway_on_frames(frames, llrs, sessions) -> list:
     checked = [_checked_frame(f, l, s) for f, l, s in zip(frames, llrs, sessions)]
 
     decisions = [None] * len(frames)
-    by_code = {}  # sessions to decode, grouped by the code they share
+    fresh, rows = [], []  # entries with a new packet id; those of them to decode
+    combined, crcs = [], []  # each decode's LLRs and the CRC it waits for
     for i, (frame, (positions, frame_llrs), session) in enumerate(zip(frames, checked, sessions)):
         pid = frame.header.packet_id
         if pid in session.seen_ids:
             decisions[i] = {"action": "duplicate_ignored", "packet_id": pid}
             continue
-        session.seen_ids.add(pid)
+        fresh.append(i)
         if session.succeeded:
             # already decoded and acknowledged; the extra frame (a lost-ACK
             # retransmission) changes nothing
@@ -364,22 +366,31 @@ def gateway_on_frames(frames, llrs, sessions) -> list:
             continue
         full = np.zeros(session.plan.n_mother)
         full[positions] = frame_llrs
-        session.combined = combine_llrs([session.combined, full])
-        if pid == 0:
-            session.expected_crc = frame.crc
-        by_code.setdefault(id(session.plan.spec), []).append(i)
-
-    for rows in by_code.values():
+        rows.append(i)
+        combined.append(combine_llrs([session.combined, full]))  # bp_decode_many refuses inf
+        crcs.append(frame.crc if pid == 0 else session.expected_crc)
+    results = []
+    if rows:
+        spec = sessions[rows[0]].plan.spec
+        for i in rows[1:]:
+            other = sessions[i].plan.spec
+            if other is not spec and (other.n != spec.n
+                                      or not np.array_equal(other.frozen_set, spec.frozen_set)):
+                raise ValueError("the sessions decoded in one call must share one code")
         # frozen consistency alone fires too early on a heavily punctured
         # graph, before the info positions settle, so each decode also waits
         # for its session's CRC
         results = bp_decode_many(
-            [sessions[i].combined for i in rows], sessions[rows[0]].plan.spec,
-            crc_checks=[lambda bits, crc=sessions[i].expected_crc: crc16_verify(bits, crc)
-                        for i in rows])
-        for i, result in zip(rows, results):
-            decisions[i] = _decide(sessions[i], frames[i].header.packet_id, result)
+            combined, spec,
+            crc_checks=[lambda bits, crc=crc: crc16_verify(bits, crc) for crc in crcs])
 
+    # every check has passed: only now do the sessions change
+    for i in fresh:
+        sessions[i].seen_ids.add(frames[i].header.packet_id)
+    for i, session_llrs, crc, result in zip(rows, combined, crcs, results):
+        sessions[i].combined = session_llrs
+        sessions[i].expected_crc = crc
+        decisions[i] = _decide(sessions[i], frames[i].header.packet_id, result)
     for session, decision in zip(sessions, decisions):
         session.decisions.append(decision)
     return decisions
@@ -409,8 +420,8 @@ def gateway_on_frame(frame: Frame, llrs, session: GatewaySession) -> dict:
     Frames must arrive in id order: a second frame before a first is an
     error.  Malformed input (positions outside [0, n_mother) or repeated,
     LLRs that are misaligned or not finite, a header length other than the
-    plan's) raises ValueError before the session changes.  It is the
-    one-frame call of gateway_on_frames.
+    plan's, a combine that overflows) raises ValueError before the session
+    changes.  It is the one-frame call of gateway_on_frames.
     """
     return gateway_on_frames([frame], [llrs], [session])[0]
 

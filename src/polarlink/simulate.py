@@ -270,28 +270,27 @@ def _transmit(bits, cfg: SimConfig, noise: NoiseModel, channel_rng) -> np.ndarra
     return metric(bins, peaks, cfg.sigma2)
 
 
-def _lockstep_sessions(cfg: SimConfig, snr_db: float, lanes, records) -> list:
+def _lockstep_sessions(cfg: SimConfig, snr_db: float, rate, lanes, records) -> list:
     """Run sessions side by side; returns one (success, decoded, aux) per lane.
 
-    ``lanes`` holds (rngs, rate): rate None runs a two-stage adaptive
-    session, a Fraction a one-frame session at that fixed rate.  The first
-    frames of every lane go to the gateway in one call, so they decode as one
-    batch, and so do the adaptive lanes' second frames.  Each lane draws
-    from its own generators only, in the order a lone session does, so its
-    outcome does not depend on the lanes beside it.  ``records`` holds a
-    SessionRecord or None per lane.
+    ``rate`` None runs two-stage adaptive sessions, a Fraction one-frame
+    sessions at that fixed rate.  ``lanes`` holds each session's (info,
+    channel, feedback) generators and ``records`` a SessionRecord or None
+    per lane.  The first frames of every lane go to the gateway in one call,
+    so they decode as one batch, and so do the adaptive lanes' second
+    frames.  Each lane draws from its own generators only, in the order a
+    lone session does, so its outcome does not depend on the lanes beside it.
     """
     noise = cfg.noise(snr_db)
     plan = plan_session(cfg.k)
-    infos = [info_rng.integers(0, 2, size=cfg.k).astype(np.uint8)
-             for (info_rng, _, _), _ in lanes]
+    infos = [info_rng.integers(0, 2, size=cfg.k).astype(np.uint8) for info_rng, _, _ in lanes]
     codewords = [encode_transform_pair(info, plan.spec) for info in infos]  # both stages slice it
     gws = [GatewaySession(plan) for _ in lanes]
 
     def send(idx, frames):
         llrs = []
         for i, frame in zip(idx, frames):
-            _, channel_rng, _ = lanes[i][0]
+            _, channel_rng, _ = lanes[i]
             llrs.append(_transmit(frame.payload_bits, cfg, noise, channel_rng))
             if records[i] is not None:
                 records[i].frames.append(frame_to_wire(frame))
@@ -299,16 +298,15 @@ def _lockstep_sessions(cfg: SimConfig, snr_db: float, lanes, records) -> list:
         return gateway_on_frames(frames, llrs, [gws[i] for i in idx])
 
     first = [tag_stage1(codeword, plan, STAGE1_RATE if rate is None else rate)
-             for codeword, (_, rate) in zip(codewords, lanes)]
+             for codeword in codewords]
     aux = [{"bits_sent": len(frame.payload_positions), "frames_used": 1,
             "fber_first": decision["fber"], "requested_rate": "", "info": info,
             "decisions": gw.decisions}
            for frame, decision, info, gw in zip(first, send(range(len(lanes)), first), infos, gws)]
 
     second_idx, second = [], []
-    for i, ((_, _, feedback_rng), rate) in enumerate(lanes):
-        if rate is not None:
-            continue  # a fixed-rate session has no feedback
+    # a fixed-rate session has no feedback
+    for i, (_, _, feedback_rng) in enumerate(lanes if rate is None else ()):
         d1 = gws[i].decisions[0]
         if d1["action"] == "ack":
             msg = FeedbackMsg(kind="ack")
@@ -353,7 +351,7 @@ def run_session(cfg: SimConfig, snr_db: float, rngs, *, record: SessionRecord = 
     session is scored by the gateway's final decode outcome.  It is the
     one-lane call of the lockstep sessions run_point runs.
     """
-    return _lockstep_sessions(cfg, snr_db, [(rngs, None)], [record])[0]
+    return _lockstep_sessions(cfg, snr_db, None, [rngs], [record])[0]
 
 
 def replay_session(record_dict: dict, k: int) -> list:
@@ -395,55 +393,54 @@ def _hamming_trial(cfg: SimConfig, snr_db: float, rngs):
     return info, hamming74_decode(llrs)[:cfg.k], len(coded)
 
 
-def run_point(cfg: SimConfig, point: int, schemes=None, trials=None) -> list:
-    """The trials of each scheme at sweep point ``point``, ordered by (scheme, trial).
+# Rows x N of one lockstep group.  The group's message layers, (n_log2 + 1)
+# x 2 x 8 bytes per element (1.4 MB at N = 1024), then stay within a core's
+# L2 cache, where a decode's cost per row is lowest, and a point's memory
+# does not grow with its trial count.
+_GROUP_ELEMENTS = 1 << 13
 
-    ``schemes`` defaults to cfg.schemes and ``trials`` to range(cfg.trials).
-    Every sozu and fixed-rate trial at the point shares one session plan, so
-    they run as lockstep sessions: all their first frames decode as one
-    batch, then the sozu second frames as another.  Hamming(7,4) trials run
-    one by one.  Trial t of every scheme draws from its own fresh
-    trial_rngs(master_seed, point, t), so the channel stream is shared across
-    schemes and each result equals run_trial's.
+
+def run_point(cfg: SimConfig, scheme: str, point: int, trials=None) -> list:
+    """The trials of ``scheme`` at sweep point ``point``, in trial order.
+
+    ``trials`` defaults to range(cfg.trials).  Sozu and fixed-rate trials
+    run as lockstep sessions in groups of _GROUP_ELEMENTS // N trials: a
+    group's first frames decode as one batch, then its sozu second frames
+    as another.  Hamming(7,4) trials run one by one.  Trial t draws from its
+    own fresh trial_rngs(master_seed, point, t), so the channel stream is
+    shared across schemes and each result equals run_trial's.
     """
-    schemes = cfg.schemes if schemes is None else tuple(schemes)
     trials = range(cfg.trials) if trials is None else trials
     snr_db = float(cfg.snr_db[point])
-    kinds = [parse_scheme(s) for s in schemes]
-    keys, lanes = [], []
-    for scheme, (kind, rate) in zip(schemes, kinds):
-        if kind != "hamming74":
-            for t in trials:
-                keys.append((scheme, t))
-                lanes.append((trial_rngs(cfg.master_seed, point, t), rate))
-    sessions = dict(zip(keys, _lockstep_sessions(cfg, snr_db, lanes, [None] * len(lanes))
-                              if lanes else ()))
+    kind, rate = parse_scheme(scheme)
+    outcomes = []
+    if kind == "hamming74":
+        for t in trials:
+            info, decoded, bits_sent = _hamming_trial(
+                cfg, snr_db, trial_rngs(cfg.master_seed, point, t))
+            outcomes.append((None, decoded, {"bits_sent": bits_sent, "frames_used": 1,
+                                             "fber_first": 0.0, "requested_rate": "",
+                                             "info": info}))
+    else:
+        group = max(1, _GROUP_ELEMENTS // plan_session(cfg.k).n_mother)
+        for lo in range(0, len(trials), group):
+            lanes = [trial_rngs(cfg.master_seed, point, t) for t in trials[lo:lo + group]]
+            outcomes += _lockstep_sessions(cfg, snr_db, rate, lanes, [None] * len(lanes))
 
     results = []
-    for scheme, (kind, _) in zip(schemes, kinds):
-        for t in trials:
-            if kind == "hamming74":
-                info, decoded, bits_sent = _hamming_trial(
-                    cfg, snr_db, trial_rngs(cfg.master_seed, point, t))
-                success = bool(np.array_equal(decoded, info))
-                fber_first, requested = 0.0, ""
-                frames_used = 1
-            else:
-                success, decoded, aux = sessions[(scheme, t)]
-                info = aux["info"]
-                if kind == "fixed":
-                    # judged against the true bits, not the CRC gate
-                    success = bool(np.array_equal(decoded, info))
-                bits_sent, frames_used = aux["bits_sent"], aux["frames_used"]
-                fber_first, requested = aux["fber_first"], aux["requested_rate"]
-            bit_errors, byte_errors, n_bytes = _bit_and_byte_errors(decoded, info)
-            results.append(TrialResult(
-                scheme=scheme, snr_db=snr_db, trial=t, success=success,
-                bits_sent=bits_sent, clean_bits=cfg.k if success else 0,
-                bit_errors=bit_errors, byte_errors=byte_errors, n_bytes=n_bytes,
-                k=cfg.k, frames_used=frames_used, fber_first=fber_first,
-                requested_rate=requested,
-            ))
+    for t, (success, decoded, aux) in zip(trials, outcomes):
+        info = aux["info"]
+        if kind != "sozu":
+            # judged against the true bits, not the CRC gate
+            success = bool(np.array_equal(decoded, info))
+        bit_errors, byte_errors, n_bytes = _bit_and_byte_errors(decoded, info)
+        results.append(TrialResult(
+            scheme=scheme, snr_db=snr_db, trial=t, success=success,
+            bits_sent=aux["bits_sent"], clean_bits=cfg.k if success else 0,
+            bit_errors=bit_errors, byte_errors=byte_errors, n_bytes=n_bytes,
+            k=cfg.k, frames_used=aux["frames_used"], fber_first=aux["fber_first"],
+            requested_rate=aux["requested_rate"],
+        ))
     return results
 
 
@@ -454,31 +451,28 @@ def run_trial(cfg: SimConfig, scheme: str, point: int, trial: int) -> TrialResul
     the channel stream is shared across schemes.  It is the one-trial call
     of run_point.
     """
-    return run_point(cfg, point, (scheme,), (trial,))[0]
+    return run_point(cfg, scheme, point, (trial,))[0]
 
 
 def run_sweep(cfg: SimConfig):
     """Run all (scheme, snr, trial) combinations; returns (metrics, trials).
 
-    Trials may execute in parallel processes; outputs are ordered by
-    (scheme, point, trial) regardless of worker count.
+    Each (scheme, point) is one run_point task, and tasks may execute in
+    parallel processes; outputs are ordered by (scheme, point, trial)
+    regardless of worker count.
     """
-    points = range(len(cfg.snr_db))
+    tasks = [(scheme, p) for scheme in cfg.schemes for p in range(len(cfg.snr_db))]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            per_point = list(pool.map(run_point, [cfg] * len(points), points))
+            per_task = list(pool.map(run_point, [cfg] * len(tasks), *zip(*tasks)))
     else:
-        per_point = [run_point(cfg, p) for p in points]
+        per_task = [run_point(cfg, scheme, p) for scheme, p in tasks]
 
-    # each point's results run scheme by scheme; the outputs run point by
-    # point within each scheme
     all_trials = []
     metrics = []
-    for i, scheme in enumerate(cfg.schemes):
-        for point, point_results in enumerate(per_point):
-            results = point_results[i * cfg.trials:(i + 1) * cfg.trials]
-            all_trials.extend(results)
-            metrics.append(_metrics(scheme, float(cfg.snr_db[point]), results))
+    for (scheme, point), results in zip(tasks, per_task):
+        all_trials.extend(results)
+        metrics.append(_metrics(scheme, float(cfg.snr_db[point]), results))
     return metrics, all_trials
 
 

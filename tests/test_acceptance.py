@@ -217,8 +217,8 @@ def test_criterion_08_adaptive_vs_hamming_baseline():
     every_point_ok = True
     witness_ok = False
     for point, pre in enumerate(pres):
-        adaptive = run_point(cfg, point, ("sozu",))
-        baseline = run_point(cfg, point, ("hamming74",))
+        adaptive = run_point(cfg, "sozu", point)
+        baseline = run_point(cfg, "hamming74", point)
         ga, gb = goodput(adaptive), goodput(baseline)
         prr_b = np.mean([r.success for r in baseline])
         if ga < gb:

@@ -468,7 +468,7 @@ def _prepared_session(k, scenario, rng):
 
 def session_state(gw):
     info = None if gw.last_info is None else (gw.last_info.dtype.str, gw.last_info.tobytes())
-    return (gw.combined.tobytes(), sorted(gw.seen_ids), gw.expected_crc, gw.decisions,
+    return (gw.combined.tobytes(), sorted(gw.seen_ids), gw.expected_crc, list(gw.decisions),
             np.float64(gw.last_fber).tobytes(), info, gw.succeeded)
 
 
@@ -476,12 +476,11 @@ class TestGatewayBatch:
     """gateway_on_frames equals gateway_on_frame called frame by frame."""
 
     @settings(max_examples=30, deadline=None)
-    @given(cases=st.lists(st.tuples(st.sampled_from(SCENARIOS), st.sampled_from([8, 16])),
-                          min_size=1, max_size=6),
-           seed=st.integers(0, 2**16))
-    def test_equals_sequential_calls(self, cases, seed):
+    @given(scenarios=st.lists(st.sampled_from(SCENARIOS), min_size=1, max_size=6),
+           k=st.sampled_from([8, 16]), seed=st.integers(0, 2**16))
+    def test_equals_sequential_calls(self, scenarios, k, seed):
         rng = np.random.default_rng(seed)
-        prepared = [_prepared_session(k, scenario, rng) for scenario, k in cases]
+        prepared = [_prepared_session(k, scenario, rng) for scenario in scenarios]
         batch = [gw for gw, _, _ in prepared]
         alone = copy.deepcopy(batch)
         got = gateway_on_frames([f for _, f, _ in prepared], [l for _, _, l in prepared], batch)
@@ -507,12 +506,35 @@ class TestGatewayBatch:
         assert batches == [4]
         assert decisions[1]["action"] == "duplicate_ignored"
         assert decisions[3]["action"] == "ack"
-        # sessions of two codes decode in one batch per code
+
+    def test_sessions_of_two_codes_are_refused(self):
+        rng = np.random.default_rng(10)
         prepared = [_prepared_session(k, "first", rng) for k in (8, 16, 8)]
-        batches.clear()
-        gateway_on_frames([f for _, f, _ in prepared], [l for _, _, l in prepared],
-                          [gw for gw, _, _ in prepared])
-        assert sorted(batches) == [1, 2]
+        sessions = [gw for gw, _, _ in prepared]
+        before = [session_state(gw) for gw in sessions]
+        with pytest.raises(ValueError):
+            gateway_on_frames([f for _, f, _ in prepared], [l for _, _, l in prepared], sessions)
+        assert [session_state(gw) for gw in sessions] == before
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_combine_changes_no_session(self):
+        # a second frame that repeats a first-frame position whose LLR is
+        # already huge sums to inf; it is refused before any session changes
+        rng = np.random.default_rng(11)
+        prepared = [_prepared_session(16, s, rng) for s in ("first", "second", "first")]
+        gw, f1, _ = _prepared_session(16, "first", rng)
+        first_llrs = np.zeros(len(f1.payload_positions))
+        first_llrs[-1] = 1e308
+        gateway_on_frame(f1, first_llrs, gw)
+        assert not gw.succeeded
+        repeat = dataclasses.replace(f1, header=dataclasses.replace(f1.header, packet_id=1),
+                                     crc=None)
+        prepared.insert(1, (gw, repeat, first_llrs))
+        sessions = [s for s, _, _ in prepared]
+        before = [session_state(s) for s in sessions]
+        with pytest.raises(ValueError, match="finite"):
+            gateway_on_frames([f for _, f, _ in prepared], [l for _, _, l in prepared], sessions)
+        assert [session_state(s) for s in sessions] == before
 
     @pytest.mark.parametrize("fault", ["position", "misaligned", "nonfinite", "length_code",
                                        "second_before_first"])

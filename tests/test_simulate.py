@@ -277,7 +277,7 @@ class TestRunTrial:
     def test_deep_failure_point(self):
         # far below the waterfall every session dies
         cfg = SimConfig(snr_db=(-30.0,), trials=1000, k=32, master_seed=8)
-        succ = sum(r.success for r in run_point(cfg, 0, ("sozu",)))
+        succ = sum(r.success for r in run_point(cfg, "sozu", 0))
         assert succ / 1000 < 0.05
 
     def test_hamming_effective_rate(self):
@@ -333,37 +333,65 @@ class TestRunPoint:
         cfg = SimConfig(snr_db=snr_db, trials=4, k=k, master_seed=31, schemes=self.SCHEMES,
                         fb_loss=0.3)
         seen = set()
-        for point in range(len(cfg.snr_db)):
-            rows = run_point(cfg, point)
-            assert [(r.scheme, r.trial) for r in rows] == \
-                [(s, t) for s in self.SCHEMES for t in range(cfg.trials)]
-            for r in rows:
-                assert r == run_trial(cfg, r.scheme, point, r.trial)
-                seen.add((r.scheme, r.success, r.frames_used))
+        for scheme in self.SCHEMES:
+            for point in range(len(cfg.snr_db)):
+                rows = run_point(cfg, scheme, point)
+                assert [(r.scheme, r.trial) for r in rows] == [(scheme, t) for t in range(cfg.trials)]
+                for r in rows:
+                    assert r == run_trial(cfg, scheme, point, r.trial)
+                    seen.add((r.scheme, r.success, r.frames_used))
         # the rows cover failures and successes, and one- and two-frame sessions
         assert {("sozu", False, 2), ("sozu", True, 1), ("sozu", True, 2),
                 ("fixed:1/2", True, 1), ("fixed:1/2", False, 1)} <= seen
 
-    def test_scheme_and_trial_subsets(self):
+    def test_trial_subsets(self):
         cfg = SimConfig(snr_db=(6.0,), trials=5, k=16, master_seed=32, schemes=self.SCHEMES)
-        full = run_point(cfg, 0)
-        part = run_point(cfg, 0, ("hamming74", "sozu"), (3, 1))
-        index = {(r.scheme, r.trial): r for r in full}
-        assert part == [index[key] for key in (("hamming74", 3), ("hamming74", 1),
-                                               ("sozu", 3), ("sozu", 1))]
+        for scheme in ("hamming74", "sozu"):
+            full = run_point(cfg, scheme, 0)
+            assert run_point(cfg, scheme, 0, (3, 1)) == [full[3], full[1]]
 
     def test_point_decodes_in_two_batches(self, monkeypatch):
-        # every polar first frame at the point in one batch, then the sozu
-        # second frames in another
+        # every first frame of a polar scheme at the point in one batch, then
+        # the sozu second frames in another
         batches = []
         real = protocol.bp_decode_many
         monkeypatch.setattr(protocol, "bp_decode_many",
                             lambda llrs, *a, **kw: batches.append(len(llrs)) or real(llrs, *a, **kw))
         cfg = SimConfig(snr_db=(-3.0,), trials=3, k=16, master_seed=33, schemes=self.SCHEMES)
-        rows = run_point(cfg, 0)
-        second = sum(r.frames_used == 2 for r in rows)
-        assert second == 3
-        assert batches == [9, 3]
+        rows = run_point(cfg, "sozu", 0)
+        assert [r.frames_used for r in rows] == [2, 2, 2]
+        assert batches == [3, 3]
+        batches.clear()
+        run_point(cfg, "fixed:2/5", 0)
+        assert batches == [3]
+        batches.clear()
+        run_point(cfg, "hamming74", 0)
+        assert batches == []
+
+    @pytest.mark.parametrize("scheme", ["sozu", "fixed:1/2"])
+    def test_groups_bound_the_batch(self, monkeypatch, scheme):
+        # the trials run in groups of _GROUP_ELEMENTS // N rows, and the
+        # grouping leaves every result as it was
+        cfg = SimConfig(snr_db=(3.0,), trials=7, k=16, master_seed=34, fb_loss=0.3)
+        assert plan_session(16).n_mother * cfg.trials <= simulate._GROUP_ELEMENTS
+        whole = run_point(cfg, scheme, 0)
+        batches = []
+        real = protocol.bp_decode_many
+        monkeypatch.setattr(protocol, "bp_decode_many",
+                            lambda llrs, *a, **kw: batches.append(len(llrs)) or real(llrs, *a, **kw))
+        monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", 3 * plan_session(16).n_mother)
+        assert run_point(cfg, scheme, 0) == whole
+        assert max(batches) == 3
+        assert sum(batches) == sum(r.frames_used for r in whole)
+
+    def test_k96_decodes_eight_rows_at_a_time(self, monkeypatch):
+        batches = []
+        real = protocol.bp_decode_many
+        monkeypatch.setattr(protocol, "bp_decode_many",
+                            lambda llrs, *a, **kw: batches.append(len(llrs)) or real(llrs, *a, **kw))
+        cfg = SimConfig(snr_db=(12.0,), trials=20, k=96, master_seed=35)
+        run_point(cfg, "fixed:1/2", 0)
+        assert batches == [8, 8, 4]
 
 
 class TestSessionReplay:
