@@ -6,11 +6,11 @@ channel LLRs, and stage s connects layers s and s+1 through N/2 butterflies
 pairing positions p and p + 2^s.  Positive LLRs favor bit 0 throughout, and a
 posterior of exactly zero decides bit 0.
 
-The decoder runs a batch of codewords of one code in lockstep: the messages
-are (n_log2 + 1, B, N), one row per codeword within each layer.  The
-butterflies are addressed as strided views, a layer's rows end to end
-reshaped to (-1, 2, 2^s) and split into top and bottom halves, never as
-index arrays.  One iteration runs one stacked box-plus per stage half over
+The decoder runs a batch of codewords of one code in lockstep: the leftward
+and rightward messages are (n_log2 + 1, B, N) each, one row per codeword
+within each layer.  The butterflies are addressed as strided views, a
+layer's rows end to end reshaped to (-1, 2, 2^s) and split into top and
+bottom halves.  One iteration runs one stacked box-plus per stage half over
 every running row, into buffers allocated once per batch size, so a batch
 pays the per-call cost of each numpy kernel once.  It keeps a bit-identity
 contract: every message the decoder reads, and so every result field and
@@ -33,14 +33,26 @@ the prior-free pass would, up to the sign of zeros, which neither the hard
 decision (< 0) nor the observed mask (|x| > 0) reads; the pilot is iteration
 1's layer 1 plus one prior-free stage-0 box-plus.
 
-Work whose output nothing reads is skipped: the stop rule reads only left[0]
-and the constant right[0], both final once leftward stage 0 has run, so it
-is checked between the halves and a stop skips the rightward half.
+Work whose output nothing reads, or whose output is known, is skipped.  The
+stop rule reads only left[0] and the constant right[0], both final once
+leftward stage 0 has run, so it is checked between the halves and a stop
+skips the rightward half, whose views are then never built.  Puncturing
+pins most channel LLRs at exactly 0 (Niu, Chen & Lin, ICC 2013), and under
+the exact rule f(+-0, y) = +0, so a leftward butterfly with two zero inputs
+outputs +0.  The positions zero in every row of the batch propagate stage
+by stage: a top output is zero when its top input is, a bottom output when
+both inputs are.  The set is derived per stage, as it can shrink from layer
+to layer (at rate 1/8 it does for about a third of the session sizes).  A
+leftward stage where at most half the butterflies have a nonzero input runs
+its box-plus on those alone, through index arrays, and leaves the rest at
+the +0 they hold; the plan of each zero pattern is built once and kept.
+Min-sum runs every butterfly, as its f(0, y) can be -0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,62 +183,155 @@ def _halves(layer, s):
     return v if v.shape[2] >= v.shape[1] else v.swapaxes(1, 2)
 
 
+def _strided(a, shared, b0, rq, lq, b1, other, xs, ts, ds, out, out_q, tail, exact):
+    """One stage half over every butterfly, through the strided views."""
+    np.copyto(a, shared)
+    np.add(rq, lq, out=b0)
+    np.copyto(b1, other)
+    _boxplus(xs, out, ts, ds, exact)
+    np.add(out_q, tail, out=out_q)
+
+
+def _gathered(src, index, g, lq, xs, dst, scatter, ts, ds, exact):
+    """One leftward stage over the butterflies that index lists only.
+
+    src[index], taken into g, is [lq; lp; lp; rp; rq] of each, so xs, its
+    last four rows, are the operands [a; b] with the outputs in the order
+    [bottom; top], and dst[scatter] takes them to q and p one layer down.
+    take's mode="wrap" skips the bounds check of mode="raise", which would
+    buffer the copy; every index is in range.
+    """
+    src.take(index, out=g, mode="wrap")
+    np.add(xs[1, 1], lq, out=xs[1, 1])
+    _boxplus(xs, xs[0], ts, ds, exact)
+    np.add(xs[0, 0], lq, out=xs[0, 0])
+    dst[scatter] = xs[0]
+
+
+# A leftward stage whose butterflies with a nonzero input are at most this
+# share of its N/2 runs on those alone; a denser one runs on strided views.
+_GATHER_SHARE = 0.5
+
+
+@lru_cache(maxsize=16)
+def _gather_plan(n_log2, zero):
+    """Per stage, None or the top positions p of the butterflies it runs on
+    its own, for the positions zero in every row's channel LLRs (zero, a
+    bool mask as bytes).  Kept for the next decodes of the pattern.
+
+    A zero top input makes both f terms +0, so the top output is +0 and the
+    bottom one is +0 + lq: zeros propagate leftward stage by stage, derived
+    here from the channel layer's, and a butterfly with two zero inputs
+    writes the +0 its outputs already hold.
+    """
+    n = 1 << n_log2
+    zero = np.frombuffer(zero, dtype=bool).copy()
+    plan = [None] * n_log2
+    for s in reversed(range(n_log2)):
+        z = zero.reshape(-1, 2, 1 << s)
+        live = ~(z[:, 0] & z[:, 1])
+        z[:, 1] &= z[:, 0]
+        if np.count_nonzero(live) <= _GATHER_SHARE * n / 2:
+            plan[s] = np.arange(n).reshape(-1, 2, 1 << s)[:, 0][live]
+    return tuple(plan)
+
+
 class _Lockstep:
     """The message layers of the rows still decoding, and one iteration's
     stage-half schedule over them.
 
-    left and right are (n_log2 + 1, B, N): leftward and rightward messages
-    into each layer, one row per codeword, so each layer of every row is one
-    contiguous block.  Each stage half takes one box-plus f over operands
-    [a; b] that stack its two outputs,
+    msgs is (2, n_log2 + 1, B, N): left and right, the leftward and
+    rightward messages into each layer, one row per codeword, so each layer
+    of every row is one contiguous block.  Each stage half takes one
+    box-plus f over operands [a; b] that stack its two outputs,
       left[s]    = [f(lp, rq + lq); f(lp, rp) + lq]
       right[s+1] = [f(rp, rq + lq); f(rp, lp) + rq]
     so both rows of a hold the shared operand (f is symmetric bit for bit).
     The operand and scratch buffers are allocated once per batch size; every
     stage sees them, and the message layers, through butterfly views.
+
+    Under the exact rule, a leftward stage where few butterflies have a
+    nonzero input runs that box-plus on those alone, through one flat
+    gather over left[s + 1] and right[s] and one scatter into left[s]; every
+    other output is the +0 that the full update would write, since
+    f(+-0, y) = +0, and msgs starts at +0.  Min-sum keeps the full
+    schedule, as its f(0, y) can be -0.  The rightward half's views are
+    built when it first runs, which a decode the stop rule ends in
+    iteration 1 never does.
     """
 
-    def __init__(self, left, right, rows, exact):
-        # the butterfly views reshape each layer in place, which needs it
-        # C-contiguous (a masked copy need not be)
-        left, right = np.ascontiguousarray(left), np.ascontiguousarray(right)
-        self.left, self.right, self.rows, self.exact = left, right, rows, exact
-        layers, b, n = left.shape
-        n_log2 = layers - 1
+    def __init__(self, msgs, rows, exact):
+        self.msgs, self.rows, self.exact = msgs, rows, exact
+        self.left, self.right = msgs
+        _, layers, b, n = msgs.shape
+        self.n_log2 = n_log2 = layers - 1
         # the only state one iteration hands the next: left is recomputed
         # from it, left[n_log2] and right[0] are constants, right[n_log2] is
         # never read
-        self.state = right[1:n_log2]
+        self.state = self.right[1:n_log2]
         self.prev_state = np.empty_like(self.state)
-        x = np.empty((2, 2, b * n // 2))
-        self.t = np.empty_like(x)
-        self.d = np.empty_like(x)
-        leftward, rightward = [], []
-        for s in range(n_log2):
-            (lp, lq), (rp, rq) = _halves(left[s + 1], s), _halves(right[s], s)
-            xs, ts, ds = (buf.reshape((2, 2) + lp.shape) for buf in (x, self.t, self.d))
-            for half, out, shared, other, tail in (
-                    (leftward, _halves(left[s], s), lp, rp, lq),
-                    (rightward, _halves(right[s + 1], s), rp, lp, rq)):
-                half.append((xs[0], shared, xs[1, 0], rq, lq, xs[1, 1], other,
-                             xs, ts, ds, out, out[1], tail))
-        # leftward runs stages n-1..0; rightward 0..n-2, as right[n_log2] is unused
-        self.leftward, self.rightward = leftward[::-1], rightward[:-1]
+        self.x, self.t, self.d = (np.empty((2, 2, b * n // 2)) for _ in range(3))
+        self._views = [None] * n_log2
+        plan = [None] * n_log2
+        if exact:
+            sent = self.left[n_log2].any(axis=0)
+            # zeros only thin out leftward, so no stage gathers unless at
+            # most _GATHER_SHARE of the channel positions are nonzero
+            if np.count_nonzero(sent) <= _GATHER_SHARE * n:
+                plan = _gather_plan(n_log2, (~sent).tobytes())
+        self.leftward = [self._strided_step(s, True) if at is None else self._gathered_step(s, at)
+                         for s, at in reversed(list(enumerate(plan)))]
+        self._rightward = None
+
+    @property
+    def rightward(self):
+        # stages 0..n-2, as right[n_log2] is unused
+        if self._rightward is None:
+            self._rightward = [self._strided_step(s, False) for s in range(self.n_log2 - 1)]
+        return self._rightward
+
+    def _strided_step(self, s, leftward):
+        if self._views[s] is None:
+            (lp, lq), (rp, rq) = _halves(self.left[s + 1], s), _halves(self.right[s], s)
+            xs, ts, ds = (buf.reshape((2, 2) + lp.shape) for buf in (self.x, self.t, self.d))
+            self._views[s] = lp, lq, rp, rq, xs, ts, ds
+        lp, lq, rp, rq, xs, ts, ds = self._views[s]
+        if leftward:
+            out, shared, other, tail = _halves(self.left[s], s), lp, rp, lq
+        else:
+            out, shared, other, tail = _halves(self.right[s + 1], s), rp, lp, rq
+        return _strided, (xs[0], shared, xs[1, 0], rq, lq, xs[1, 1], other,
+                          xs, ts, ds, out, out[1], tail)
+
+    def _gathered_step(self, s, p):
+        # [lq, lp, lp, rp, rq] of each butterfly in each row, as offsets from
+        # the start of left[s + 1]: q = p + 2^s, and right[s] lies n_log2
+        # layers on
+        b, n = self.left.shape[1:]
+        layer, right, q = b * n, self.n_log2 * b * n, 1 << s
+        at = np.array([q, 0, 0, right, right + q])[:, None, None] + (np.arange(b) * n)[:, None]
+        index = (at + p).reshape(5, -1)
+        # the gather lands in the operand buffer, which only strided steps
+        # otherwise use
+        g, ts, ds = (buf.reshape(-1)[:rows * index.shape[1]].reshape(rows, -1)
+                     for buf, rows in ((self.x, 5), (self.t, 4), (self.d, 4)))
+        flat = self.msgs.reshape(-1)
+        return _gathered, (flat[(s + 1) * layer:], index, g, g[0], g[1:].reshape(2, 2, -1),
+                           flat[s * layer:], index[:2], ts.reshape(2, 2, -1), ds.reshape(2, 2, -1))
 
     def run(self, half):
         exact = self.exact
-        for a, shared, b0, rq, lq, b1, other, xs, ts, ds, out, out_q, tail in half:
-            np.copyto(a, shared)
-            np.add(rq, lq, out=b0)
-            np.copyto(b1, other)
-            _boxplus(xs, out, ts, ds, exact)
-            np.add(out_q, tail, out=out_q)
+        for kernel, args in half:
+            kernel(*args, exact)
 
     def drop(self, stopped):
         """The rows not listed in stopped, with a schedule sized to them."""
-        keep = np.ones(self.rows.size, dtype=bool)
-        keep[stopped] = False
-        return _Lockstep(self.left[:, keep], self.right[:, keep], self.rows[keep], self.exact)
+        keep = np.delete(np.arange(self.rows.size), stopped)
+        # the schedule's index arrays and views go before the next one is built
+        self.leftward = self._rightward = self._views = None
+        # take, unlike an indexed copy, returns msgs C-contiguous, as the
+        # butterfly views and the flat gathers need
+        return _Lockstep(np.take(self.msgs, keep, axis=2), self.rows[keep], self.exact)
 
 
 def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
@@ -235,7 +340,13 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
 
     The batch's messages take 2 (n_log2 + 1) B N floats and grow the work
     per row once they leave the cache, so a caller with many codewords
-    decodes them in groups (run_point sizes its groups from N).
+    decodes them in groups (run_point sizes its groups from N).  Under the
+    exact rule, the positions zero in every row decide which leftward
+    butterflies run (see the module docstring): a batch of punctured frames
+    decodes faster when its rows share their zeros, and a row that carries
+    a position the others puncture makes every row run it.  The gather plan
+    of a zero pattern is built on its first decode and kept for the next
+    ones (the 16 most recent patterns).
 
     Parameters
     ----------
@@ -267,11 +378,11 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     if not batch:
         return []
     n_log2, n = spec.n_log2, spec.n
-    left = np.zeros((n_log2 + 1, batch, n))
-    right = np.zeros((n_log2 + 1, batch, n))
+    msgs = np.zeros((2, n_log2 + 1, batch, n))
+    left, right = msgs
     right[0][:, spec.frozen_set] = FROZEN_PRIOR_LLR
     left[n_log2] = llrs
-    core = _Lockstep(left, right, np.arange(batch), cfg.update_rule == "exact")
+    core = _Lockstep(msgs, np.arange(batch), cfg.update_rule == "exact")
     results = [None] * batch
 
     def info_from(u_post):

@@ -112,6 +112,11 @@ class SymbolObservation:
         return self.bins.shape[0]
 
 
+def _bit1_peak(s, n_fft):
+    """The bit-1 peak bin s_bar = (s + n_fft/2) mod n_fft, for a bin or an array of them."""
+    return (s + n_fft // 2) % n_fft
+
+
 def tag_peak_position(bit: int, s_i: int, n_fft: int) -> int:
     """Peak bin of the tag chirp: bit 0 keeps s_i, bit 1 shifts half the band."""
     if bit not in (0, 1):
@@ -120,7 +125,7 @@ def tag_peak_position(bit: int, s_i: int, n_fft: int) -> int:
         raise ValueError(f"s_i must be in [0, {n_fft})")
     if bit == 0:
         return s_i
-    return (s_i + n_fft // 2) % n_fft
+    return _bit1_peak(s_i, n_fft)
 
 
 def synthesize_observation(bit, s_i, noise: NoiseModel, leak: LeakageModel,
@@ -161,7 +166,7 @@ def synthesize_symbols(bits, peaks, noise: NoiseModel, leak: LeakageModel,
         bins[rows[zero], peaks[zero]] += np.sqrt(noise.signal_power)
         ones = rows[~zero]
         if ones.size:
-            s_bar = (peaks[~zero] + n_fft // 2) % n_fft
+            s_bar = _bit1_peak(peaks[~zero], n_fft)
             for off, frac in zip((-1, 0, 1), leak.fractions):
                 if frac > 0:
                     bins[ones, (s_bar + off) % n_fft] += np.sqrt(frac * noise.signal_power)
@@ -186,7 +191,7 @@ def _candidates(bins, peaks, sigma2):
     check_n_fft(bins.shape[1])
     peaks = _check_peaks(peaks, bins.shape[0], bins.shape[1])
     rows = np.arange(bins.shape[0])
-    s_bar = (peaks + bins.shape[1] // 2) % bins.shape[1]
+    s_bar = _bit1_peak(peaks, bins.shape[1])
     return bins, rows, s_bar, _mags(bins[rows, peaks])
 
 

@@ -1,5 +1,7 @@
 """Decoding: BP behavior, FBER statistics, combining, ML oracle checks."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -403,6 +405,194 @@ class TestBatch:
 
     def test_empty_batch(self):
         assert bp_decode_many(np.zeros((0, 8)), design_code(3, 4)) == []
+
+
+def _session_rows(k, rates, snrs, seed):
+    """Channel LLRs on the K-bit session code's punctured mother code, one
+    row per (rate, SNR): the positions a session sends at that rate carry
+    AWGN-equivalent LLRs and every other position exactly 0.  Returns
+    (llrs, spec, crcs)."""
+    plan = plan_session(k)
+    rng = np.random.default_rng(seed)
+    rows, crcs = [], []
+    for rate, snr in zip(rates, snrs):
+        info = rng.integers(0, 2, k).astype(np.uint8)
+        positions = plan.positions(Fraction(rate))
+        row = np.zeros(plan.n_mother)
+        row[positions] = awgn_llrs(encode_systematic(info, plan.spec)[positions], snr, rng)
+        rows.append(row)
+        crcs.append(crc16(info))
+    return np.array(rows), plan.spec, crcs
+
+
+def assert_rows_match_reference(llrs, spec, cfg, checks=None):
+    """Decode llrs as one batch; every field of every row equals the
+    index-pair reference's, bit for bit.  Returns the results."""
+    checks = [None] * len(llrs) if checks is None else checks
+    got = bp_decode_many(llrs, spec, cfg, checks)
+    for row, check, res in zip(llrs, checks, got):
+        (info, u_post, frozen_hard, _, fber, converged, iterations, stop_reason) = \
+            bp_decode_reference(row, spec, cfg, check)
+        assert res.info_bits.tobytes() == info.tobytes()
+        assert res.u_posterior.tobytes() == u_post.tobytes()
+        assert res.frozen_hard.tobytes() == frozen_hard.tobytes()
+        assert np.float64(res.fber).tobytes() == np.float64(fber).tobytes()
+        assert (res.iterations_used, res.stop_reason) == (iterations, stop_reason)
+        assert res.converged == (cfg.early_stop != "none" and converged)
+    return got
+
+
+def _zero_sets_by_layer(zero, n_log2):
+    """The positions zero in every row at layers n_log2..0, propagated from
+    the channel layer's: a top output is zero when its top input is, a
+    bottom output when both inputs are."""
+    layers = [zero]
+    for s in reversed(range(n_log2)):
+        z = layers[-1].copy()
+        v = z.reshape(-1, 2, 1 << s)
+        v[:, 1] &= v[:, 0]
+        layers.append(z)
+    return layers
+
+
+class TestPunctured:
+    """Puncturing pins channel LLRs at 0; the exact rule runs a leftward
+    stage with few live butterflies on those alone.  Every field stays
+    bitwise equal to the index-pair reference."""
+
+    @pytest.fixture
+    def gathered_calls(self, monkeypatch):
+        calls = []
+        kernel = decoding._gathered
+
+        def counted(*args):
+            calls.append(None)
+            return kernel(*args)
+
+        monkeypatch.setattr(decoding, "_gathered", counted)
+        return calls
+
+    @pytest.mark.parametrize("k", [32, 96, 512])
+    @pytest.mark.parametrize("rate", ["3/4", "1/2", "1/4", "1/8"])
+    def test_session_patterns_bitwise(self, gathered_calls, k, rate):
+        llrs, spec, _ = _session_rows(k, [rate] * 2, [-1.0, 3.0], seed=k)
+        assert_rows_match_reference(llrs, spec, BpConfig(max_iters=6, early_stop="none"))
+        # a stage gathers where at most half its butterflies have a nonzero
+        # input: at 3/4 and 1/2 some stage does, at 1/8 none does
+        layers = _zero_sets_by_layer((llrs == 0).all(axis=0), spec.n_log2)
+        sparse = any(np.count_nonzero(~(z[:, 0] & z[:, 1])) <= spec.n // 4
+                     for s in range(spec.n_log2)
+                     for z in [layers[spec.n_log2 - 1 - s].reshape(-1, 2, 1 << s)])
+        assert sparse == (rate != "1/8") or rate == "1/4"
+        assert bool(gathered_calls) == sparse
+
+    def test_zero_set_not_closed(self, gathered_calls):
+        # at K=112, rate 1/8 sends a position p but not p + 2^s for some
+        # stage s, so zeros thin out from layer to layer and the set each
+        # stage skips must be derived stage by stage
+        plan = plan_session(112)
+        llrs, spec, crcs = _session_rows(112, ["1/8"] * 3, [-2.0, 1.0, 6.0], seed=11)
+        sent = llrs[0] != 0
+        # too many positions are sent for any stage to gather; the stage-1
+        # positions plus those that break closure are few enough
+        keep = np.zeros(spec.n, dtype=bool)
+        keep[plan.positions(Fraction(3, 4))] = True
+        for s in range(spec.n_log2):
+            top = np.arange(spec.n).reshape(-1, 2, 1 << s)[:, 0].ravel()
+            keep[top[sent[top] & ~sent[top + (1 << s)]]] = True
+        sparse = np.where(keep, llrs, 0.0)
+        for batch in (llrs, sparse):
+            layers = _zero_sets_by_layer((batch == 0).all(axis=0), spec.n_log2)
+            assert not all(np.array_equal(z, layers[0]) for z in layers)
+            for early_stop in ("none", "frozen"):
+                cfg = BpConfig(max_iters=12, early_stop=early_stop)
+                assert_rows_match_reference(batch, spec, cfg, _row_checks(crcs, [True, False, True]))
+        assert gathered_calls
+
+    def test_mixed_rate_batch(self, gathered_calls):
+        # the batch's zero set is the intersection of its rows'
+        llrs, spec, crcs = _session_rows(96, ["3/4", "2/3", "1/2", "1/4"], [0.0, 1.0, -1.0, -4.0],
+                                         seed=12)
+        common = (llrs == 0).all(axis=0)
+        assert common.any() and not np.array_equal(common, llrs[0] == 0)
+        for early_stop in ("none", "frozen"):
+            cfg = BpConfig(max_iters=10, early_stop=early_stop)
+            assert_rows_match_reference(llrs, spec, cfg, _row_checks(crcs, [True] * 4))
+        assert gathered_calls
+
+    def test_punctured_negative_zero(self):
+        llrs, spec, crcs = _session_rows(96, ["3/4", "1/2"], [0.0, 2.0], seed=13)
+        unsent = np.flatnonzero(llrs[0] == 0)
+        llrs[0, unsent[::3]] = -0.0
+        llrs[1, unsent[1::5]] = -0.0
+        assert np.signbit(llrs[llrs == 0]).any()
+        for early_stop in ("none", "frozen"):
+            cfg = BpConfig(max_iters=10, early_stop=early_stop)
+            assert_rows_match_reference(llrs, spec, cfg, _row_checks(crcs, [True, False]))
+            assert_rows_match_reference(llrs[:1], spec, cfg)
+
+    def test_rows_stopping_apart_switch_plans(self, gathered_calls):
+        # rows stop in different iterations; dropping the rate-1/2 and 1/4
+        # rows grows the common zero set, so the rows left run another plan
+        llrs, spec, crcs = _session_rows(96, ["1/4", "1/2", "3/4", "3/4", "3/4"],
+                                         [8.0, 6.0, 3.0, 1.0, -3.0], seed=14)
+        decoding._gather_plan.cache_clear()
+        got = assert_rows_match_reference(llrs, spec, BpConfig(max_iters=20),
+                                          _row_checks(crcs, [True] * 5))
+        assert len({r.iterations_used for r in got}) >= 3
+        assert decoding._gather_plan.cache_info().currsize >= 2
+        assert gathered_calls
+
+    def test_dense_batch_runs_strided(self, gathered_calls):
+        llrs, spec, crcs = _session_rows(32, ["1/8"] * 3, [-2.0, 0.0, 2.0], seed=15)
+        llrs[llrs == 0] = 0.5  # no position is zero
+        assert_rows_match_reference(llrs, spec, BpConfig(max_iters=8), _row_checks(crcs, [True] * 3))
+        assert not gathered_calls
+
+    def test_minsum_keeps_full_schedule(self, gathered_calls):
+        llrs, spec, crcs = _session_rows(96, ["3/4", "1/2", "1/8"], [1.0, -1.0, -3.0], seed=16)
+        llrs[0, np.flatnonzero(llrs[0] == 0)[::4]] = -0.0
+        for early_stop in ("none", "frozen"):
+            cfg = BpConfig(max_iters=10, update_rule="minsum", early_stop=early_stop)
+            assert_rows_match_reference(llrs, spec, cfg, _row_checks(crcs, [True] * 3))
+        assert not gathered_calls
+
+
+class TestPlanCache:
+    """Gather plans are kept across calls; reusing one leaves every result
+    as a fresh decode's."""
+
+    @staticmethod
+    def fresh(llrs, spec, cfg, checks):
+        decoding._gather_plan.cache_clear()
+        return bp_decode_many(llrs, spec, cfg, checks)
+
+    def test_reuse_carries_no_state(self):
+        a, spec, crcs_a = _session_rows(96, ["3/4"] * 3, [0.0, 2.0, 5.0], seed=21)
+        b, _, crcs_b = _session_rows(96, ["1/2", "3/4"], [-1.0, 1.0], seed=22)
+        cfg = BpConfig(max_iters=15)
+        checks_a = _row_checks(crcs_a, [True, False, True])
+        checks_b = _row_checks(crcs_b, [True, True])
+        want_a = self.fresh(a, spec, cfg, checks_a)
+        want_b = self.fresh(b, spec, cfg, checks_b)
+        decoding._gather_plan.cache_clear()
+        for llrs, checks, want in ((a, checks_a, want_a), (b, checks_b, want_b),
+                                   (a, checks_a, want_a)):
+            for got, res in zip(bp_decode_many(llrs, spec, cfg, checks), want):
+                assert_results_bitwise_equal(got, res)
+        # one row alone uses the plan its batch used
+        assert_results_bitwise_equal(bp_decode(a[2], spec, cfg, checks_a[2]), want_a[2])
+
+    def test_cache_stays_bounded(self):
+        spec = design_code(5, 8)
+        rng = np.random.default_rng(23)
+        decoding._gather_plan.cache_clear()
+        bound = decoding._gather_plan.cache_info().maxsize
+        for _ in range(3 * bound):
+            llrs = np.zeros((2, spec.n))
+            llrs[:, rng.permutation(spec.n)[:12]] = rng.standard_normal((2, 12))
+            bp_decode_many(llrs, spec, BpConfig(max_iters=2))
+        assert decoding._gather_plan.cache_info().currsize == bound
 
 
 class TestSkippedWork:

@@ -46,6 +46,20 @@ class TestTagPeakPosition:
         with pytest.raises(ValueError):
             tag_peak_position(2, 0, 128)
 
+    def test_synthesis_and_metrics_use_the_same_peak(self):
+        # noiseless bit-1 symbols at every reference bin: synthesis puts the
+        # peak at tag_peak_position, and the metrics read it there, so every
+        # LLR favors bit 1
+        n_fft = 16
+        peaks = np.arange(n_fft)
+        noise = NoiseModel(sigma2=1e-12, signal_power=4.0)
+        bins = synthesize_symbols(np.ones(n_fft, dtype=np.uint8), peaks, noise, NO_LEAKAGE,
+                                  n_fft, np.random.default_rng(5))
+        assert np.argmax(np.abs(bins), axis=1).tolist() == \
+            [tag_peak_position(1, s, n_fft) for s in peaks]
+        assert np.all(llr_basic_many(bins, peaks, noise.sigma2) < 0)
+        assert np.all(llr_leakage_many(bins, peaks, noise.sigma2) < 0)
+
 
 class TestModels:
     def test_noise_model_validation(self):
