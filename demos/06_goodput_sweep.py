@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from polarlink.simulate import SimConfig, goodput, run_trial
+from polarlink.simulate import SimConfig, goodput, run_point
 
 N_FFT = 128
 GAIN = 10.0 * np.log10(N_FFT)  # despreading gain: post-FFT = pre + 21.07 dB
@@ -15,8 +15,8 @@ cfg = SimConfig(snr_db=posts, trials=60, k=96, master_seed=99,
 print("Goodput (info bits per coded bit) on identical per-trial channels")
 print(f"  {'pre dB':>7} {'post dB':>8} | {'adaptive':>9} {'PRR':>5} | {'hamming':>8} {'PRR':>5}")
 for point, pre in enumerate(pres):
-    adaptive = [run_trial(cfg, "sozu", point, t) for t in range(cfg.trials)]
-    baseline = [run_trial(cfg, "hamming74", point, t) for t in range(cfg.trials)]
+    adaptive = run_point(cfg, "sozu", point)
+    baseline = run_point(cfg, "hamming74", point)
     print(f"  {pre:>7} {posts[point]:>8.2f} | {goodput(adaptive):>9.3f} "
           f"{np.mean([r.success for r in adaptive]):>5.2f} | "
           f"{goodput(baseline):>8.3f} {np.mean([r.success for r in baseline]):>5.2f}")

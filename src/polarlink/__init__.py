@@ -36,12 +36,8 @@ from .encoding import (
 from .phy import (
     LeakageModel,
     NoiseModel,
-    SymbolObservation,
     llr_basic,
-    llr_conventional,
     llr_leakage,
-    synthesize_observation,
-    tag_peak_position,
 )
 from .protocol import (
     RATE_TABLE,

@@ -12,6 +12,12 @@ the log-ratio of the two Rayleigh densities needs only the noise variance,
 never the received signal power.  A conventional power-based baseline
 (Rician vs Rayleigh with an estimated peak amplitude) is included for
 comparison.
+
+Symbols are made and scored in batches: ``synthesize_symbols`` returns an
+(M, n_fft) bin array for M (bit, peak) pairs, and ``llr_basic_many``,
+``llr_leakage_many`` and ``llr_conventional_many`` score its rows against
+the same peaks.  ``llr_basic`` and ``llr_leakage`` score one symbol, given
+as 1-D bins and its peak.
 """
 
 from __future__ import annotations
@@ -25,15 +31,11 @@ __all__ = [
     "check_n_fft",
     "NoiseModel",
     "LeakageModel",
-    "SymbolObservation",
-    "tag_peak_position",
-    "synthesize_observation",
     "synthesize_symbols",
     "llr_basic",
     "llr_basic_many",
     "llr_leakage",
     "llr_leakage_many",
-    "llr_conventional",
     "llr_conventional_many",
 ]
 
@@ -94,50 +96,9 @@ class LeakageModel:
 NO_LEAKAGE = LeakageModel((0.0, 1.0, 0.0))
 
 
-@dataclass(frozen=True)
-class SymbolObservation:
-    """One received symbol: complex FFT bins plus the excitation peak bin."""
-
-    bins: np.ndarray
-    excitation_peak: int
-
-    def __post_init__(self):
-        n = self.bins.shape[0]
-        check_n_fft(n)
-        if not 0 <= self.excitation_peak < n:
-            raise ValueError("excitation_peak out of range")
-
-    @property
-    def n_fft(self) -> int:
-        return self.bins.shape[0]
-
-
 def _bit1_peak(s, n_fft):
     """The bit-1 peak bin s_bar = (s + n_fft/2) mod n_fft, for a bin or an array of them."""
     return (s + n_fft // 2) % n_fft
-
-
-def tag_peak_position(bit: int, s_i: int, n_fft: int) -> int:
-    """Peak bin of the tag chirp: bit 0 keeps s_i, bit 1 shifts half the band."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    if not 0 <= s_i < n_fft:
-        raise ValueError(f"s_i must be in [0, {n_fft})")
-    if bit == 0:
-        return s_i
-    return _bit1_peak(s_i, n_fft)
-
-
-def synthesize_observation(bit, s_i, noise: NoiseModel, leak: LeakageModel,
-                           n_fft: int, rng_seed) -> SymbolObservation:
-    """Draw one noisy symbol observation, bit-exact reproducible per seed.
-
-    Bit 0 puts the full sqrt(P) amplitude at s_i; bit 1 spreads sqrt(f*P)
-    over the shifted bin and its two neighbors per the leakage fractions
-    (the antenna-switching discontinuity appears only on bit 1).
-    """
-    bins = synthesize_symbols([bit], [s_i], noise, leak, n_fft, np.random.default_rng(rng_seed))
-    return SymbolObservation(bins=bins[0], excitation_peak=int(s_i))
 
 
 def synthesize_symbols(bits, peaks, noise: NoiseModel, leak: LeakageModel,
@@ -206,8 +167,17 @@ def llr_basic_many(bins, peaks, sigma2: float) -> np.ndarray:
     return np.log(mb / ms) + (ms**2 - mb**2) / (2.0 * sigma2)
 
 
-def llr_basic(obs: SymbolObservation, sigma2: float) -> float:
-    return float(llr_basic_many(obs.bins[None, :], [obs.excitation_peak], sigma2)[0])
+def _one_symbol(bins) -> np.ndarray:
+    """One symbol's 1-D bins as a one-row batch."""
+    bins = np.asarray(bins)
+    if bins.ndim != 1:
+        raise ValueError(f"one symbol's bins must be 1-D, got shape {bins.shape}")
+    return bins[None, :]
+
+
+def llr_basic(bins, peak: int, sigma2: float) -> float:
+    """llr_basic_many for one symbol: 1-D bins and its excitation peak."""
+    return float(llr_basic_many(_one_symbol(bins), [peak], sigma2)[0])
 
 
 def llr_leakage_many(bins, peaks, sigma2: float) -> np.ndarray:
@@ -222,8 +192,9 @@ def llr_leakage_many(bins, peaks, sigma2: float) -> np.ndarray:
     return np.log(root / ms) + (ms**2 - pooled) / (2.0 * sigma2)
 
 
-def llr_leakage(obs: SymbolObservation, sigma2: float) -> float:
-    return float(llr_leakage_many(obs.bins[None, :], [obs.excitation_peak], sigma2)[0])
+def llr_leakage(bins, peak: int, sigma2: float) -> float:
+    """llr_leakage_many for one symbol: 1-D bins and its excitation peak."""
+    return float(llr_leakage_many(_one_symbol(bins), [peak], sigma2)[0])
 
 
 def llr_conventional_many(bins, peaks, sigma2: float, p_hat: float) -> np.ndarray:
@@ -243,7 +214,3 @@ def llr_conventional_many(bins, peaks, sigma2: float, p_hat: float) -> np.ndarra
     xb = _mags(bins[rows, s_bar]) * nu / sigma2
     # ln I0(x) = ln(i0e(x)) + x, stable for large arguments
     return (np.log(i0e(xs)) + xs) - (np.log(i0e(xb)) + xb)
-
-
-def llr_conventional(obs: SymbolObservation, sigma2: float, p_hat: float) -> float:
-    return float(llr_conventional_many(obs.bins[None, :], [obs.excitation_peak], sigma2, p_hat)[0])

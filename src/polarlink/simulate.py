@@ -82,8 +82,10 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name, lo in (("k", 1), ("trials", 1), ("workers", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < lo:  # bool and numpy ints are not int
+                raise ValueError(f"{name} must be an int >= {lo}, got {value!r}")
         if not self.snr_db:
             raise ValueError("snr_db sweep must be non-empty")
         if not np.all(np.isfinite(np.asarray(self.snr_db, dtype=np.float64))):
@@ -93,8 +95,6 @@ class SimConfig:
         if not 0.0 <= self.fb_loss < 1.0:
             raise ValueError(f"fb_loss must be in [0, 1), got {self.fb_loss}")
         check_n_fft(self.n_fft)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         self.leakage()  # LeakageModel and NoiseModel check leak and sigma2
         NoiseModel(sigma2=self.sigma2)
         for s in self.schemes:

@@ -206,6 +206,13 @@ class TestSweepCommands:
         assert code == 2
         assert "workers" in err
 
+    def test_zero_k_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("k = 0\ntrials = 1\nscheme = hamming74\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("config error: ") and "k must be" in err
+
     def test_sweep_writes_outputs(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(CONFIG)

@@ -1,4 +1,4 @@
-"""PHY: peak mapping, observation synthesis, LLR metric properties."""
+"""PHY: peak mapping, symbol synthesis, LLR metric properties."""
 
 import inspect
 import os
@@ -17,46 +17,45 @@ from polarlink.phy import (
     NO_LEAKAGE,
     LeakageModel,
     NoiseModel,
-    SymbolObservation,
     check_n_fft,
     llr_basic,
     llr_basic_many,
-    llr_conventional,
     llr_conventional_many,
     llr_leakage,
     llr_leakage_many,
-    synthesize_observation,
     synthesize_symbols,
-    tag_peak_position,
 )
 from polarlink.simulate import snr_to_power
 
 
+def _noiseless_peak(bit, s, n_fft):
+    """The bin holding the tag peak of one noiseless symbol."""
+    noise = NoiseModel(sigma2=1e-12, signal_power=4.0)
+    bins = synthesize_symbols([bit], [s], noise, NO_LEAKAGE, n_fft, np.random.default_rng(0))
+    return int(np.argmax(np.abs(bins[0])))
+
+
 class TestTagPeakPosition:
     def test_bit_zero_identity(self):
-        assert tag_peak_position(0, 10, 128) == 10
+        assert _noiseless_peak(0, 10, 128) == 10
 
     def test_bit_one_half_band(self):
-        assert tag_peak_position(1, 10, 128) == 74
+        assert _noiseless_peak(1, 10, 128) == 74
 
     def test_wraparound(self):
-        assert tag_peak_position(1, 100, 128) == 36
-
-    def test_rejects_bad_bit(self):
-        with pytest.raises(ValueError):
-            tag_peak_position(2, 0, 128)
+        assert _noiseless_peak(1, 100, 128) == 36
 
     def test_synthesis_and_metrics_use_the_same_peak(self):
         # noiseless bit-1 symbols at every reference bin: synthesis puts the
-        # peak at tag_peak_position, and the metrics read it there, so every
-        # LLR favors bit 1
+        # peak at s_bar = (s + n_fft/2) mod n_fft, wrapping for s >= 8, and
+        # the metrics read it there, so every LLR favors bit 1
         n_fft = 16
         peaks = np.arange(n_fft)
         noise = NoiseModel(sigma2=1e-12, signal_power=4.0)
         bins = synthesize_symbols(np.ones(n_fft, dtype=np.uint8), peaks, noise, NO_LEAKAGE,
                                   n_fft, np.random.default_rng(5))
         assert np.argmax(np.abs(bins), axis=1).tolist() == \
-            [tag_peak_position(1, s, n_fft) for s in peaks]
+            [8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7]
         assert np.all(llr_basic_many(bins, peaks, noise.sigma2) < 0)
         assert np.all(llr_leakage_many(bins, peaks, noise.sigma2) < 0)
 
@@ -89,51 +88,53 @@ def scalar_observation_oracle(bit, s_i, noise, leak, n_fft, seed):
     return bins
 
 
+def _one_symbol(bit, s_i, noise, leak, n_fft, seed):
+    return synthesize_symbols([bit], [s_i], noise, leak, n_fft, np.random.default_rng(seed))[0]
+
+
 class TestSynthesize:
     def test_zero_power_pure_noise(self):
         noise = NoiseModel(sigma2=1.0, signal_power=0.0)
-        obs = synthesize_observation(0, 5, noise, NO_LEAKAGE, 64, rng_seed=3)
+        bins = _one_symbol(0, 5, noise, NO_LEAKAGE, 64, 3)
         # no bin is special
-        assert np.abs(obs.bins).max() < 6.0
-        assert obs.excitation_peak == 5
+        assert np.abs(bins).max() < 6.0
 
     def test_noiseless_limit_bit0(self):
         noise = NoiseModel(sigma2=1e-12, signal_power=4.0)
-        obs = synthesize_observation(0, 9, noise, NO_LEAKAGE, 64, rng_seed=4)
-        assert np.abs(obs.bins[9]) == pytest.approx(2.0, abs=1e-4)
-        others = np.delete(np.abs(obs.bins), 9)
+        bins = _one_symbol(0, 9, noise, NO_LEAKAGE, 64, 4)
+        assert np.abs(bins[9]) == pytest.approx(2.0, abs=1e-4)
+        others = np.delete(np.abs(bins), 9)
         assert others.max() < 1e-4
 
     def test_noiseless_limit_bit1_leakage_split(self):
         leak = LeakageModel((0.25, 0.5, 0.25))
         noise = NoiseModel(sigma2=1e-12, signal_power=4.0)
-        obs = synthesize_observation(1, 9, noise, leak, 64, rng_seed=4)
+        bins = _one_symbol(1, 9, noise, leak, 64, 4)
         s_bar = (9 + 32) % 64
-        assert np.abs(obs.bins[s_bar]) == pytest.approx(np.sqrt(2.0), abs=1e-4)
-        assert np.abs(obs.bins[s_bar - 1]) == pytest.approx(1.0, abs=1e-4)
-        assert np.abs(obs.bins[s_bar + 1]) == pytest.approx(1.0, abs=1e-4)
+        assert np.abs(bins[s_bar]) == pytest.approx(np.sqrt(2.0), abs=1e-4)
+        assert np.abs(bins[s_bar - 1]) == pytest.approx(1.0, abs=1e-4)
+        assert np.abs(bins[s_bar + 1]) == pytest.approx(1.0, abs=1e-4)
         # total peak power is conserved across the split
-        power = np.sum(np.abs(obs.bins[s_bar - 1:s_bar + 2]) ** 2)
+        power = np.sum(np.abs(bins[s_bar - 1:s_bar + 2]) ** 2)
         assert power == pytest.approx(4.0, rel=1e-3)
 
     def test_seed_reproducibility(self):
         noise = NoiseModel(sigma2=2.0, signal_power=1.0)
-        a = synthesize_observation(1, 17, noise, NO_LEAKAGE, 128, rng_seed=99)
-        b = synthesize_observation(1, 17, noise, NO_LEAKAGE, 128, rng_seed=99)
-        assert np.array_equal(a.bins, b.bins)
+        a = _one_symbol(1, 17, noise, NO_LEAKAGE, 128, 99)
+        b = _one_symbol(1, 17, noise, NO_LEAKAGE, 128, 99)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("leak", [NO_LEAKAGE, LeakageModel((0.25, 0.5, 0.25)),
                                       LeakageModel((0.0, 0.6, 0.4))])
     def test_observation_is_one_row_of_the_batch(self, leak):
+        # a one-symbol batch is the scalar loop, bit for bit
         for seed in range(20):
             for bit in (0, 1):
                 noise = NoiseModel(sigma2=1.5, signal_power=[0.0, 0.3, 40.0][seed % 3])
                 s_i = (7 * seed) % 64
-                obs = synthesize_observation(bit, s_i, noise, leak, 64, rng_seed=seed)
-                row = synthesize_symbols([bit], [s_i], noise, leak, 64,
-                                         np.random.default_rng(seed))[0]
+                row = _one_symbol(bit, s_i, noise, leak, 64, seed)
                 ref = scalar_observation_oracle(bit, s_i, noise, leak, 64, seed)
-                assert obs.bins.tobytes() == row.tobytes() == ref.tobytes()
+                assert row.tobytes() == ref.tobytes()
 
     def test_bins_equal_the_complex_sum_expression(self):
         # the batch synthesizer views its scaled (re, im) draws as complex;
@@ -275,11 +276,14 @@ class TestBatchBoundary:
         lambda: llr_basic_many(np.ones((2, 6)), [1, 2], 1.0),
         lambda: llr_basic_many(np.ones(128), [5], 1.0),
         lambda: llr_conventional_many(np.ones((1, 128)), [[5]], 1.0, 1.0),
-        lambda: SymbolObservation(bins=np.ones(6), excitation_peak=0),
+        lambda: llr_basic(np.ones((1, 128)), 5, 1.0),
+        lambda: llr_leakage(np.ones(6), 1, 1.0),
+        lambda: llr_leakage(np.ones(128), 128, 1.0),
     ], ids=["peak_negative", "bit_2", "peak_n_fft", "length_mismatch", "bits_2d",
             "float_bits", "float_peaks", "synth_n_fft_6", "llr_peak_negative",
             "llr_peak_n_fft", "llr_length_mismatch", "llr_6_bins", "llr_1d_bins",
-            "llr_2d_peaks", "observation_6_bins"])
+            "llr_2d_peaks", "one_symbol_2d_bins", "one_symbol_6_bins",
+            "one_symbol_peak_n_fft"])
     def test_shown_defects_raise_value_error(self, call):
         with pytest.raises(ValueError):
             call()
@@ -314,33 +318,27 @@ class TestBatchBoundary:
 class TestLlrBasic:
     def test_equal_magnitudes_zero(self):
         bins = np.ones(64, dtype=complex)
-        obs = SymbolObservation(bins=bins, excitation_peak=4)
-        assert llr_basic(obs, 1.0) == pytest.approx(0.0)
+        assert llr_basic(bins, 4, 1.0) == pytest.approx(0.0)
 
     def test_closed_form_value(self):
         bins = np.zeros(64, dtype=complex)
         bins[4] = 2.0
         bins[36] = 1.0
-        obs = SymbolObservation(bins=bins, excitation_peak=4)
-        assert llr_basic(obs, 1.0) == pytest.approx(np.log(0.5) + 1.5)
+        assert llr_basic(bins, 4, 1.0) == pytest.approx(np.log(0.5) + 1.5)
 
     def test_antisymmetry_under_swap(self):
         rng = np.random.default_rng(12)
         bins = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        obs = SymbolObservation(bins=bins.copy(), excitation_peak=10)
         swapped = bins.copy()
         swapped[10], swapped[42] = swapped[42], swapped[10]
-        obs2 = SymbolObservation(bins=swapped, excitation_peak=10)
-        assert llr_basic(obs, 1.0) == pytest.approx(-llr_basic(obs2, 1.0))
+        assert llr_basic(bins, 10, 1.0) == pytest.approx(-llr_basic(swapped, 10, 1.0))
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(13)
         bins = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        obs = SymbolObservation(bins=bins, excitation_peak=1)
-        base = llr_basic(obs, 1.7)
+        base = llr_basic(bins, 1, 1.7)
         for c in (0.5, 3.0):
-            scaled = SymbolObservation(bins=c * bins, excitation_peak=1)
-            assert llr_basic(scaled, c * c * 1.7) == pytest.approx(base, rel=1e-12)
+            assert llr_basic(c * bins, 1, c * c * 1.7) == pytest.approx(base, rel=1e-12)
 
     def test_sign_recovers_bit_and_improves_with_power(self):
         rng = np.random.default_rng(14)
@@ -359,8 +357,8 @@ class TestLlrBasic:
         # the central interface guarantee: no signal-power argument exists
         assert "p_hat" not in inspect.signature(llr_basic).parameters
         assert "p_hat" not in inspect.signature(llr_leakage).parameters
-        assert set(inspect.signature(llr_basic).parameters) == {"obs", "sigma2"}
-        assert set(inspect.signature(llr_leakage).parameters) == {"obs", "sigma2"}
+        assert list(inspect.signature(llr_basic).parameters) == ["bins", "peak", "sigma2"]
+        assert list(inspect.signature(llr_leakage).parameters) == ["bins", "peak", "sigma2"]
 
 
 class TestLlrLeakage:
@@ -369,18 +367,16 @@ class TestLlrLeakage:
         bins[4] = 1.0
         s_bar = 36
         bins[s_bar - 1] = bins[s_bar] = bins[s_bar + 1] = 1.0
-        obs = SymbolObservation(bins=bins, excitation_peak=4)
-        assert llr_leakage(obs, 1.0) == pytest.approx(0.5 * np.log(3.0) - 1.0)
+        assert llr_leakage(bins, 4, 1.0) == pytest.approx(0.5 * np.log(3.0) - 1.0)
 
     def test_agrees_in_sign_without_leakage_noiseless(self):
         noise = NoiseModel(sigma2=1e-9, signal_power=1.0)
         rng = np.random.default_rng(15)
         for bit in (0, 1):
-            for _ in range(20):
-                s = int(rng.integers(0, 64))
-                obs = synthesize_observation(bit, s, noise, NO_LEAKAGE, 64,
-                                             rng_seed=int(rng.integers(1 << 30)))
-                assert np.sign(llr_leakage(obs, 1e-9)) == np.sign(llr_basic(obs, 1e-9))
+            peaks = rng.integers(0, 64, 20)
+            bins = synthesize_symbols(np.full(20, bit), peaks, noise, NO_LEAKAGE, 64, rng)
+            assert np.array_equal(np.sign(llr_leakage_many(bins, peaks, 1e-9)),
+                                  np.sign(llr_basic_many(bins, peaks, 1e-9)))
 
     def test_bit_one_errors_below_basic_under_leakage(self):
         leak = LeakageModel((0.25, 0.5, 0.25))
@@ -399,18 +395,16 @@ class TestLlrLeakage:
         bins[0] = 1.0   # s_bar for peak 4; neighbors are bins 7 and 1
         bins[7] = 2.0
         bins[1] = 2.0
-        obs = SymbolObservation(bins=bins, excitation_peak=4)
         pooled = 1.0 + 4.0 + 4.0
         expected = np.log(np.sqrt(pooled) / 1e-30) + (1e-60 - pooled) / 2.0
-        assert llr_leakage(obs, 1.0) == pytest.approx(expected, rel=1e-6)
+        assert llr_leakage(bins, 4, 1.0) == pytest.approx(expected, rel=1e-6)
 
 
 class TestLlrConventional:
     def test_zero_power_hypothesis_collapses(self):
         rng = np.random.default_rng(17)
-        bins = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        obs = SymbolObservation(bins=bins, excitation_peak=7)
-        assert llr_conventional(obs, 1.0, 0.0) == pytest.approx(0.0)
+        bins = rng.standard_normal((1, 64)) + 1j * rng.standard_normal((1, 64))
+        assert llr_conventional_many(bins, [7], 1.0, 0.0) == pytest.approx([0.0])
 
     def test_matched_power_high_snr_agrees_with_basic(self):
         noise = NoiseModel(sigma2=1.0, signal_power=snr_to_power(10.0, 1.0))

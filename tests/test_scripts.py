@@ -1,0 +1,41 @@
+"""Smoke tests: the documented demos and the decoder microbenchmark run.
+
+Each runs in its own interpreter with ``src`` on PYTHONPATH, as the README
+shows, and must exit 0 with output.  Demo 06 (a 60-trial sweep, about 10 s)
+is left out.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
+
+
+def _run(*argv):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, argv)], cwd=ROOT, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+
+def test_demos_are_found():
+    assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04", "05"]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
+def test_demo_runs(demo):
+    out = _run(demo)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip()
+
+
+def test_bench_decoder_runs():
+    out = _run(ROOT / "scripts" / "bench_decoder.py", "--k", "8", "--iters", "2", "--repeats", "1")
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["cases"]

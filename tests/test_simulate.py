@@ -73,10 +73,24 @@ class TestConfig:
         dict(snr_db=(float("nan"),)),
         dict(snr_db=(3.0, float("inf"))),
         dict(n_fft=128.0),
+        # counts and seeds must be Python ints: otherwise these fail only
+        # later, inside run_sweep, numpy, plan_session or the summary's JSON
+        dict(k=0, schemes=("hamming74",)),
+        dict(k=-4, schemes=("hamming74",)),
+        dict(k=96.0),
+        dict(k=True, schemes=("hamming74",)),
+        dict(k=np.int64(16)),
+        dict(master_seed=-1),
+        dict(master_seed=1.0),
+        dict(trials=2.5),
+        dict(trials="5"),
+        dict(workers=1.5),
     ], ids=["fb_loss_1.5", "fb_loss_1", "fb_loss_negative", "workers_0", "workers_negative",
             "n_fft_6", "n_fft_2", "leak_off_center", "leak_sum", "sigma2_0", "k_7",
             "k_513_fixed", "fixed_beyond_mother", "fixed_k9_beyond_mother", "snr_nan",
-            "snr_inf", "n_fft_float"])
+            "snr_inf", "n_fft_float", "k_0_hamming", "k_negative_hamming", "k_float",
+            "k_bool", "k_numpy", "seed_negative", "seed_float", "trials_float", "trials_str",
+            "workers_float"])
     def test_rejects_bad_values_when_built(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
