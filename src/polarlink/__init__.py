@@ -47,10 +47,8 @@ from .protocol import (
     PacketHeader,
     SessionPlan,
     crc16,
-    crc16_verify,
     estimate_rate,
     feedback_channel,
-    gateway_on_frame,
     gateway_on_frames,
     header_decode,
     header_encode,
@@ -67,7 +65,6 @@ from .simulate import (
     hamming74_encode,
     run_point,
     run_sweep,
-    run_trial,
     wilson_interval,
 )
 

@@ -121,10 +121,6 @@ def _cmd_decode(args) -> int:
     missing = [key for key in ("n_log2", "k") if key not in spec_json]
     if missing:
         raise ValueError(f"spec is missing {' and '.join(missing)}")
-    # JSON true/false load as bool, a subclass of int, so both are refused
-    for key in ("n_log2", "k"):
-        if type(spec_json[key]) is not int:
-            raise ValueError(f"spec {key} must be an integer, got {json.dumps(spec_json[key])}")
     eps = spec_json.get("eps", 0.5)
     if type(eps) not in (int, float):
         raise ValueError(f"spec eps must be a number, got {json.dumps(eps)}")

@@ -146,6 +146,10 @@ def design_code(n_log2: int, k: int, eps: float = 0.5) -> CodeSpec:
 
     The reliability order is cached per (eps, n_log2), so every rate drawn
     from the same mother length shares one order table and the info sets for
-    smaller K are prefixes of those for larger K.
+    smaller K are prefixes of those for larger K.  n_log2 and k must be
+    integers (Python or numpy, not bool); anything else raises ValueError.
     """
-    return CodeSpec(_cached_order(float(eps), int(n_log2)), k)
+    for name, value in (("n_log2", n_log2), ("k", k)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    return CodeSpec(_cached_order(float(eps), int(n_log2)), int(k))

@@ -19,9 +19,9 @@ included, since the fixed-point stop compares messages as bits.  The test
 suite checks this against an index-pair reference loop.
 
 Each row stops on its own rule and is read out when it stops; the rows still
-running are then compacted into smaller arrays, so the work follows them.
-bp_decode is the one-row batch, so a row's result does not depend on the
-rows decoded beside it.
+running are then compacted into smaller arrays, so the work follows them,
+and a row's result does not depend on the rows decoded beside it.
+bp_decode decodes one codeword, as a one-row batch.
 
 Frozen-position hard decisions are taken from a prior-free leftward pass
 that uses channel evidence only: the frozen bits act as known pilots, so any
@@ -81,12 +81,13 @@ class BpConfig:
     update_rule 'exact' uses the exact pairwise LLR combination (tanh rule in
     its numerically stable log form); 'minsum' uses the sign-min
     approximation.  early_stop 'frozen' stops once every frozen position's
-    extrinsic decision agrees with the known zero (and, when bp_decode gets a
-    crc_check, once that passes too); 'none' applies no decision rule, so
-    its decodes never report converged.  In every mode the decoder also
-    stops at an exact fixed point, an iteration that leaves its messages
-    bit-identical, because every later iteration would repeat it; results
-    equal those of running on to max_iters.
+    extrinsic decision agrees with the known zero (and, for a row that
+    bp_decode_many is given a CRC check for, once that passes too); 'none'
+    applies no decision rule, so its decodes never report converged.  In
+    every mode the decoder also stops at an exact fixed point, an iteration
+    that leaves its messages bit-identical, because every later iteration
+    would repeat it; results equal those of running on to max_iters.
+    max_iters is a Python int >= 1.
     """
 
     max_iters: int = 60
@@ -94,8 +95,8 @@ class BpConfig:
     early_stop: str = "frozen"
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if type(self.max_iters) is not int or self.max_iters < 1:  # bool is not int
+            raise ValueError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
         if self.update_rule not in ("exact", "minsum"):
             raise ValueError(f"unknown update_rule {self.update_rule!r}")
         if self.early_stop not in ("none", "frozen"):
@@ -356,14 +357,21 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     spec : CodeSpec
     cfg : BpConfig
     crc_checks : sequence of B callables or None, optional
-        Row i's CRC predicate, as bp_decode's crc_check; None (the whole
-        argument or one entry) gives a row none.
+        Row i's CRC predicate, callable(info_bits) -> bool; None (the whole
+        argument or one entry) gives a row none.  Under early_stop 'frozen',
+        the row's stop also waits for it to pass and then reports
+        stop_reason 'crc', returning the info bits it passed; under 'none'
+        it is unused.  It must be a pure function of its input (see the
+        fixed-point stop).
 
     Returns
     -------
     list of DecodeResult
-        Row i's result equals bp_decode(llrs[i], spec, cfg, crc_checks[i])
-        field for field, bit for bit: every row keeps its own stop and pilot.
+        Row i's info_bits are in ascending info-position order; frozen_hard
+        holds its prior-free hard decisions at frozen positions (ascending
+        order), and fber is their mean over the observed ones.  Row i's
+        result equals that of the one-row batch llrs[i:i + 1] field for
+        field, bit for bit: every row keeps its own stop and pilot.
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != spec.n:
@@ -451,35 +459,13 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     return results
 
 
-def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
-              crc_check=None) -> DecodeResult:
-    """Iteratively decode channel LLRs into info bits and frozen-side statistics.
-
-    Parameters
-    ----------
-    llrs : array-like of float, length spec.n
-        Channel LLRs in codeword-position order; untransmitted (punctured)
-        positions carry exactly 0.
-    spec : CodeSpec
-    cfg : BpConfig
-    crc_check : callable(info_bits) -> bool, optional
-        Under early_stop 'frozen', the stop also waits for this to pass and
-        then reports stop_reason 'crc', returning the info bits it passed;
-        under 'none' it is unused.  It must be a pure function of its input
-        (see the fixed-point stop).
-
-    Returns
-    -------
-    DecodeResult
-        info_bits in ascending info-position order; frozen_hard holds the
-        prior-free hard decisions at frozen positions (ascending order), and
-        fber is their mean over the observed ones.  It is the one-row batch
-        of bp_decode_many.
-    """
+def bp_decode(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig()) -> DecodeResult:
+    """Decode one row of spec.n channel LLRs, with no CRC check: the
+    one-row batch of bp_decode_many, which documents the result."""
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.shape != (spec.n,):
         raise ValueError(f"llrs must have length {spec.n}, got shape {llrs.shape}")
-    return bp_decode_many(llrs[None], spec, cfg, [crc_check])[0]
+    return bp_decode_many(llrs[None], spec, cfg)[0]
 
 
 def combine_llrs(frames) -> np.ndarray:

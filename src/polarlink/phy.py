@@ -71,10 +71,10 @@ class NoiseModel:
     signal_power: float = 0.0
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be > 0")
-        if self.signal_power < 0:
-            raise ValueError("signal_power must be >= 0")
+        if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
+        if not (np.isfinite(self.signal_power) and self.signal_power >= 0):
+            raise ValueError(f"signal_power must be finite and >= 0, got {self.signal_power!r}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,8 @@ class LeakageModel:
 
     def __post_init__(self):
         lo, mid, hi = self.fractions
+        if not np.all(np.isfinite(self.fractions)):
+            raise ValueError(f"leakage fractions must be finite, got {self.fractions!r}")
         if min(self.fractions) < 0:
             raise ValueError("leakage fractions must be >= 0")
         if abs(lo + mid + hi - 1.0) > 1e-12:

@@ -41,12 +41,10 @@ __all__ = [
     "header_encode",
     "header_decode",
     "crc16",
-    "crc16_verify",
     "estimate_rate",
     "plan_session",
     "tag_stage1",
     "tag_stage2",
-    "gateway_on_frame",
     "gateway_on_frames",
     "feedback_channel",
     "frame_to_wire",
@@ -175,10 +173,6 @@ def crc16(bits) -> int:
     return reg
 
 
-def crc16_verify(bits, crc: int) -> bool:
-    return crc16(bits) == crc
-
-
 def estimate_rate(fber: float) -> Fraction:
     """Map a frozen bit error ratio to the stage-2 code rate.
 
@@ -237,15 +231,17 @@ class SessionPlan:
         return self.positions(rate)[self.stage1_budget:]
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)  # typed, so 96.0 cannot hit the plan of 96
 def plan_session(k: int) -> SessionPlan:
     """Build the session plan for K info bits.
 
     The mother code length is the smallest power of two holding rate 1/8
-    (8K coded bits); the stage-1 budget realizes rate 3/4.
+    (8K coded bits); the stage-1 budget realizes rate 3/4.  K must be a
+    Python int in [8, 512], as SimConfig's k is; anything else raises
+    ValueError.
     """
-    if not 8 <= k <= 512:
-        raise ValueError(f"k must be in [8, 512], got {k}")
+    if type(k) is not int or not 8 <= k <= 512:  # bool and numpy ints are not int
+        raise ValueError(f"k must be an int in [8, 512], got {k!r}")
     n_log2 = (8 * k - 1).bit_length()
     spec = design_code(n_log2, k)
     return SessionPlan(k=k, spec=spec)
@@ -334,13 +330,21 @@ def _checked_frame(frame: Frame, llrs, session: GatewaySession):
 def gateway_on_frames(frames, llrs, sessions) -> list:
     """Fold one received frame into each session and decide what each does next.
 
-    ``frames[i]`` with its LLRs ``llrs[i]`` goes to ``sessions[i]``, and the
-    i-th decision record is returned, exactly as ``gateway_on_frame`` would
-    return it; a session may appear once per call.  The sessions whose frame
-    needs a decode (not a duplicate, not already acknowledged) must share
-    one code, and are decoded in one lockstep batch.  Every frame is
-    checked, and every decode run, before any session changes, so a
-    malformed frame, a combine that overflows, or sessions of two codes
+    ``frames[i]`` goes to ``sessions[i]`` with ``llrs[i]``, its demodulated
+    per-position LLRs aligned with frames[i].payload_positions, and the i-th
+    decision record is returned: one of {"ack"} | {"request_rate", rate} |
+    {"fail"}, or {"duplicate_ignored"} for a frame whose packet id the session
+    has seen (the combine stays idempotent per position set).  A session may
+    appear once per call, and a row's decision does not depend on the rows
+    beside it.  The sessions whose frame needs a decode (not a duplicate, not
+    already acknowledged) must share one code, and are decoded in one
+    lockstep batch.
+
+    Frames must arrive in id order: a second frame before a first is an
+    error.  Every frame is checked, and every decode run, before any session
+    changes, so malformed input (positions outside [0, n_mother) or
+    repeated, LLRs that are misaligned or not finite, a header length other
+    than the plan's, a combine that overflows) or sessions of two codes
     raise ValueError and leave every session as it was.
     """
     frames, llrs, sessions = list(frames), list(llrs), list(sessions)
@@ -382,7 +386,7 @@ def gateway_on_frames(frames, llrs, sessions) -> list:
         # for its session's CRC
         results = bp_decode_many(
             combined, spec,
-            crc_checks=[lambda bits, crc=crc: crc16_verify(bits, crc) for crc in crcs])
+            crc_checks=[lambda bits, crc=crc: crc16(bits) == crc for crc in crcs])
 
     # every check has passed: only now do the sessions change
     for i in fresh:
@@ -400,30 +404,13 @@ def _decide(session: GatewaySession, pid: int, result) -> dict:
     session.last_fber = result.fber
     session.last_info = result.info_bits
     # a decode that stopped on the CRC has already passed it
-    if result.stop_reason == "crc" or crc16_verify(result.info_bits, session.expected_crc):
+    if result.stop_reason == "crc" or crc16(result.info_bits) == session.expected_crc:
         session.succeeded = True
         return {"action": "ack", "packet_id": pid, "fber": result.fber}
     if pid == 0:
         return {"action": "request_rate", "packet_id": pid, "fber": result.fber,
                 "rate": str(estimate_rate(result.fber))}
     return {"action": "fail", "packet_id": pid, "fber": result.fber}
-
-
-def gateway_on_frame(frame: Frame, llrs, session: GatewaySession) -> dict:
-    """Fold one received frame into the session and decide what to do next.
-
-    ``llrs`` are the demodulated per-position LLRs aligned with
-    frame.payload_positions.  Returns the decision record, one of
-    {"ack"} | {"request_rate", rate} | {"fail"}; a frame with an already-seen
-    packet id is ignored (the combine stays idempotent per position set).
-
-    Frames must arrive in id order: a second frame before a first is an
-    error.  Malformed input (positions outside [0, n_mother) or repeated,
-    LLRs that are misaligned or not finite, a header length other than the
-    plan's, a combine that overflows) raises ValueError before the session
-    changes.  It is the one-frame call of gateway_on_frames.
-    """
-    return gateway_on_frames([frame], [llrs], [session])[0]
 
 
 def feedback_channel(msg: FeedbackMsg, loss_prob: float, rng_seed) -> FeedbackMsg:

@@ -30,7 +30,6 @@ from .protocol import (
     feedback_channel,
     frame_from_wire,
     frame_to_wire,
-    gateway_on_frame,
     gateway_on_frames,
     plan_session,
     tag_stage1,
@@ -49,7 +48,6 @@ __all__ = [
     "hamming74_decode",
     "run_session",
     "replay_session",
-    "run_trial",
     "run_point",
     "run_sweep",
     "summary_json",
@@ -95,8 +93,9 @@ class SimConfig:
         if not 0.0 <= self.fb_loss < 1.0:
             raise ValueError(f"fb_loss must be in [0, 1), got {self.fb_loss}")
         check_n_fft(self.n_fft)
-        self.leakage()  # LeakageModel and NoiseModel check leak and sigma2
-        NoiseModel(sigma2=self.sigma2)
+        self.leakage()  # LeakageModel and NoiseModel check leak, sigma2 and each power
+        for snr_db in self.snr_db:
+            self.noise(snr_db)
         for s in self.schemes:
             kind, rate = parse_scheme(s)
             if kind != "hamming74":
@@ -256,7 +255,7 @@ class SessionRecord:
 
 
 def trial_rngs(master_seed: int, point: int, trial: int):
-    """The (info, channel, feedback) generators of one trial; run_trial uses
+    """The (info, channel, feedback) generators of one trial; run_point uses
     the same three for every scheme at (master_seed, point, trial)."""
     ss = np.random.SeedSequence([int(master_seed), int(point), int(trial)])
     return [np.random.default_rng(c) for c in ss.spawn(3)]  # info, channel, feedback
@@ -300,9 +299,8 @@ def _lockstep_sessions(cfg: SimConfig, snr_db: float, rate, lanes, records) -> l
     first = [tag_stage1(codeword, plan, STAGE1_RATE if rate is None else rate)
              for codeword in codewords]
     aux = [{"bits_sent": len(frame.payload_positions), "frames_used": 1,
-            "fber_first": decision["fber"], "requested_rate": "", "info": info,
-            "decisions": gw.decisions}
-           for frame, decision, info, gw in zip(first, send(range(len(lanes)), first), infos, gws)]
+            "fber_first": decision["fber"], "requested_rate": "", "info": info}
+           for frame, decision, info in zip(first, send(range(len(lanes)), first), infos)]
 
     second_idx, second = [], []
     # a fixed-rate session has no feedback
@@ -357,22 +355,26 @@ def run_session(cfg: SimConfig, snr_db: float, rngs, *, record: SessionRecord = 
 def replay_session(record_dict: dict, k: int) -> list:
     """Re-run the gateway over a recorded trace; returns its decision list.
 
-    Raises ValueError when the record's mother-code length does not match
-    the plan for ``k``, or when a recorded frame is malformed.
+    Raises ValueError when the record's K or mother-code length does not
+    match the plan for ``k``, when it holds a different number of frames
+    and LLR lists, or when a recorded frame is malformed.
     """
     plan = plan_session(k)
+    if record_dict["k"] != k:
+        raise ValueError(f"record k {record_dict['k']!r} does not match k={k}")
     if record_dict["n_mother"] != plan.n_mother:
         raise ValueError(f"record n_mother {record_dict['n_mother']} does not match "
                          f"the K={k} plan's {plan.n_mother}")
+    frames, frame_llrs = record_dict["frames"], record_dict["frame_llrs"]
+    if len(frames) != len(frame_llrs):
+        raise ValueError(f"record has {len(frames)} frames but {len(frame_llrs)} LLR lists")
     gw = GatewaySession(plan)
-    for wire, llrs in zip(record_dict["frames"], record_dict["frame_llrs"]):
-        gateway_on_frame(frame_from_wire(wire), np.asarray(llrs), gw)
+    for wire, llrs in zip(frames, frame_llrs):
+        gateway_on_frames([frame_from_wire(wire)], [llrs], [gw])
     return gw.decisions
 
 
 def _bit_and_byte_errors(decoded, info):
-    if decoded is None:
-        decoded = np.zeros_like(info)
     errs = decoded.astype(np.uint8) ^ info.astype(np.uint8)
     bit_errors = int(errs.sum())
     n_bytes = len(info) // 8
@@ -408,7 +410,9 @@ def run_point(cfg: SimConfig, scheme: str, point: int, trials=None) -> list:
     group's first frames decode as one batch, then its sozu second frames
     as another.  Hamming(7,4) trials run one by one.  Trial t draws from its
     own fresh trial_rngs(master_seed, point, t), so the channel stream is
-    shared across schemes and each result equals run_trial's.
+    shared across schemes, identical (cfg, point, t) always give the
+    identical result, and a trial's result does not depend on the trials
+    run beside it: run_point(cfg, scheme, point, (t,))[0] equals its row.
     """
     trials = range(cfg.trials) if trials is None else trials
     snr_db = float(cfg.snr_db[point])
@@ -442,16 +446,6 @@ def run_point(cfg: SimConfig, scheme: str, point: int, trials=None) -> list:
             requested_rate=aux["requested_rate"],
         ))
     return results
-
-
-def run_trial(cfg: SimConfig, scheme: str, point: int, trial: int) -> TrialResult:
-    """One packet/session of ``scheme`` at sweep point ``point``.
-
-    Identical (cfg, point, trial) always produce the identical result, and
-    the channel stream is shared across schemes.  It is the one-trial call
-    of run_point.
-    """
-    return run_point(cfg, scheme, point, (trial,))[0]
 
 
 def run_sweep(cfg: SimConfig):

@@ -115,6 +115,18 @@ class TestCodeSpec:
         # schedule order follows the overall reliability order
         assert list(sched) == [i for i in spec.reliability.order if i in set(spec.frozen_set)]
 
+    @pytest.mark.parametrize("n_log2, k, name", [
+        (10.7, 96, "n_log2"), (4.0, 8, "n_log2"), (True, 1, "n_log2"), ("4", 8, "n_log2"),
+        (3, True, "k"), (4, 8.0, "k"), (4, None, "k"), (4, np.float64(8), "k")])
+    def test_design_code_takes_integer_sizes(self, n_log2, k, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            design_code(n_log2, k)
+
+    def test_design_code_accepts_numpy_integers(self):
+        spec = design_code(np.int64(5), np.int32(16))
+        assert (spec.n, spec.k) == (32, 16) and type(spec.k) is int
+        assert np.array_equal(spec.info_set, design_code(5, 16).info_set)
+
     def test_design_code_caches_one_order_per_length(self):
         a = design_code(6, 16)
         b = design_code(6, 40)

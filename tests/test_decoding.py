@@ -18,7 +18,7 @@ from polarlink.decoding import (
     ml_decode_oracle,
 )
 from polarlink.encoding import encode_systematic, polar_transform
-from polarlink.protocol import RATE_TABLE, crc16, crc16_verify, plan_session
+from polarlink.protocol import RATE_TABLE, crc16, plan_session
 
 
 def noiseless_llrs(codeword):
@@ -218,8 +218,8 @@ class TestFixedPointStop:
         for punctured, cases in ((False, unpunctured), (True, _punctured_cases())):
             for llrs, spec, crc in cases:
                 cfg = BpConfig(update_rule=rule, early_stop=early_stop)
-                check = (lambda b, crc=crc: crc16_verify(b, crc)) if gated else None
-                res = bp_decode(llrs, spec, cfg, crc_check=check)
+                check = (lambda b, crc=crc: crc16(b) == crc) if gated else None
+                res = bp_decode_many(llrs[None], spec, cfg, [check])[0]
                 # a zero of the other sign in a message could move the
                 # fixed-point stop, so the stop must match the reference loop's
                 assert (res.iterations_used, res.stop_reason) == \
@@ -297,8 +297,8 @@ class TestAgainstReference:
         llrs, spec, crc = case
         early_stop, gated = mode
         cfg = BpConfig(update_rule=rule, early_stop=early_stop)
-        check = (lambda b: crc16_verify(b, crc)) if gated else None
-        res = bp_decode(llrs, spec, cfg, crc_check=check)
+        check = (lambda b: crc16(b) == crc) if gated else None
+        res = bp_decode_many(llrs[None], spec, cfg, [check])[0]
         (info, u_post, frozen_hard, _, fber, converged, iterations, stop_reason) = \
             bp_decode_reference(llrs, spec, cfg, check)
         assert res.info_bits.tobytes() == info.tobytes()
@@ -320,7 +320,7 @@ def _grid_batches(draw):
 
 
 def _row_checks(crcs, gated):
-    return [(lambda b, crc=crc: crc16_verify(b, crc)) if g else None
+    return [(lambda b, crc=crc: crc16(b) == crc) if g else None
             for crc, g in zip(crcs, gated)]
 
 
@@ -347,7 +347,7 @@ class TestBatch:
         got = bp_decode_many(llrs, spec, cfg, checks)
         assert len(got) == len(llrs)
         for row, check, res in zip(llrs, checks, got):
-            assert_results_bitwise_equal(res, bp_decode(row, spec, cfg, crc_check=check))
+            assert_results_bitwise_equal(res, bp_decode_many(row[None], spec, cfg, [check])[0])
             (info, u_post, frozen_hard, _, fber, _, iterations, stop_reason) = \
                 bp_decode_reference(row, spec, cfg, check)
             assert res.info_bits.tobytes() == info.tobytes()
@@ -367,7 +367,7 @@ class TestBatch:
             cfg = BpConfig(max_iters=20, update_rule=rule)
             got = bp_decode_many(llrs, spec, cfg, checks)
             for row, check, res in zip(llrs, checks, got):
-                assert_results_bitwise_equal(res, bp_decode(row, spec, cfg, crc_check=check))
+                assert_results_bitwise_equal(res, bp_decode_many(row[None], spec, cfg, [check])[0])
             stops = {(r.stop_reason, r.iterations_used) for r in got}
             if spec.n == 32:
                 assert {"crc", "frozen", "fixed_point", "max_iters"} <= {r for r, _ in stops}
@@ -383,7 +383,8 @@ class TestBatch:
                 cfg = BpConfig(early_stop=early_stop)
                 checks = _row_checks([r[1] for r in rows], [i % 3 != 0 for i in range(len(rows))])
                 for row, check, res in zip(llrs, checks, bp_decode_many(llrs, spec, cfg, checks)):
-                    assert_results_bitwise_equal(res, bp_decode(row, spec, cfg, crc_check=check))
+                    assert_results_bitwise_equal(
+                        res, bp_decode_many(row[None], spec, cfg, [check])[0])
 
     def test_no_checks_means_none_per_row(self):
         llrs = np.array([c[0] for c in _small_code_cases()[:8]])
@@ -581,7 +582,7 @@ class TestPlanCache:
             for got, res in zip(bp_decode_many(llrs, spec, cfg, checks), want):
                 assert_results_bitwise_equal(got, res)
         # one row alone uses the plan its batch used
-        assert_results_bitwise_equal(bp_decode(a[2], spec, cfg, checks_a[2]), want_a[2])
+        assert_results_bitwise_equal(bp_decode_many(a[2:3], spec, cfg, checks_a[2:3])[0], want_a[2])
 
     def test_cache_stays_bounded(self):
         spec = design_code(5, 8)
@@ -622,9 +623,9 @@ class TestSkippedWork:
             llrs = awgn_llrs(encode_systematic(info, spec), snr, rng)
             for early_stop, gated in MODES:
                 cfg = BpConfig(max_iters=4, early_stop=early_stop)
-                check = (lambda b, crc=crc16(info): crc16_verify(b, crc)) if gated else None
+                check = (lambda b, crc=crc16(info): crc16(b) == crc) if gated else None
                 boxplus_calls.clear()
-                res = bp_decode(llrs, spec, cfg, crc_check=check)
+                res = bp_decode_many(llrs[None], spec, cfg, [check])[0]
                 iters = res.iterations_used
                 if res.converged:
                     assert len(boxplus_calls) == (iters - 1) * (2 * n - 1) + n + 1
@@ -638,8 +639,9 @@ class TestSkippedWork:
     def test_rule_stopped_first_iteration_at_n1024(self, boxplus_calls):
         spec = design_code(10, 96)
         info = np.random.default_rng(61).integers(0, 2, 96).astype(np.uint8)
-        res = bp_decode(noiseless_llrs(encode_systematic(info, spec)), spec,
-                        crc_check=lambda b: crc16_verify(b, crc16(info)))
+        crc = crc16(info)
+        res = bp_decode_many(noiseless_llrs(encode_systematic(info, spec))[None], spec,
+                             BpConfig(), [lambda b: crc16(b) == crc])[0]
         assert (res.stop_reason, res.iterations_used) == ("crc", 1)
         assert len(boxplus_calls) == 11
         assert np.array_equal(res.info_bits, info)
@@ -752,16 +754,19 @@ class TestBpDecode:
             assert np.array_equal(recoded[spec.info_set], res.info_bits)
 
     def test_crc_early_stop_runs_to_pass(self):
-        from polarlink.protocol import crc16, crc16_verify
-
         spec = design_code(4, 8)
         rng = np.random.default_rng(6)
         info = rng.integers(0, 2, 8).astype(np.uint8)
         crc = crc16(info)
-        res = bp_decode(noiseless_llrs(encode_systematic(info, spec)), spec,
-                        crc_check=lambda b: crc16_verify(b, crc))
+        res = bp_decode_many(noiseless_llrs(encode_systematic(info, spec))[None], spec,
+                             BpConfig(), [lambda b: crc16(b) == crc])[0]
         assert res.converged and np.array_equal(res.info_bits, info)
         assert res.stop_reason == "crc"
+
+    @pytest.mark.parametrize("max_iters", [0, -1, 2.5, 1.0, True, "3", np.int64(3)])
+    def test_max_iters_is_a_positive_int(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be an int"):
+            BpConfig(max_iters=max_iters)
 
     def test_config_holds_settings_only(self):
         # the CRC predicate is a per-call argument, not a stop mode

@@ -67,6 +67,19 @@ class TestModels:
         with pytest.raises(ValueError):
             NoiseModel(sigma2=1.0, signal_power=-1.0)
 
+    @pytest.mark.parametrize("kwargs", [dict(sigma2=float("nan")), dict(sigma2=float("inf")),
+                                        dict(sigma2=1.0, signal_power=float("nan")),
+                                        dict(sigma2=1.0, signal_power=float("inf"))])
+    def test_noise_model_refuses_non_finite(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(**kwargs)
+
+    @pytest.mark.parametrize("fractions", [(float("nan"), 1.0, 0.0), (0.0, float("nan"), 0.0),
+                                           (0.25, 0.5, float("inf"))])
+    def test_leakage_model_refuses_non_finite(self, fractions):
+        with pytest.raises(ValueError, match="finite"):
+            LeakageModel(fractions)
+
     def test_leakage_validation(self):
         LeakageModel((0.25, 0.5, 0.25))
         with pytest.raises(ValueError):

@@ -22,12 +22,10 @@ from polarlink.protocol import (
     PacketHeader,
     bits_to_hex,
     crc16,
-    crc16_verify,
     estimate_rate,
     feedback_channel,
     frame_from_wire,
     frame_to_wire,
-    gateway_on_frame,
     gateway_on_frames,
     header_decode,
     header_encode,
@@ -132,7 +130,7 @@ class TestCrc16:
         for i in range(64):
             corrupted = bits.copy()
             corrupted[i] ^= 1
-            assert not crc16_verify(corrupted, crc)
+            assert crc16(corrupted) != crc
 
     def test_false_accept_rate_bound(self):
         # random corruptions should sneak past a 16-bit CRC at ~2^-16
@@ -145,7 +143,7 @@ class TestCrc16:
             corrupted = bits ^ rng.integers(0, 2, 96).astype(np.uint8)
             if np.array_equal(corrupted, bits):
                 continue
-            accepts += crc16_verify(corrupted, crc)
+            accepts += crc16(corrupted) == crc
         assert accepts / trials < 3 * 2 ** -16
 
 
@@ -195,6 +193,12 @@ class TestSessionPlan:
             plan_session(7)
         with pytest.raises(ValueError):
             plan_session(513)
+
+    @pytest.mark.parametrize("k", [96.0, np.int64(96), np.int32(16), True, "96"])
+    def test_k_must_be_a_python_int(self, k):
+        plan_session(96)  # a cached plan of an equal int must not answer for k
+        with pytest.raises(ValueError, match="k must be an int"):
+            plan_session(k)
 
     def test_effective_rates_exact_by_construction(self):
         plan = plan_session(96)
@@ -325,7 +329,7 @@ class TestGateway:
         cw = encode_systematic(info, plan.spec)
         f1 = tag_stage1(cw, plan)
         gw = GatewaySession(plan)
-        decision = gateway_on_frame(f1, clean_llrs_for(f1), gw)
+        decision = gateway_on_frames([f1], [clean_llrs_for(f1)], [gw])[0]
         assert decision["action"] == "ack"
         assert np.array_equal(gw.last_info, info)
 
@@ -337,7 +341,7 @@ class TestGateway:
         f1 = tag_stage1(cw, plan)
         noisy = 0.3 * rng.standard_normal(len(f1.payload_positions))
         gw = GatewaySession(plan)
-        decision = gateway_on_frame(f1, noisy, gw)
+        decision = gateway_on_frames([f1], [noisy], [gw])[0]
         assert decision["action"] == "request_rate"
         assert Fraction(decision["rate"]) == estimate_rate(decision["fber"])
 
@@ -349,9 +353,9 @@ class TestGateway:
         f1 = tag_stage1(cw, plan)
         f2 = tag_stage2(cw, plan, Fraction(1, 2))
         gw = GatewaySession(plan)
-        d1 = gateway_on_frame(f1, 0.3 * rng.standard_normal(128), gw)
+        d1 = gateway_on_frames([f1], [0.3 * rng.standard_normal(128)], [gw])[0]
         assert d1["action"] == "request_rate"
-        d2 = gateway_on_frame(f2, 0.3 * rng.standard_normal(64), gw)
+        d2 = gateway_on_frames([f2], [0.3 * rng.standard_normal(64)], [gw])[0]
         assert d2["action"] == "fail"
 
     def test_combining_rescues_midquality_stage1(self):
@@ -365,11 +369,11 @@ class TestGateway:
         weak = 1.2 * (1.0 - 2.0 * f1.payload_bits.astype(float))
         weak += rng.standard_normal(len(weak))
         gw = GatewaySession(plan)
-        d1 = gateway_on_frame(f1, weak, gw)
+        d1 = gateway_on_frames([f1], [weak], [gw])[0]
         assert d1["action"] == "request_rate"
         strong2 = 4.0 * (1.0 - 2.0 * f2.payload_bits.astype(float))
         strong2 += rng.standard_normal(len(strong2))
-        d2 = gateway_on_frame(f2, strong2, gw)
+        d2 = gateway_on_frames([f2], [strong2], [gw])[0]
         assert d2["action"] == "ack"
         assert np.array_equal(gw.last_info, info)
 
@@ -380,9 +384,9 @@ class TestGateway:
         cw = encode_systematic(info, plan.spec)
         f1 = tag_stage1(cw, plan)
         gw = GatewaySession(plan)
-        gateway_on_frame(f1, clean_llrs_for(f1), gw)
+        gateway_on_frames([f1], [clean_llrs_for(f1)], [gw])
         combined_before = gw.combined.copy()
-        decision = gateway_on_frame(f1, clean_llrs_for(f1), gw)
+        decision = gateway_on_frames([f1], [clean_llrs_for(f1)], [gw])[0]
         assert decision["action"] == "duplicate_ignored"
         assert np.array_equal(gw.combined, combined_before)
 
@@ -393,7 +397,7 @@ class TestGateway:
         f2 = tag_stage2(cw, plan, Fraction(1, 2))
         gw = GatewaySession(plan)
         with pytest.raises(ValueError):
-            gateway_on_frame(f2, np.zeros(64), gw)
+            gateway_on_frames([f2], [np.zeros(64)], [gw])
 
 
     @pytest.mark.parametrize("line", ["00 5,99999 0 abcd", "00 5,-1 0 abcd", "00 5,5 0 abcd"])
@@ -401,7 +405,7 @@ class TestGateway:
         plan = plan_session(96)
         gw = GatewaySession(plan)
         with pytest.raises(ValueError):
-            gateway_on_frame(frame_from_wire(line), np.zeros(2), gw)
+            gateway_on_frames([frame_from_wire(line)], [np.zeros(2)], [gw])
         assert not gw.seen_ids and not gw.decisions
         assert not np.any(gw.combined)
 
@@ -414,7 +418,7 @@ class TestGateway:
                     crc=f1.crc)
         gw = GatewaySession(plan)
         with pytest.raises(ValueError):
-            gateway_on_frame(bad, clean_llrs_for(bad), gw)
+            gateway_on_frames([bad], [clean_llrs_for(bad)], [gw])
         assert not gw.seen_ids and not gw.decisions
         assert not np.any(gw.combined)
 
@@ -425,7 +429,7 @@ class TestGateway:
         llrs[3] = np.nan
         gw = GatewaySession(plan)
         with pytest.raises(ValueError):
-            gateway_on_frame(f1, llrs, gw)
+            gateway_on_frames([f1], [llrs], [gw])
         assert not gw.seen_ids
 
 
@@ -456,10 +460,10 @@ def _prepared_session(k, scenario, rng):
     if scenario == "first":
         return gw, f1, noisy(f1, rng.choice([0.3, 1.5, 12.0]))
     if scenario == "acked":
-        gateway_on_frame(f1, clean_llrs_for(f1), gw)
+        gateway_on_frames([f1], [clean_llrs_for(f1)], [gw])
         assert gw.succeeded
         return gw, f2, noisy(f2, 2.0)
-    gateway_on_frame(f1, np.zeros(len(f1.payload_positions)), gw)
+    gateway_on_frames([f1], [np.zeros(len(f1.payload_positions))], [gw])
     assert not gw.succeeded
     if scenario == "duplicate":
         return gw, f1, noisy(f1, 2.0)
@@ -473,7 +477,7 @@ def session_state(gw):
 
 
 class TestGatewayBatch:
-    """gateway_on_frames equals gateway_on_frame called frame by frame."""
+    """A batch of frames equals one-frame batches called frame by frame."""
 
     @settings(max_examples=30, deadline=None)
     @given(scenarios=st.lists(st.sampled_from(SCENARIOS), min_size=1, max_size=6),
@@ -484,7 +488,7 @@ class TestGatewayBatch:
         batch = [gw for gw, _, _ in prepared]
         alone = copy.deepcopy(batch)
         got = gateway_on_frames([f for _, f, _ in prepared], [l for _, _, l in prepared], batch)
-        want = [gateway_on_frame(f, l, gw) for gw, (_, f, l) in zip(alone, prepared)]
+        want = [gateway_on_frames([f], [l], [gw])[0] for gw, (_, f, l) in zip(alone, prepared)]
         assert got == want
         for a, b in zip(batch, alone):
             assert session_state(a) == session_state(b)
@@ -525,7 +529,7 @@ class TestGatewayBatch:
         gw, f1, _ = _prepared_session(16, "first", rng)
         first_llrs = np.zeros(len(f1.payload_positions))
         first_llrs[-1] = 1e308
-        gateway_on_frame(f1, first_llrs, gw)
+        gateway_on_frames([f1], [first_llrs], [gw])
         assert not gw.succeeded
         repeat = dataclasses.replace(f1, header=dataclasses.replace(f1.header, packet_id=1),
                                      crc=None)
@@ -616,10 +620,10 @@ class TestWireBoundaryProperty:
         gw = GatewaySession(plan)
         if after_stage1:
             f1 = tag_stage1(np.zeros(plan.n_mother, dtype=np.uint8), plan)
-            gateway_on_frame(f1, np.zeros(len(f1.payload_positions)), gw)
+            gateway_on_frames([f1], [np.zeros(len(f1.payload_positions))], [gw])
         try:
             frame = frame_from_wire(line)
-            gateway_on_frame(frame, llrs, gw)
+            gateway_on_frames([frame], [llrs], [gw])
         except ValueError:
             pass
 

@@ -8,7 +8,7 @@ import pytest
 
 import polarlink.protocol as protocol
 import polarlink.simulate as simulate
-from polarlink.decoding import bp_decode
+from polarlink.decoding import BpConfig, bp_decode_many
 from polarlink.encoding import encode_systematic
 from polarlink.protocol import crc16, plan_session
 from polarlink.simulate import (
@@ -25,7 +25,6 @@ from polarlink.simulate import (
     run_point,
     run_session,
     run_sweep,
-    run_trial,
     trial_rngs,
     wilson_interval,
     write_outputs,
@@ -66,6 +65,10 @@ class TestConfig:
         dict(leak=(0.5, 0.25, 0.25)),
         dict(leak=(0.2, 0.5, 0.2)),
         dict(sigma2=0.0),
+        dict(sigma2=float("nan")),
+        dict(sigma2=float("inf")),
+        dict(leak=(float("nan"), 1.0, 0.0)),
+        dict(sigma2=1e308, snr_db=(10.0,)),
         dict(k=7),
         dict(k=513, schemes=("hamming74", "fixed:1/2")),
         dict(schemes=("fixed:1/11",)),
@@ -86,7 +89,8 @@ class TestConfig:
         dict(trials="5"),
         dict(workers=1.5),
     ], ids=["fb_loss_1.5", "fb_loss_1", "fb_loss_negative", "workers_0", "workers_negative",
-            "n_fft_6", "n_fft_2", "leak_off_center", "leak_sum", "sigma2_0", "k_7",
+            "n_fft_6", "n_fft_2", "leak_off_center", "leak_sum", "sigma2_0", "sigma2_nan",
+            "sigma2_inf", "leak_nan", "signal_power_inf", "k_7",
             "k_513_fixed", "fixed_beyond_mother", "fixed_k9_beyond_mother", "snr_nan",
             "snr_inf", "n_fft_float", "k_0_hamming", "k_negative_hamming", "k_float",
             "k_bool", "k_numpy", "seed_negative", "seed_float", "trials_float", "trials_str",
@@ -132,7 +136,7 @@ class TestGoodput:
 
     def test_mixed_sessions_match_hand_aggregation(self):
         cfg = SimConfig(snr_db=(7.0,), trials=5, k=96, master_seed=404)
-        results = [run_trial(cfg, "sozu", 0, t) for t in range(5)]
+        results = run_point(cfg, "sozu", 0)
         expected = sum(r.clean_bits for r in results) / sum(r.bits_sent for r in results)
         assert goodput(results) == pytest.approx(expected)
 
@@ -196,7 +200,8 @@ def fixed_trial_reference(cfg, scheme, point, trial):
     full = np.zeros(plan.n_mother)
     full[positions] = simulate._transmit(codeword[positions], cfg, cfg.noise(snr_db), channel_rng)
     crc = crc16(info)
-    result = bp_decode(full, plan.spec, crc_check=lambda bits: crc16(bits) == crc)
+    result = bp_decode_many(full[None], plan.spec, BpConfig(),
+                            [lambda bits: crc16(bits) == crc])[0]
     errs = result.info_bits ^ info
     n_bytes = cfg.k // 8
     success = not errs.any()
@@ -217,7 +222,7 @@ class TestFixedTrialIsOneFrameSession:
         cfg = SimConfig(snr_db=(-3.0, 3.0, 8.0, 40.0), trials=1, k=k, master_seed=21)
         outcomes = set()
         for point in range(len(cfg.snr_db)):
-            got = run_trial(cfg, scheme, point, 0)
+            got = run_point(cfg, scheme, point, (0,))[0]
             want = fixed_trial_reference(cfg, scheme, point, 0)
             for f in dataclasses.fields(TrialResult):
                 assert getattr(got, f.name) == getattr(want, f.name), (point, f.name)
@@ -231,20 +236,20 @@ class TestFixedTrialIsOneFrameSession:
             monkeypatch.setattr(simulate, name,
                                 lambda *a, _n=name, _real=real, **kw: calls.append(_n) or _real(*a, **kw))
         cfg = SimConfig(snr_db=(8.0,), trials=1, k=96, master_seed=21)
-        run_trial(cfg, "fixed:1/2", 0, 0)
+        run_point(cfg, "fixed:1/2", 0, (0,))
         assert calls == ["tag_stage1", "gateway_on_frames"]
 
 
 class TestRunTrial:
     def test_deterministic(self):
         cfg = SimConfig(snr_db=(8.0,), trials=1, k=96, master_seed=5)
-        a = run_trial(cfg, "sozu", 0, 3)
-        b = run_trial(cfg, "sozu", 0, 3)
+        a = run_point(cfg, "sozu", 0, (3,))[0]
+        b = run_point(cfg, "sozu", 0, (3,))[0]
         assert a == b
 
     def test_noiseless_sozu_rate_three_quarters(self):
         cfg = SimConfig(snr_db=(40.0,), trials=1, k=96, master_seed=6)
-        r = run_trial(cfg, "sozu", 0, 0)
+        r = run_point(cfg, "sozu", 0, (0,))[0]
         assert r.success and r.frames_used == 1
         assert r.bits_sent == 128
         assert goodput([r]) == pytest.approx(0.75)
@@ -252,7 +257,7 @@ class TestRunTrial:
     def test_noiseless_all_schemes_succeed(self):
         cfg = SimConfig(snr_db=(40.0,), trials=1, k=96, master_seed=6)
         for scheme in ("sozu", "hamming74", "fixed:1/2"):
-            assert run_trial(cfg, scheme, 0, 0).success
+            assert run_point(cfg, scheme, 0, (0,))[0].success
 
     def test_schemes_share_channel_stream(self):
         cfg = SimConfig(snr_db=(8.0,), trials=1, k=96, master_seed=7)
@@ -263,7 +268,7 @@ class TestRunTrial:
     def test_fixed_budget_rounds_half_up(self):
         # 9 / (2/5) = 22.5 coded bits; the session plan rounds half up
         cfg = SimConfig(snr_db=(40.0,), trials=1, k=9, master_seed=6)
-        r = run_trial(cfg, "fixed:2/5", 0, 0)
+        r = run_point(cfg, "fixed:2/5", 0, (0,))[0]
         assert r.bits_sent == 23 and r.success
 
     def test_fixed_records_observed_fber(self, monkeypatch):
@@ -276,7 +281,7 @@ class TestRunTrial:
         monkeypatch.setattr(protocol, "bp_decode_many",
                             lambda *a, **kw: batches.append(real(*a, **kw)) or batches[-1])
         cfg = SimConfig(snr_db=(3.0,), trials=1, k=96, master_seed=6)
-        r = run_trial(cfg, "fixed:1/2", 0, 0)
+        r = run_point(cfg, "fixed:1/2", 0, (0,))[0]
         assert [len(b) for b in batches] == [1]
         result = batches[0][0]
         assert r.fber_first == result.fber
@@ -286,7 +291,7 @@ class TestRunTrial:
     def test_fixed_rate_beyond_mother_code_rejected(self):
         cfg = SimConfig(snr_db=(8.0,), trials=1, k=96)
         with pytest.raises(ValueError):
-            run_trial(cfg, "fixed:1/11", 0, 0)
+            run_point(cfg, "fixed:1/11", 0, (0,))
 
     def test_deep_failure_point(self):
         # far below the waterfall every session dies
@@ -296,14 +301,14 @@ class TestRunTrial:
 
     def test_hamming_effective_rate(self):
         cfg = SimConfig(snr_db=(40.0,), trials=1, k=96, master_seed=9)
-        r = run_trial(cfg, "hamming74", 0, 0)
+        r = run_point(cfg, "hamming74", 0, (0,))[0]
         assert r.bits_sent == 96 * 7 // 4
         assert r.effective_rate == pytest.approx(4 / 7)
 
     def test_hamming_sends_every_info_bit(self):
         # K=9: the last block carries bit 8 and three zero pad bits
         cfg = SimConfig(snr_db=(40.0,), trials=1, k=9, master_seed=9)
-        r = run_trial(cfg, "hamming74", 0, 0)
+        r = run_point(cfg, "hamming74", 0, (0,))[0]
         assert r.bits_sent == 21
         assert r.effective_rate <= 4 / 7
         assert r.success and r.bit_errors == 0
@@ -317,7 +322,8 @@ class TestRunTrial:
             decoded = hamming74_decode(simulate._transmit(coded, cfg, cfg.noise(-30.0),
                                                           channel_rng))[:9]
             tail_wrong += int(decoded[8] != info[8])
-            assert run_trial(cfg, "hamming74", 0, t).bit_errors == int(np.sum(decoded != info))
+            row = run_point(cfg, "hamming74", 0, (t,))[0]
+            assert row.bit_errors == int(np.sum(decoded != info))
         assert tail_wrong > 0
 
     def test_lost_ack_wastes_a_stage_two(self):
@@ -325,7 +331,7 @@ class TestRunTrial:
         # and retransmits at the fallback rate; the session stays successful
         cfg = SimConfig(snr_db=(40.0,), trials=1, k=96, master_seed=6,
                         fb_loss=0.999)
-        r = run_trial(cfg, "sozu", 0, 0)
+        r = run_point(cfg, "sozu", 0, (0,))[0]
         assert r.success
         assert r.frames_used == 2
         assert r.bits_sent == 144  # 128 + the 16 parity bits of rate 2/3
@@ -334,7 +340,7 @@ class TestRunTrial:
         cfg = SimConfig(snr_db=(3.0, 8.0, 13.0), trials=25, k=96, master_seed=14)
         rates = []
         for point in range(3):
-            results = [run_trial(cfg, "sozu", point, t) for t in range(cfg.trials)]
+            results = run_point(cfg, "sozu", point)
             rates.append(np.mean([r.effective_rate for r in results]))
         assert rates[0] <= rates[1] + 0.02 <= rates[2] + 0.04
 
@@ -344,6 +350,7 @@ class TestRunPoint:
 
     @pytest.mark.parametrize("k, snr_db", [(9, (2.0, 6.0, 12.0)), (96, (4.0, 7.0, 10.0))])
     def test_run_trial_equals_its_row(self, k, snr_db):
+        # a trial run alone, as a one-trial point, equals its row of the point
         cfg = SimConfig(snr_db=snr_db, trials=4, k=k, master_seed=31, schemes=self.SCHEMES,
                         fb_loss=0.3)
         seen = set()
@@ -352,7 +359,7 @@ class TestRunPoint:
                 rows = run_point(cfg, scheme, point)
                 assert [(r.scheme, r.trial) for r in rows] == [(scheme, t) for t in range(cfg.trials)]
                 for r in rows:
-                    assert r == run_trial(cfg, scheme, point, r.trial)
+                    assert r == run_point(cfg, scheme, point, (r.trial,))[0]
                     seen.add((r.scheme, r.success, r.frames_used))
         # the rows cover failures and successes, and one- and two-frame sessions
         assert {("sozu", False, 2), ("sozu", True, 1), ("sozu", True, 2),
@@ -438,6 +445,21 @@ class TestSessionReplay:
         with pytest.raises(ValueError):
             replay_session(record, k=96)
 
+    def test_replay_rejects_frames_without_their_llrs(self):
+        record = json.loads(self._record(4.0, 3).to_json())
+        assert len(record["frames"]) == 2
+        record["frame_llrs"] = record["frame_llrs"][:1]
+        with pytest.raises(ValueError, match="2 frames but 1 LLR lists"):
+            replay_session(record, k=96)
+
+    def test_replay_rejects_record_of_another_k(self):
+        # K=96 and K=100 share N=1024 and the header length code, so only
+        # the record's own k tells them apart
+        record = json.loads(self._record(4.0, 3).to_json())
+        assert plan_session(100).n_mother == record["n_mother"]
+        with pytest.raises(ValueError, match="record k 96"):
+            replay_session(record, k=100)
+
     def test_to_json_equals_asdict_dump(self):
         record = self._record(4.0, 3)
         assert len(record.frames) == 2
@@ -467,10 +489,13 @@ class TestSessionReplay:
         real = protocol.crc16
         monkeypatch.setattr(protocol, "crc16", lambda bits: calls.append(1) or real(bits))
         cfg = SimConfig(snr_db=(18.0,), trials=1, k=96, master_seed=5)
-        success, decoded, aux = run_session(cfg, 18.0, trial_rngs(5, 0, 0))
+        plan = plan_session(cfg.k)
+        record = SessionRecord(k=cfg.k, n_mother=plan.n_mother,
+                               stage1_budget=plan.stage1_budget, snr_db=18.0)
+        success, decoded, aux = run_session(cfg, 18.0, trial_rngs(5, 0, 0), record=record)
         assert success and aux["frames_used"] == 1
         assert np.array_equal(decoded, aux["info"])
-        assert [d["action"] for d in aux["decisions"]] == ["ack"]
+        assert [d["action"] for d in record.decisions] == ["ack"]
         assert len(calls) == 2
 
     def test_midrange_rescue_occurs(self):
@@ -494,7 +519,7 @@ class TestRunSweep:
         cfg = SimConfig(snr_db=(9.0,), trials=1, k=16, master_seed=13)
         metrics, trials = run_sweep(cfg)
         assert len(metrics) == 1 and len(trials) == 1
-        assert trials[0] == run_trial(cfg, "sozu", 0, 0)
+        assert trials[0] == run_point(cfg, "sozu", 0, (0,))[0]
         assert metrics[0].prr == float(trials[0].success)
 
     def test_brr_at_least_prr(self):
