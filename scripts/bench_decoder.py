@@ -3,10 +3,12 @@
 Each case decodes B rows of the K-bit session code's punctured mother code:
 the positions a session sends at ``rate`` (SessionPlan.positions) carry
 channel LLRs at a deep-failure SNR, and every other position carries 0.
-Decodes run with early_stop 'none', so every row runs --iters iterations;
-a case reports the median over --repeats calls of the call time divided by
-the iterations run, and the median time of a one-iteration call (the
-per-call cost a decode that stops at once pays).
+Decodes run with early_stop 'none', so every row runs --iters iterations
+unless it reaches a fixed point; a case reports the median over --repeats
+calls of the call time divided by the iterations run, the median time of a
+one-iteration call (the per-call cost a decode that stops at once pays), and
+how many stage halves of that iteration ran gathered, in each direction.
+Rate 1/4 is the cumulative stage-2 pattern a deep-failure session decodes.
 
     PYTHONPATH=src python scripts/bench_decoder.py [--k 96] [--iters 20]
         [--repeats 7] [--out FILE]
@@ -27,11 +29,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from polarlink import decoding
 from polarlink.decoding import BpConfig, bp_decode_many
 from polarlink.encoding import encode_systematic
 from polarlink.protocol import plan_session
 
-RATES = ("3/4", "1/2", "1/8")
+RATES = ("3/4", "1/2", "1/4", "1/8")
 BATCHES = (1, 2, 4, 8)
 RULES = ("exact", "minsum")
 SNR_DB = -3.0
@@ -61,6 +64,25 @@ def timed(fn, repeats):
     return statistics.median(times), out
 
 
+def gathered_halves(llrs, spec, cfg):
+    """Stage halves that one call runs gathered, per direction."""
+    kernel = decoding._gathered
+    counts = {"leftward": 0, "rightward": 0}
+
+    def counted(src, index, g, tail, xs, dst, *rest):
+        # a leftward half writes the layer below the gather's base, a
+        # rightward one the layer above
+        counts["leftward" if dst.size > src.size else "rightward"] += 1
+        return kernel(src, index, g, tail, xs, dst, *rest)
+
+    decoding._gathered = counted
+    try:
+        bp_decode_many(llrs, spec, cfg)
+    finally:
+        decoding._gathered = kernel
+    return counts
+
+
 def run(k, iters, repeats, seed=0):
     rng = np.random.default_rng(seed)
     cases = []
@@ -73,6 +95,7 @@ def run(k, iters, repeats, seed=0):
                 ran = max(r.iterations_used for r in results)
                 one = BpConfig(max_iters=1, update_rule=rule, early_stop="none")
                 one_s, _ = timed(lambda: bp_decode_many(llrs, spec, one), repeats)
+                gathered = gathered_halves(llrs, spec, one)
                 cases.append({
                     "rule": rule, "rate": rate, "batch": batch,
                     "zero_share": round(float((llrs == 0).all(axis=0).mean()), 4),
@@ -81,10 +104,12 @@ def run(k, iters, repeats, seed=0):
                     "ms_per_iter": round(1e3 * call_s / ran, 4),
                     "ms_per_row_iter": round(1e3 * call_s / ran / batch, 4),
                     "one_iteration_call_us": round(1e6 * one_s, 1),
+                    "gathered_halves_per_iteration": gathered,
                 })
                 print(f"{rule:6s} rate {rate:3s} B={batch}: "
                       f"{cases[-1]['ms_per_iter']:.3f} ms/iter, "
-                      f"1-iter call {cases[-1]['one_iteration_call_us']:.0f} us",
+                      f"1-iter call {cases[-1]['one_iteration_call_us']:.0f} us, gathered "
+                      f"{gathered['leftward']} left {gathered['rightward']} right",
                       file=sys.stderr)
     return cases
 

@@ -36,17 +36,27 @@ decision (< 0) nor the observed mask (|x| > 0) reads; the pilot is iteration
 Work whose output nothing reads, or whose output is known, is skipped.  The
 stop rule reads only left[0] and the constant right[0], both final once
 leftward stage 0 has run, so it is checked between the halves and a stop
-skips the rightward half, whose views are then never built.  Puncturing
+skips the rightward half, whose schedule is then never built.  Puncturing
 pins most channel LLRs at exactly 0 (Niu, Chen & Lin, ICC 2013), and under
 the exact rule f(+-0, y) = +0, so a leftward butterfly with two zero inputs
 outputs +0.  The positions zero in every row of the batch propagate stage
 by stage: a top output is zero when its top input is, a bottom output when
 both inputs are.  The set is derived per stage, as it can shrink from layer
-to layer (at rate 1/8 it does for about a third of the session sizes).  A
-leftward stage where at most half the butterflies have a nonzero input runs
-its box-plus on those alone, through index arrays, and leaves the rest at
-the +0 they hold; the plan of each zero pattern is built once and kept.
-Min-sum runs every butterfly, as its f(0, y) can be -0.
+to layer (at rate 1/8 it does for about a third of the session sizes).  By
+the same rule a leftward butterfly whose top input lp is zero reads nothing
+of right, and the bottom output f(rp, lp) + rq of a rightward one reads rp
+only where lp is nonzero, so most rightward messages feed no leftward
+update: at K=96, rate 3/4, an iteration needs 650 of its 4608 rightward
+butterflies.  A stage half that needs at most _GATHER_SHARE of its
+butterflies runs its box-plus on those alone, through index arrays; the plan
+of each zero pattern is built once and kept.  The messages the rightward
+half skips go stale, so the fixed-point stop compares only the messages some
+stage half reads.  When those repeat in iteration t, the next leftward half
+repeats this one, so the whole state repeats in t or in t + 1; the skipped
+messages of t and t - 1, evaluated afresh, tell which, and a fixed point at
+t + 1 is reported without running that iteration.  Every stop lands where
+the full schedule's would.  Min-sum runs every butterfly, as its f(0, y) can
+be -0.
 """
 
 from __future__ import annotations
@@ -113,13 +123,15 @@ class DecodeResult:
     most frozen pilots unobservable, tied to 0, and counting them would
     dilute the ratio the rate estimator reads.
 
-    iterations_used counts the iterations actually computed; an iteration
-    the early-stop rule ends is counted, though only its leftward half ran,
-    since the rule reads nothing the rightward half writes.  stop_reason
-    says why the loop ended: 'frozen' or 'crc' when the early-stop rule
-    fired, 'fixed_point' when an iteration left the messages bit-identical,
-    and 'max_iters' when the budget ran out.  converged is true exactly
-    when the early-stop rule fired.
+    iterations_used is the iteration the decode ended in.  An iteration the
+    early-stop rule ends is counted, though only its leftward half ran, since
+    the rule reads nothing the rightward half writes; a fixed point known one
+    iteration ahead is counted in the iteration that reaches it, which need
+    not run (see the module docstring).  stop_reason says why the loop
+    ended: 'frozen' or 'crc' when the early-stop rule fired, 'fixed_point'
+    when an iteration left the messages bit-identical, and 'max_iters' when
+    the budget ran out.  converged is true exactly when the early-stop rule
+    fired.
     """
 
     info_bits: np.ndarray
@@ -193,48 +205,118 @@ def _strided(a, shared, b0, rq, lq, b1, other, xs, ts, ds, out, out_q, tail, exa
     np.add(out_q, tail, out=out_q)
 
 
-def _gathered(src, index, g, lq, xs, dst, scatter, ts, ds, exact):
-    """One leftward stage over the butterflies that index lists only.
+def _gathered(src, index, g, tail, xs, dst, scatter, ts, ds, exact):
+    """One stage half over the butterflies that index lists only.
 
-    src[index], taken into g, is [lq; lp; lp; rp; rq] of each, so xs, its
-    last four rows, are the operands [a; b] with the outputs in the order
-    [bottom; top], and dst[scatter] takes them to q and p one layer down.
-    take's mode="wrap" skips the bounds check of mode="raise", which would
-    buffer the copy; every index is in range.
+    src[index], taken into g, is [yq; yp; yp; xp; xq] of each butterfly,
+    where y is the side the half updates (left leftward, right rightward,
+    so yp is its shared operand and yq its tail) and x the other side.  xs,
+    g's last four rows, are then the operands [a; b] with the outputs in the
+    order [bottom; top], and dst[scatter] takes them to q and p of the layer
+    written.  take's mode="wrap" skips the bounds check of mode="raise",
+    which would buffer the copy; every index is in range.
     """
     src.take(index, out=g, mode="wrap")
-    np.add(xs[1, 1], lq, out=xs[1, 1])
+    np.add(xs[1, 1], tail, out=xs[1, 1])
     _boxplus(xs, xs[0], ts, ds, exact)
-    np.add(xs[0, 0], lq, out=xs[0, 0])
+    np.add(xs[0, 0], tail, out=xs[0, 0])
     dst[scatter] = xs[0]
 
 
-# A leftward stage whose butterflies with a nonzero input are at most this
-# share of its N/2 runs on those alone; a denser one runs on strided views.
-_GATHER_SHARE = 0.5
+# A stage half whose butterflies to run are at most this share of its N/2
+# runs on those alone; a denser one runs on strided views.  The gather fills
+# 5 rows of the 4-row operand buffer, so the share can be at most 0.8.  On a
+# 2-vCPU Xeon (numpy 2.4, N=1024, B=1..8) a gathered stage half broke even
+# with a strided one at a share of 0.8-1.0.  A rightward gather also costs
+# the fixed-point stop its read mask, the kept left and, once per stop, a
+# full rightward half, so the share stays below the break-even point: at
+# 0.8, K=96 rate-1/8 frames gathered two rightward stages (0.785 and 0.797)
+# and decoded 12-25% slower than on the full schedule.
+_GATHER_SHARE = 0.75
+
+
+def _stage_zeros(n_log2, zero):
+    """For leftward stages s = n_log2 - 1, ..., 0: (s, top, both), whether
+    each butterfly's top input, and both its inputs, are in the zero set of
+    layer s + 1, as (N / 2^(s+1), 2^s) arrays valid until the next stage.
+
+    zero is the channel layer's: the positions zero in every row, as bool
+    bytes.  A zero top input makes both f terms +0, so the top output is +0
+    and the bottom one is +0 + lq: zeros propagate leftward stage by stage.
+    """
+    zero = np.frombuffer(zero, dtype=bool).copy()
+    for s in reversed(range(n_log2)):
+        z = zero.reshape(-1, 2, 1 << s)
+        yield s, z[:, 0], z[:, 0] & z[:, 1]
+        z[:, 1] &= z[:, 0]
+
+
+def _tops(n, s, run):
+    """The top positions p of the stage-s butterflies that run selects."""
+    return np.arange(n).reshape(-1, 2, 1 << s)[:, 0][run]
+
+
+class _GatherPlan:
+    """Which butterflies each stage half runs, for one zero pattern.
+
+    leftward[s] is None for a leftward stage that runs every butterfly, or
+    the top positions p of those with a nonzero input, which it runs on
+    their own: a butterfly with two zero inputs writes the +0 its outputs
+    already hold.  The rightward plan is derived on first use (see
+    rightward), which a decode the stop rule ends in iteration 1 never
+    reaches.
+    """
+
+    def __init__(self, n_log2, zero):
+        self.n_log2, self.zero = n_log2, zero
+        n = 1 << n_log2
+        self.leftward = [None] * n_log2
+        for s, _, both in _stage_zeros(n_log2, zero):
+            live = ~both
+            if np.count_nonzero(live) <= _GATHER_SHARE * n / 2:
+                self.leftward[s] = _tops(n, s, live)
+        self._rightward = None
+
+    @property
+    def rightward(self):
+        """(stages, read): stages[s] is None for a rightward stage
+        (0..n_log2 - 2) that runs every butterfly, or the top positions of
+        those it runs on their own; read is None when no stage runs on its
+        own, so every message is computed, else the (n_log2 - 1, 1, N) mask
+        of the messages of right[1..n_log2 - 1] that some stage half reads.
+
+        A zero lp makes f(lp, y) = f(y, lp) = +0 whatever y is, so leftward
+        stage s reads right[s] at p and q only where left[s + 1][p] is
+        outside the zero set.  Rightward stage s runs the butterflies with a
+        read output in right[s + 1]: the top one, f(rp, rq + lq), reads rp
+        and rq, and the bottom one, f(rp, lp) + rq, reads rq, and rp only
+        where lp is outside the zero set.  A read message of any layer lies
+        outside that layer's zero set (by induction from right[n_log2 - 1]),
+        so a read top output adds no read to the leftward stage's.
+        """
+        if self._rightward is None:
+            n_log2, n = self.n_log2, 1 << self.n_log2
+            read = np.zeros((n_log2, n), dtype=bool)
+            stages = [None] * (n_log2 - 1)
+            for s, top, _ in _stage_zeros(n_log2, self.zero):
+                r = read[s].reshape(-1, 2, 1 << s)
+                r[:, 0] = r[:, 1] = ~top
+                if s < n_log2 - 1:
+                    out = read[s + 1].reshape(-1, 2, 1 << s)
+                    run = out[:, 0] | out[:, 1]
+                    if np.count_nonzero(run) <= _GATHER_SHARE * n / 2:
+                        stages[s] = _tops(n, s, run)
+                    r[:, 1] |= out[:, 1]
+            gathers = any(p is not None for p in stages)
+            self._rightward = stages, read[1:, None] if gathers else None
+        return self._rightward
 
 
 @lru_cache(maxsize=16)
 def _gather_plan(n_log2, zero):
-    """Per stage, None or the top positions p of the butterflies it runs on
-    its own, for the positions zero in every row's channel LLRs (zero, a
-    bool mask as bytes).  Kept for the next decodes of the pattern.
-
-    A zero top input makes both f terms +0, so the top output is +0 and the
-    bottom one is +0 + lq: zeros propagate leftward stage by stage, derived
-    here from the channel layer's, and a butterfly with two zero inputs
-    writes the +0 its outputs already hold.
-    """
-    n = 1 << n_log2
-    zero = np.frombuffer(zero, dtype=bool).copy()
-    plan = [None] * n_log2
-    for s in reversed(range(n_log2)):
-        z = zero.reshape(-1, 2, 1 << s)
-        live = ~(z[:, 0] & z[:, 1])
-        z[:, 1] &= z[:, 0]
-        if np.count_nonzero(live) <= _GATHER_SHARE * n / 2:
-            plan[s] = np.arange(n).reshape(-1, 2, 1 << s)[:, 0][live]
-    return tuple(plan)
+    """The _GatherPlan of the positions zero in every row's channel LLRs
+    (zero, a bool mask as bytes), kept for the next decodes of the pattern."""
+    return _GatherPlan(n_log2, zero)
 
 
 class _Lockstep:
@@ -251,18 +333,30 @@ class _Lockstep:
     The operand and scratch buffers are allocated once per batch size; every
     stage sees them, and the message layers, through butterfly views.
 
-    Under the exact rule, a leftward stage where few butterflies have a
-    nonzero input runs that box-plus on those alone, through one flat
-    gather over left[s + 1] and right[s] and one scatter into left[s]; every
-    other output is the +0 that the full update would write, since
-    f(+-0, y) = +0, and msgs starts at +0.  Min-sum keeps the full
-    schedule, as its f(0, y) can be -0.  The rightward half's views are
-    built when it first runs, which a decode the stop rule ends in
-    iteration 1 never does.
+    Under the exact rule, a stage half that needs few butterflies runs that
+    box-plus on those alone, through one flat gather over left[s + 1] and
+    right[s] and one scatter into the layer it writes (_GatherPlan).  A
+    leftward stage skips the butterflies with two zero inputs, whose outputs
+    stay at the +0 the full update would write, since f(+-0, y) = +0 and msgs
+    starts at +0.  A rightward stage skips the butterflies whose outputs no
+    later stage half reads.  Those messages go stale but stay finite, and a
+    stage half that takes one in anyway writes what it would from a fresh
+    one: it takes it only into f beside a zero lp, which gives +0 whatever
+    it holds, or into an output nothing reads.  Min-sum keeps the full
+    schedule, as its f(0, y) can be -0.  The schedules are built when a half
+    first runs, so a decode the stop rule ends in iteration 1 never builds
+    the rightward one.
+
+    The fixed-point stop (moved, settled) reads what the rightward half
+    skipped.  whole says whether right[1..n_log2 - 1] holds every message of
+    the last rightward half, as at the +0 start; when it does not, the
+    previous iteration's left[1..n_log2 - 1] is kept in prev_left, from
+    which those messages can be evaluated again.
     """
 
-    def __init__(self, msgs, rows, exact):
+    def __init__(self, msgs, rows, exact, whole=True, prev_left=None):
         self.msgs, self.rows, self.exact = msgs, rows, exact
+        self.whole, self.prev_left = whole, prev_left
         self.left, self.right = msgs
         _, layers, b, n = msgs.shape
         self.n_log2 = n_log2 = layers - 1
@@ -273,23 +367,37 @@ class _Lockstep:
         self.prev_state = np.empty_like(self.state)
         self.x, self.t, self.d = (np.empty((2, 2, b * n // 2)) for _ in range(3))
         self._views = [None] * n_log2
-        plan = [None] * n_log2
+        self.plan = None
         if exact:
             sent = self.left[n_log2].any(axis=0)
-            # zeros only thin out leftward, so no stage gathers unless at
-            # most _GATHER_SHARE of the channel positions are nonzero
+            # zeros only thin out leftward, so no leftward stage gathers
+            # unless at most _GATHER_SHARE of the channel positions are
+            # nonzero; denser patterns run the full schedule both ways
             if np.count_nonzero(sent) <= _GATHER_SHARE * n:
-                plan = _gather_plan(n_log2, (~sent).tobytes())
-        self.leftward = [self._strided_step(s, True) if at is None else self._gathered_step(s, at)
-                         for s, at in reversed(list(enumerate(plan)))]
-        self._rightward = None
+                self.plan = _gather_plan(n_log2, (~sent).tobytes())
+        self._leftward = self._rightward = self.read = None
+
+    @property
+    def leftward(self):
+        if self._leftward is None:
+            plan = self.plan.leftward if self.plan else [None] * self.n_log2
+            self._leftward = [self._step(s, p, True) for s, p in reversed(list(enumerate(plan)))]
+        return self._leftward
 
     @property
     def rightward(self):
         # stages 0..n-2, as right[n_log2] is unused
         if self._rightward is None:
-            self._rightward = [self._strided_step(s, False) for s in range(self.n_log2 - 1)]
+            plan = [None] * (self.n_log2 - 1)
+            if self.plan:
+                plan, self.read = self.plan.rightward
+            self._rightward = [self._step(s, p, False) for s, p in enumerate(plan)]
         return self._rightward
+
+    def _step(self, s, p, leftward):
+        if p is None:
+            return self._strided_step(s, leftward)
+        return self._gathered_step(s, p, leftward)
 
     def _strided_step(self, s, leftward):
         if self._views[s] is None:
@@ -304,50 +412,109 @@ class _Lockstep:
         return _strided, (xs[0], shared, xs[1, 0], rq, lq, xs[1, 1], other,
                           xs, ts, ds, out, out[1], tail)
 
-    def _gathered_step(self, s, p):
-        # [lq, lp, lp, rp, rq] of each butterfly in each row, as offsets from
-        # the start of left[s + 1]: q = p + 2^s, and right[s] lies n_log2
-        # layers on
+    def _gathered_step(self, s, p, leftward):
+        # [yq, yp, yp, xp, xq] of each butterfly in each row (y = left
+        # leftward, right rightward), as offsets from the start of
+        # left[s + 1]: q = p + 2^s, and right[s] lies n_log2 layers on.  The
+        # first two, the outputs' positions, land one layer down from
+        # left[s + 1] in left[s], or one layer up from right[s] in right[s + 1]
         b, n = self.left.shape[1:]
         layer, right, q = b * n, self.n_log2 * b * n, 1 << s
-        at = np.array([q, 0, 0, right, right + q])[:, None, None] + (np.arange(b) * n)[:, None]
+        y, x = (0, right) if leftward else (right, 0)
+        at = np.array([y + q, y, y, x, x + q])[:, None, None] + (np.arange(b) * n)[:, None]
         index = (at + p).reshape(5, -1)
         # the gather lands in the operand buffer, which only strided steps
         # otherwise use
         g, ts, ds = (buf.reshape(-1)[:rows * index.shape[1]].reshape(rows, -1)
                      for buf, rows in ((self.x, 5), (self.t, 4), (self.d, 4)))
         flat = self.msgs.reshape(-1)
+        dst = s if leftward else s + 2
         return _gathered, (flat[(s + 1) * layer:], index, g, g[0], g[1:].reshape(2, 2, -1),
-                           flat[s * layer:], index[:2], ts.reshape(2, 2, -1), ds.reshape(2, 2, -1))
+                           flat[dst * layer:], index[:2], ts.reshape(2, 2, -1), ds.reshape(2, 2, -1))
 
     def run(self, half):
         exact = self.exact
         for kernel, args in half:
             kernel(*args, exact)
 
+    def remember(self):
+        """Keep left[1..n_log2 - 1] for this iteration's settled(), before
+        the leftward half overwrites it, when right does not hold it whole."""
+        if not self.whole:
+            if self.prev_left is None:
+                self.prev_left = np.empty_like(self.state)
+            np.copyto(self.prev_left, self.left[1:self.n_log2])
+
+    def moved(self):
+        """Run the rightward half; per row, whether any message of
+        right[1..n_log2 - 1] that a stage half reads changed, as bits (so a
+        sign flip of a zero counts)."""
+        np.copyto(self.prev_state, self.state)
+        self.prev_whole = self.whole
+        self.run(self.rightward)
+        self.whole = self.read is None
+        changed = np.not_equal(self.prev_state.view(np.uint64), self.state.view(np.uint64))
+        if self.read is not None:
+            changed &= self.read
+        return changed.any(axis=(0, 2))
+
+    def settled(self, stopped):
+        """Per row listed in stopped, whose read messages did not move: True
+        when the whole of right[1..n_log2 - 1] did not move either, so this
+        iteration is a fixed point, and False when only the next one is.
+
+        Once the read messages repeat, the next leftward half repeats this
+        one's left, so the next rightward half repeats the whole right.  The
+        whole right of this iteration and of the last are evaluated afresh
+        over every butterfly, from this iteration's left and prev_left, or
+        taken from prev_state when that held it whole.
+        """
+        if self.read is None:  # every message was computed and compared
+            return np.ones(len(stopped), dtype=bool)
+        # one batch: the stopped rows, then (unless prev_state holds the
+        # last right whole) the same rows with the last left
+        m = len(stopped)
+        rows = stopped if self.prev_whole else np.concatenate([stopped, stopped])
+        core = _Lockstep(np.take(self.msgs, rows, axis=2), self.rows[rows], self.exact)
+        if self.prev_whole:
+            before = np.take(self.prev_state, stopped, axis=1)
+        else:
+            core.left[1:self.n_log2, m:] = np.take(self.prev_left, stopped, axis=1)
+            before = core.state[:, m:]
+        core.run([core._strided_step(s, False) for s in range(self.n_log2 - 1)])
+        now = core.state[:, :m]
+        return ~np.not_equal(now.view(np.uint64), before.view(np.uint64)).any(axis=(0, 2))
+
     def drop(self, stopped):
         """The rows not listed in stopped, with a schedule sized to them."""
         keep = np.delete(np.arange(self.rows.size), stopped)
         # the schedule's index arrays and views go before the next one is built
-        self.leftward = self._rightward = self._views = None
+        self._leftward = self._rightward = self._views = None
+        prev_left = None if self.prev_left is None else np.take(self.prev_left, keep, axis=1)
         # take, unlike an indexed copy, returns msgs C-contiguous, as the
         # butterfly views and the flat gathers need
-        return _Lockstep(np.take(self.msgs, keep, axis=2), self.rows[keep], self.exact)
+        return _Lockstep(np.take(self.msgs, keep, axis=2), self.rows[keep], self.exact,
+                         self.whole, prev_left)
 
 
 def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
                    crc_checks=None) -> list:
     """Decode a batch of channel-LLR rows in lockstep; one DecodeResult per row.
 
-    The batch's messages take 2 (n_log2 + 1) B N floats and grow the work
-    per row once they leave the cache, so a caller with many codewords
-    decodes them in groups (run_point sizes its groups from N).  Under the
+    The batch's messages take 2 (n_log2 + 1) B N floats, and (n_log2 - 1) B N
+    more keep the last iteration's left messages once a rightward half skips
+    work; they grow the work per row once they leave the cache, so a caller
+    with many codewords decodes them in groups (run_point sizes its groups
+    from N).  Under the
     exact rule, the positions zero in every row decide which leftward
     butterflies run (see the module docstring): a batch of punctured frames
     decodes faster when its rows share their zeros, and a row that carries
-    a position the others puncture makes every row run it.  The gather plan
-    of a zero pattern is built on its first decode and kept for the next
-    ones (the 16 most recent patterns).
+    a position the others puncture makes every row run it.  The zeros also
+    decide which rightward butterflies run: only those whose messages some
+    leftward update reads, directly or through later rightward stages.  The
+    gather plan of a zero pattern is built on its first decode and kept for
+    the next ones (the 16 most recent patterns); its rightward half is
+    derived when a decode of the pattern first runs a rightward half.
 
     Parameters
     ----------
@@ -414,6 +581,7 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
                                     u_posterior=u_posterior)
 
     for iterations in range(1, cfg.max_iters + 1):
+        core.remember()
         core.run(core.leftward)
         if iterations == 1:
             # the prior-free pilot of every row: iteration 1's layer 1 (see
@@ -441,15 +609,19 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
             if stopped:
                 core = core.drop(stopped)
 
-        np.copyto(core.prev_state, core.state)
-        core.run(core.rightward)
-        # compared as bits, so a sign flip of a zero also counts as a change
-        moved = np.not_equal(core.prev_state.view(np.uint64),
-                             core.state.view(np.uint64)).any(axis=(0, 2))
+        moved = core.moved()
         if not moved.all():
             stopped = (~moved).nonzero()[0]
-            for i in stopped:
-                read_out(i, iterations, "fixed_point")
+            # a row whose read messages repeat reaches the whole fixed point
+            # now or in the next iteration, which the stop rule cannot end
+            # (it would see this left[0] again) and which need not run
+            for i, now in zip(stopped, core.settled(stopped)):
+                if now:
+                    read_out(i, iterations, "fixed_point")
+                elif iterations < cfg.max_iters:
+                    read_out(i, iterations + 1, "fixed_point")
+                else:
+                    read_out(i, iterations, "max_iters")
             if len(stopped) == core.rows.size:
                 break
             core = core.drop(stopped)

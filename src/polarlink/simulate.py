@@ -59,7 +59,12 @@ SNR_NOTE = "snr_db = 10*log10(P/(2*sigma2)): per-symbol peak power over complex 
 
 
 def snr_to_power(snr_db: float, sigma2: float) -> float:
-    return 2.0 * sigma2 * 10.0 ** (snr_db / 10.0)
+    """The peak power P of snr_db (see SNR_NOTE); ValueError when 10^(snr_db/10)
+    is beyond the float range (above about 3083 dB)."""
+    try:
+        return 2.0 * sigma2 * 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr_db {snr_db} gives a signal power beyond the float range") from None
 
 
 @dataclass(frozen=True)

@@ -206,6 +206,14 @@ class TestSweepCommands:
         assert code == 2
         assert "workers" in err
 
+    def test_snr_beyond_float_range_is_config_error(self, capsys, tmp_path):
+        # 10^(4000/10) overflows a float
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(CONFIG.replace("snr_db = 6,10", "snr_db = 4000"))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("config error: ") and "snr_db" in err
+
     def test_zero_k_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("k = 0\ntrials = 1\nscheme = hamming74\n")

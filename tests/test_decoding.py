@@ -456,36 +456,92 @@ def _zero_sets_by_layer(zero, n_log2):
     return layers
 
 
+def _stage_work(zero, n_log2):
+    """Butterflies per stage that the exact rule needs, from index pairs:
+    leftward, those with a nonzero input; rightward (stages 0..n_log2 - 2),
+    those with an output that a later stage half reads.  Where
+    left[s + 1][p] is zero, f(lp, .) = +0, so leftward stage s reads
+    right[s] at p and q only where it is nonzero; rightward stage s's top
+    output reads rp and rq, its bottom one, f(rp, lp) + rq, reads rq, and rp
+    only where lp is nonzero.  Returns (leftward counts, rightward counts),
+    indexed by stage."""
+    pairs = _ref_stage_pairs(n_log2)
+    layers = _zero_sets_by_layer(zero, n_log2)
+    read = np.zeros((n_log2 + 1, 1 << n_log2), dtype=bool)
+    leftward, rightward = [0] * n_log2, [0] * (n_log2 - 1)
+    for s in reversed(range(n_log2)):
+        p, q = pairs[s]
+        z = layers[n_log2 - 1 - s]  # layer s + 1
+        leftward[s] = np.count_nonzero(~(z[p] & z[q]))
+        read[s][p] = read[s][q] = ~z[p]
+        if s < n_log2 - 1:
+            top, bottom = read[s + 1][p], read[s + 1][q]
+            rightward[s] = np.count_nonzero(top | bottom)
+            read[s][p] |= top | (bottom & ~z[p])
+            read[s][q] |= top | bottom
+    return leftward, rightward
+
+
+@pytest.fixture
+def gathered_calls(monkeypatch):
+    """The direction of every gathered stage half run, in order."""
+    calls = []
+    kernel = decoding._gathered
+
+    def counted(src, index, g, tail, xs, dst, *rest):
+        # leftward writes the layer below the gather's base, rightward the
+        # one above
+        calls.append("leftward" if dst.size > src.size else "rightward")
+        return kernel(src, index, g, tail, xs, dst, *rest)
+
+    monkeypatch.setattr(decoding, "_gathered", counted)
+    return calls
+
+
 class TestPunctured:
-    """Puncturing pins channel LLRs at 0; the exact rule runs a leftward
-    stage with few live butterflies on those alone.  Every field stays
-    bitwise equal to the index-pair reference."""
-
-    @pytest.fixture
-    def gathered_calls(self, monkeypatch):
-        calls = []
-        kernel = decoding._gathered
-
-        def counted(*args):
-            calls.append(None)
-            return kernel(*args)
-
-        monkeypatch.setattr(decoding, "_gathered", counted)
-        return calls
+    """Puncturing pins channel LLRs at 0; the exact rule runs a stage half
+    with few butterflies to run on those alone.  Every field stays bitwise
+    equal to the index-pair reference."""
 
     @pytest.mark.parametrize("k", [32, 96, 512])
     @pytest.mark.parametrize("rate", ["3/4", "1/2", "1/4", "1/8"])
     def test_session_patterns_bitwise(self, gathered_calls, k, rate):
         llrs, spec, _ = _session_rows(k, [rate] * 2, [-1.0, 3.0], seed=k)
         assert_rows_match_reference(llrs, spec, BpConfig(max_iters=6, early_stop="none"))
-        # a stage gathers where at most half its butterflies have a nonzero
-        # input: at 3/4 and 1/2 some stage does, at 1/8 none does
-        layers = _zero_sets_by_layer((llrs == 0).all(axis=0), spec.n_log2)
-        sparse = any(np.count_nonzero(~(z[:, 0] & z[:, 1])) <= spec.n // 4
-                     for s in range(spec.n_log2)
-                     for z in [layers[spec.n_log2 - 1 - s].reshape(-1, 2, 1 << s)])
-        assert sparse == (rate != "1/8") or rate == "1/4"
-        assert bool(gathered_calls) == sparse
+        # a stage half gathers where its butterflies to run are at most the
+        # gather share, once at most that share of positions is sent; each
+        # of 2 iterations runs both halves
+        gathered_calls.clear()
+        got = bp_decode_many(llrs, spec, BpConfig(max_iters=2, early_stop="none"))
+        assert [r.stop_reason for r in got] == ["max_iters"] * 2
+        zero = (llrs == 0).all(axis=0)
+        share = decoding._GATHER_SHARE * spec.n / 2
+        planned = np.count_nonzero(~zero) <= 2 * share
+        leftward, rightward = _stage_work(zero, spec.n_log2)
+        want = [planned * sum(c <= share for c in counts) for counts in (leftward, rightward)]
+        assert [gathered_calls.count(d) for d in ("leftward", "rightward")] == \
+            [2 * w for w in want]
+        # 3/4 and 1/2 patterns gather every stage half (the rightward half
+        # has n_log2 - 1, as nothing reads right[n_log2]), 1/4 all but the
+        # densest leftward stage at K=32 and 512, and 1/8 none: at K=32 and
+        # 512 it sends every position
+        assert want == {("3/4", 32): [8, 7], ("3/4", 96): [10, 9], ("3/4", 512): [12, 11],
+                        ("1/2", 32): [8, 7], ("1/2", 96): [10, 9], ("1/2", 512): [12, 11],
+                        ("1/4", 32): [7, 7], ("1/4", 96): [10, 9], ("1/4", 512): [11, 11],
+                        ("1/8", 32): [0, 0], ("1/8", 96): [0, 0], ("1/8", 512): [0, 0]}[rate, k]
+
+    def test_rightward_work_at_k96(self):
+        # butterflies the rightward half needs of 9 * 512, per cumulative
+        # session pattern
+        plan = plan_session(96)
+        needed = {}
+        for rate in ("3/4", "1/2", "1/4", "1/8"):
+            zero = np.ones(plan.n_mother, dtype=bool)
+            zero[plan.positions(Fraction(rate))] = False
+            needed[rate] = _stage_work(zero, plan.spec.n_log2)[1]
+        assert needed["3/4"] == [86, 86, 87, 88, 87, 78, 72, 50, 16]
+        assert {rate: sum(c) for rate, c in needed.items()} == \
+            {"3/4": 650, "1/2": 973, "1/4": 1949, "1/8": 3776}
 
     def test_zero_set_not_closed(self, gathered_calls):
         # at K=112, rate 1/8 sends a position p but not p + 2^s for some
@@ -557,6 +613,112 @@ class TestPunctured:
             cfg = BpConfig(max_iters=10, update_rule="minsum", early_stop=early_stop)
             assert_rows_match_reference(llrs, spec, cfg, _row_checks(crcs, [True] * 3))
         assert not gathered_calls
+
+
+class TestReadFixedPoint:
+    """Under a rightward gather, only the messages some stage half reads are
+    computed and compared.  When they stop moving in iteration t, the whole
+    state stops in t or t + 1, and the decoder tells which from this
+    iteration's and the last one's left messages without running t + 1.
+    iterations_used and stop_reason stay the index-pair reference's."""
+
+    @pytest.fixture
+    def settled_calls(self, monkeypatch):
+        """(whether prev_state held the last right whole, per-row verdicts)
+        of every settled() call."""
+        calls = []
+        settled = decoding._Lockstep.settled
+
+        def recorded(core, stopped):
+            verdicts = settled(core, stopped)
+            calls.append((core.prev_whole, verdicts.tolist()))
+            return verdicts
+
+        monkeypatch.setattr(decoding._Lockstep, "settled", recorded)
+        return calls
+
+    def test_read_part_stops_an_iteration_early(self, gathered_calls, settled_calls):
+        llrs, spec, crcs = _session_rows(96, ["1/2"] * 2, [2.0, 4.0], seed=9)
+        for early_stop in ("none", "frozen"):
+            settled_calls.clear()
+            cfg = BpConfig(max_iters=30, early_stop=early_stop)
+            got = assert_rows_match_reference(llrs, spec, cfg, _row_checks(crcs, [True, True]))
+            # row 1's read messages repeat with the whole state, in iteration
+            # 6; row 0's repeat in iteration 11, the whole state only in 12,
+            # which does not run
+            assert [(r.stop_reason, r.iterations_used) for r in got] == \
+                [("fixed_point", 12), ("fixed_point", 6)]
+            assert settled_calls == [(False, [True]), (False, [False])]
+        assert "rightward" in gathered_calls
+
+    def test_budget_ends_before_the_whole_state_repeats(self, settled_calls):
+        # row 0 above with a budget of 11: its read messages repeat in the
+        # last iteration, so the whole state never does within the budget
+        llrs, spec, _ = _session_rows(96, ["1/2"] * 2, [2.0, 4.0], seed=9)
+        got = assert_rows_match_reference(llrs[:1], spec, BpConfig(max_iters=11))
+        assert (got[0].stop_reason, got[0].iterations_used) == ("max_iters", 11)
+        assert settled_calls == [(False, [False])]
+
+    def test_first_iteration(self, settled_calls):
+        # before iteration 1 every right message is +0.  A silent punctured
+        # channel leaves every left message +0, so no stage half reads right,
+        # but the frozen prior moves right in iteration 1 and only then
+        # repeats: the fixed point is iteration 2.  Under a budget of 1 the
+        # budget ends first.
+        plan = plan_session(96)
+        silent = np.zeros((1, plan.n_mother))
+        for max_iters, want in ((60, ("fixed_point", 2)), (1, ("max_iters", 1))):
+            got = assert_rows_match_reference(silent, plan.spec,
+                                              BpConfig(max_iters=max_iters, early_stop="none"))
+            assert (got[0].stop_reason, got[0].iterations_used) == want
+        # with every position an info bit, right[0] holds no prior, right
+        # stays +0, and iteration 1 is the fixed point
+        spec = design_code(5, 32)
+        rng = np.random.default_rng(3)
+        llrs = rng.standard_normal((1, 32))
+        llrs[0, rng.permutation(32)[:20]] = 0.0
+        got = assert_rows_match_reference(llrs, spec, BpConfig(early_stop="none"))
+        assert (got[0].stop_reason, got[0].iterations_used) == ("fixed_point", 1)
+        assert settled_calls == [(True, [False]), (True, [False]), (True, [True])]
+
+    def test_rows_drop_and_switch_plans(self, gathered_calls, settled_calls):
+        # a silent row beside one the CRC stops in iteration 2, with a CRC of
+        # its own that fails: its read messages (none, once it runs alone)
+        # repeat in iteration 2, right after the other row drops out
+        plan = plan_session(96)
+        spec = plan.spec
+        silent = np.zeros(plan.n_mother)
+        wrong_crc = crc16(np.ones(96, dtype=np.uint8))
+        # the other row sends every position, so no rightward half gathers
+        # until it drops, and prev_state holds iteration 1's right whole
+        rng = np.random.default_rng(4)
+        info = rng.integers(0, 2, 96).astype(np.uint8)
+        dense = awgn_llrs(encode_systematic(info, spec), -0.5, rng)
+        # or it sends at rate 3/4, so the batch gathers from iteration 1 and
+        # the last left is carried through the drop
+        sparse, _, sparse_crcs = _session_rows(96, ["3/4"], [4.0], seed=0)
+        # a third row decodes on, so the drop keeps two rows
+        deep, _, deep_crcs = _session_rows(96, ["3/4"], [-3.0], seed=1)
+        for other, crc, prev_whole in ((dense, crc16(info), True),
+                                       (sparse[0], sparse_crcs[0], False)):
+            settled_calls.clear()
+            gathered_calls.clear()
+            got = assert_rows_match_reference(np.array([other, silent, deep[0]]), spec,
+                                              BpConfig(max_iters=8),
+                                              _row_checks([crc, wrong_crc, deep_crcs[0]], [True] * 3))
+            assert [(r.stop_reason, r.iterations_used) for r in got] == \
+                [("crc", 2), ("fixed_point", 2), ("max_iters", 8)]
+            assert settled_calls == [(prev_whole, [True])]
+            assert "rightward" in gathered_calls
+
+    def test_minsum_runs_no_rightward_gather(self, gathered_calls, settled_calls):
+        llrs, spec, crcs = _session_rows(96, ["1/2", "3/4"], [2.0, 4.0], seed=9)
+        for early_stop in ("none", "frozen"):
+            cfg = BpConfig(max_iters=30, update_rule="minsum", early_stop=early_stop)
+            assert_rows_match_reference(llrs, spec, cfg, _row_checks(crcs, [True, False]))
+        assert gathered_calls == []
+        # every message is computed, so a repeat is the whole fixed point
+        assert all(verdicts == [True] * len(verdicts) for _, verdicts in settled_calls)
 
 
 class TestPlanCache:
@@ -656,11 +818,22 @@ class TestSkippedWork:
         assert len(boxplus_calls) == 3 * 11 + 1
 
     def test_fixed_point_and_budget_stops_run_whole_iterations(self, boxplus_calls):
-        spec = design_code(5, 16)
-        llrs = np.zeros(spec.n)
+        # a channel with no zero runs the full schedule, so its fixed point
+        # ends a whole iteration
+        llrs, spec, _ = _small_code_cases()[2]
+        assert np.all(llrs != 0)
         res = bp_decode(llrs, spec, BpConfig(early_stop="none"))
-        assert res.stop_reason == "fixed_point"
-        assert len(boxplus_calls) == res.iterations_used * 9 + 1
+        assert (res.stop_reason, res.iterations_used) == ("fixed_point", 21)
+        assert len(boxplus_calls) == 21 * 9 + 1
+        # a silent channel: no stage half reads right, so every stage gathers
+        # nothing; iteration 1 runs 5 leftward stages, the pilot and 4 empty
+        # rightward ones, then the 4 stages of one rightward half over every
+        # butterfly show that the whole state repeats only in iteration 2,
+        # which does not run
+        boxplus_calls.clear()
+        res = bp_decode(np.zeros(spec.n), spec, BpConfig(early_stop="none"))
+        assert (res.stop_reason, res.iterations_used) == ("fixed_point", 2)
+        assert len(boxplus_calls) == 5 + 1 + 4 + 4
         boxplus_calls.clear()
         res = bp_decode(_unpunctured_cases()[0][0], design_code(6, 32),
                         BpConfig(max_iters=3, early_stop="none"))

@@ -5,6 +5,7 @@ shows, and must exit 0 with output.  Demo 06 (a 60-trial sweep, about 10 s)
 is left out.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -38,4 +39,9 @@ def test_bench_decoder_runs():
     out = _run(ROOT / "scripts" / "bench_decoder.py", "--k", "8", "--iters", "2", "--repeats", "1")
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout)
-    assert report["cases"]
+    spec = importlib.util.spec_from_file_location("bench_decoder", ROOT / "scripts" / "bench_decoder.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert {case["rate"] for case in report["cases"]} == set(bench.RATES)
+    assert all(set(case["gathered_halves_per_iteration"]) == {"leftward", "rightward"}
+               for case in report["cases"])

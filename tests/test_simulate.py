@@ -75,6 +75,7 @@ class TestConfig:
         dict(k=9, schemes=("fixed:1/15",)),
         dict(snr_db=(float("nan"),)),
         dict(snr_db=(3.0, float("inf"))),
+        dict(snr_db=(4000.0,)),
         dict(n_fft=128.0),
         # counts and seeds must be Python ints: otherwise these fail only
         # later, inside run_sweep, numpy, plan_session or the summary's JSON
@@ -92,7 +93,7 @@ class TestConfig:
             "n_fft_6", "n_fft_2", "leak_off_center", "leak_sum", "sigma2_0", "sigma2_nan",
             "sigma2_inf", "leak_nan", "signal_power_inf", "k_7",
             "k_513_fixed", "fixed_beyond_mother", "fixed_k9_beyond_mother", "snr_nan",
-            "snr_inf", "n_fft_float", "k_0_hamming", "k_negative_hamming", "k_float",
+            "snr_inf", "snr_4000", "n_fft_float", "k_0_hamming", "k_negative_hamming", "k_float",
             "k_bool", "k_numpy", "seed_negative", "seed_float", "trials_float", "trials_str",
             "workers_float"])
     def test_rejects_bad_values_when_built(self, kwargs):
