@@ -10,8 +10,15 @@ one-iteration call (the per-call cost a decode that stops at once pays), and
 how many stage halves of that iteration ran gathered, in each direction.
 Rate 1/4 is the cumulative stage-2 pattern a deep-failure session decodes.
 
+With --against DIR, the ``polarlink`` package under DIR (a source tree's
+``src``, say a checkout of an earlier commit) is imported as a second module
+and decodes the same rows; the two trees' calls alternate within each case,
+which one leads switching every repeat, so both timings see the same host
+state.  Each case then also reports the other tree's timings and the ratios
+other / this (above 1 where this tree is faster).
+
     PYTHONPATH=src python scripts/bench_decoder.py [--k 96] [--iters 20]
-        [--repeats 7] [--out FILE]
+        [--repeats 7] [--against DIR] [--out FILE]
 
 The output is JSON: the settings, the host, and one record per
 (update rule, rate, B).
@@ -20,12 +27,15 @@ The output is JSON: the settings, the host, and one record per
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import platform
 import statistics
 import sys
 import time
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -54,63 +64,100 @@ def batch_llrs(k, rate, batch, rng):
     return llrs, plan.spec
 
 
-def timed(fn, repeats):
-    fn()  # warm-up: first-call costs are not what a sweep pays per decode
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), out
+def load_tree(src_dir, name="polarlink_against"):
+    """The polarlink package under src_dir, imported as module ``name``, so
+    it lives beside the polarlink on sys.path."""
+    root = Path(src_dir) / "polarlink"
+    if not (root / "__init__.py").is_file():
+        raise SystemExit(f"no polarlink package under {src_dir}")
+    spec = importlib.util.spec_from_file_location(
+        name, root / "__init__.py", submodule_search_locations=[str(root)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # the package's relative imports resolve through it
+    spec.loader.exec_module(module)
+    return module
 
 
-def gathered_halves(llrs, spec, cfg):
-    """Stage halves that one call runs gathered, per direction."""
-    kernel = decoding._gathered
+def timed(fns, repeats):
+    """Median seconds per call of each of fns, their calls alternating and
+    the lead switching every repeat."""
+    for fn in fns:
+        fn()  # warm-up: first-call costs are not what a sweep pays per decode
+    times = [[] for _ in fns]
+    for r in range(repeats):
+        order = list(enumerate(fns))
+        for i, fn in order if r % 2 == 0 else order[::-1]:
+            start = time.perf_counter()
+            fn()
+            times[i].append(time.perf_counter() - start)
+    return [statistics.median(t) for t in times]
+
+
+def gathered_halves(call):
+    """Stage halves that call() runs gathered, per direction, read off the
+    schedule each run takes."""
+    run = decoding._Lockstep.run
     counts = {"leftward": 0, "rightward": 0}
 
-    def counted(src, index, g, tail, xs, dst, *rest):
-        # a leftward half writes the layer below the gather's base, a
-        # rightward one the layer above
-        counts["leftward" if dst.size > src.size else "rightward"] += 1
-        return kernel(src, index, g, tail, xs, dst, *rest)
+    def counted(core, half):
+        for step in half:
+            if step.kernel is decoding._gathered:
+                counts[step.direction] += 1
+        return run(core, half)
 
-    decoding._gathered = counted
+    decoding._Lockstep.run = counted
     try:
-        bp_decode_many(llrs, spec, cfg)
+        call()
     finally:
-        decoding._gathered = kernel
+        decoding._Lockstep.run = run
     return counts
 
 
-def run(k, iters, repeats, seed=0):
+def run(k, iters, repeats, seed=0, against=None):
     rng = np.random.default_rng(seed)
+    trees = [(bp_decode_many, BpConfig, plan_session(k).spec)]
+    if against is not None:
+        trees.append((against.decoding.bp_decode_many, against.decoding.BpConfig,
+                      against.protocol.plan_session(k).spec))
     cases = []
     for rule in RULES:
         for rate in RATES:
             for batch in BATCHES:
-                llrs, spec = batch_llrs(k, rate, batch, rng)
-                cfg = BpConfig(max_iters=iters, update_rule=rule, early_stop="none")
-                call_s, results = timed(lambda: bp_decode_many(llrs, spec, cfg), repeats)
+                llrs, _ = batch_llrs(k, rate, batch, rng)
+
+                def calls(max_iters):
+                    """One decode call per tree, this one first."""
+                    return [partial(decode, llrs, spec,
+                                    config(max_iters=max_iters, update_rule=rule, early_stop="none"))
+                            for decode, config, spec in trees]
+
+                results = calls(iters)[0]()
                 ran = max(r.iterations_used for r in results)
-                one = BpConfig(max_iters=1, update_rule=rule, early_stop="none")
-                one_s, _ = timed(lambda: bp_decode_many(llrs, spec, one), repeats)
-                gathered = gathered_halves(llrs, spec, one)
-                cases.append({
+                call_s, one_s = timed(calls(iters), repeats), timed(calls(1), repeats)
+                gathered = gathered_halves(calls(1)[0])
+                case = {
                     "rule": rule, "rate": rate, "batch": batch,
                     "zero_share": round(float((llrs == 0).all(axis=0).mean()), 4),
                     "iterations": ran,
                     "all_rows_ran_all": all(r.iterations_used == iters for r in results),
-                    "ms_per_iter": round(1e3 * call_s / ran, 4),
-                    "ms_per_row_iter": round(1e3 * call_s / ran / batch, 4),
-                    "one_iteration_call_us": round(1e6 * one_s, 1),
+                    "ms_per_iter": round(1e3 * call_s[0] / ran, 4),
+                    "ms_per_row_iter": round(1e3 * call_s[0] / ran / batch, 4),
+                    "one_iteration_call_us": round(1e6 * one_s[0], 1),
                     "gathered_halves_per_iteration": gathered,
-                })
-                print(f"{rule:6s} rate {rate:3s} B={batch}: "
-                      f"{cases[-1]['ms_per_iter']:.3f} ms/iter, "
-                      f"1-iter call {cases[-1]['one_iteration_call_us']:.0f} us, gathered "
-                      f"{gathered['leftward']} left {gathered['rightward']} right",
-                      file=sys.stderr)
+                }
+                line = (f"{rule:6s} rate {rate:3s} B={batch}: {case['ms_per_iter']:.3f} ms/iter, "
+                        f"1-iter call {case['one_iteration_call_us']:.0f} us, gathered "
+                        f"{gathered['leftward']} left {gathered['rightward']} right")
+                if against is not None:
+                    case["against"] = {"ms_per_iter": round(1e3 * call_s[1] / ran, 4),
+                                       "one_iteration_call_us": round(1e6 * one_s[1], 1)}
+                    case["ratio_against_over_this"] = {
+                        "ms_per_iter": round(call_s[1] / call_s[0], 3),
+                        "one_iteration_call": round(one_s[1] / one_s[0], 3)}
+                    line += (f"; against {case['against']['ms_per_iter']:.3f} ms/iter "
+                             f"(x{case['ratio_against_over_this']['ms_per_iter']:.2f})")
+                cases.append(case)
+                print(line, file=sys.stderr)
     return cases
 
 
@@ -119,14 +166,18 @@ def main(argv=None):
     parser.add_argument("--k", type=int, default=96)
     parser.add_argument("--iters", type=int, default=20)
     parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--against", metavar="DIR",
+                        help="a directory holding another polarlink package to time "
+                             "beside this one")
     parser.add_argument("--out", help="write the JSON here instead of stdout")
     args = parser.parse_args(argv)
+    against = None if args.against is None else load_tree(args.against)
     report = {
         "settings": {"k": args.k, "n": plan_session(args.k).n_mother, "iters": args.iters,
-                     "repeats": args.repeats, "snr_db": SNR_DB},
+                     "repeats": args.repeats, "snr_db": SNR_DB, "against": args.against},
         "host": {"python": platform.python_version(), "numpy": np.__version__,
                  "machine": platform.machine(), "processor": platform.processor()},
-        "cases": run(args.k, args.iters, args.repeats),
+        "cases": run(args.k, args.iters, args.repeats, against=against),
     }
     text = json.dumps(report, indent=1)
     if args.out:

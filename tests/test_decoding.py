@@ -484,17 +484,16 @@ def _stage_work(zero, n_log2):
 
 @pytest.fixture
 def gathered_calls(monkeypatch):
-    """The direction of every gathered stage half run, in order."""
+    """The direction of every gathered stage half run, in order, read off
+    the schedule each run takes."""
     calls = []
-    kernel = decoding._gathered
+    run = decoding._Lockstep.run
 
-    def counted(src, index, g, tail, xs, dst, *rest):
-        # leftward writes the layer below the gather's base, rightward the
-        # one above
-        calls.append("leftward" if dst.size > src.size else "rightward")
-        return kernel(src, index, g, tail, xs, dst, *rest)
+    def counted(core, half):
+        calls.extend(step.direction for step in half if step.kernel is decoding._gathered)
+        return run(core, half)
 
-    monkeypatch.setattr(decoding, "_gathered", counted)
+    monkeypatch.setattr(decoding._Lockstep, "run", counted)
     return calls
 
 
@@ -757,6 +756,67 @@ class TestPlanCache:
             bp_decode_many(llrs, spec, BpConfig(max_iters=2))
         assert decoding._gather_plan.cache_info().currsize == bound
 
+    def test_gather_index_kept_per_batch_size(self):
+        # every row sends the rate-3/4 positions, so all batches share one
+        # plan; a second pass over the batch sizes builds no index
+        llrs, spec, _ = _session_rows(96, ["3/4"] * 3, [-2.0, -1.0, 0.0], seed=24)
+        cfg = BpConfig(max_iters=3, early_stop="none")
+        want = {b: self.fresh(llrs[:b], spec, cfg, None) for b in (1, 2, 3)}
+        decoding._gather_plan.cache_clear()
+        keys = []
+        for b in (1, 2, 3, 3, 2, 1):
+            for got, res in zip(bp_decode_many(llrs[:b], spec, cfg), want[b]):
+                assert_results_bitwise_equal(got, res)
+            assert decoding._gather_plan.cache_info().currsize == 1
+            plan = decoding._gather_plan(spec.n_log2, (llrs == 0).all(axis=0).tobytes())
+            keys.append(set(plan._index))
+        assert keys[2] == keys[5]
+        assert {b for _, _, b in keys[5]} == {1, 2, 3}
+
+
+class TestFrozenStopCheck:
+    """The frozen stop reads left[0] through a frozen-position mask: a row
+    passes when no frozen message is < 0, so a zero of either sign passes
+    and the smallest negative message fails."""
+
+    @pytest.mark.parametrize("rule", ["exact", "minsum"])
+    @pytest.mark.parametrize("gated", [False, True])
+    @pytest.mark.parametrize("value, stops", [(0.0, True), (-0.0, True), (-5e-324, False)])
+    def test_signed_zero_passes_a_negative_blocks(self, monkeypatch, rule, gated, value, stops):
+        # a silent channel decides every info bit 0, and its frozen
+        # messages are pinned to value after each leftward half; the stop
+        # rule is the only reader of left[0]
+        spec = design_code(4, 8)
+        run = decoding._Lockstep.run
+
+        def pinned(core, half):
+            run(core, half)
+            if half[0].direction == "leftward":
+                core.left[0][:, spec.frozen_set] = value
+
+        monkeypatch.setattr(decoding._Lockstep, "run", pinned)
+        check = (lambda b: crc16(b) == crc16(np.zeros(8, dtype=np.uint8))) if gated else None
+        res = bp_decode_many(np.zeros((1, spec.n)), spec, BpConfig(update_rule=rule), [check])[0]
+        if stops:
+            assert (res.stop_reason, res.iterations_used) == ("crc" if gated else "frozen", 1)
+        else:
+            assert not res.converged
+            assert res.stop_reason == "fixed_point"
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_log2=st.integers(1, 6), batch=st.integers(1, 5))
+    def test_mask_equals_gather(self, data, n_log2, batch):
+        n = 1 << n_log2
+        values = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                           st.floats(allow_nan=False, allow_infinity=False))
+        left0 = np.array(data.draw(st.lists(values, min_size=batch * n, max_size=batch * n)))
+        left0 = left0.reshape(batch, n)
+        frozen_set = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.intp)
+        frozen = np.zeros(n, dtype=bool)
+        frozen[frozen_set] = True
+        want = (left0[:, frozen_set] >= 0.0).all(axis=1)
+        assert np.array_equal(decoding._frozen_pass(left0, frozen), want)
+
 
 class TestSkippedWork:
     """One box-plus per stage half: an iteration runs 2n - 1 of them, one
@@ -764,14 +824,16 @@ class TestSkippedWork:
 
     @pytest.fixture
     def boxplus_calls(self, monkeypatch):
+        """The direction of every schedule step run, the pilot's included:
+        each step runs one box-plus."""
         calls = []
-        kernel = decoding._boxplus
+        run = decoding._Lockstep.run
 
-        def counted(*args):
-            calls.append(None)
-            return kernel(*args)
+        def counted(core, half):
+            calls.extend(step.direction for step in half)
+            return run(core, half)
 
-        monkeypatch.setattr(decoding, "_boxplus", counted)
+        monkeypatch.setattr(decoding._Lockstep, "run", counted)
         return calls
 
     @pytest.mark.parametrize("n_log2, k", [(10, 96), (5, 16)])
@@ -789,6 +851,7 @@ class TestSkippedWork:
                 boxplus_calls.clear()
                 res = bp_decode_many(llrs[None], spec, cfg, [check])[0]
                 iters = res.iterations_used
+                assert boxplus_calls.count("pilot") == 1
                 if res.converged:
                     assert len(boxplus_calls) == (iters - 1) * (2 * n - 1) + n + 1
                 else:

@@ -45,3 +45,16 @@ def test_bench_decoder_runs():
     assert {case["rate"] for case in report["cases"]} == set(bench.RATES)
     assert all(set(case["gathered_halves_per_iteration"]) == {"leftward", "rightward"}
                for case in report["cases"])
+
+
+def test_bench_decoder_against_a_second_tree():
+    # the same tree under a second module name: both timings and their
+    # ratios come out for every case
+    out = _run(ROOT / "scripts" / "bench_decoder.py", "--k", "8", "--iters", "2",
+               "--repeats", "2", "--against", "src")
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["settings"]["against"] == "src"
+    for case in report["cases"]:
+        assert set(case["against"]) == {"ms_per_iter", "one_iteration_call_us"}
+        assert all(ratio > 0 for ratio in case["ratio_against_over_this"].values())
