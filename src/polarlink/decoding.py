@@ -55,14 +55,15 @@ only where lp is nonzero, so most rightward messages feed no leftward
 update: at K=96, rate 3/4, an iteration needs 650 of its 4608 rightward
 butterflies.  A stage half that needs at most _GATHER_SHARE of its
 butterflies runs its box-plus on those alone, through index arrays; the plan
-of each zero pattern is built once and kept.  The messages the rightward
-half skips go stale, so the fixed-point stop compares only the messages some
-stage half reads.  When those repeat in iteration t, the next leftward half
-repeats this one, so the whole state repeats in t or in t + 1; the skipped
-messages of t and t - 1, evaluated afresh, tell which, and a fixed point at
-t + 1 is reported without running that iteration.  Every stop lands where
-the full schedule's would.  Min-sum runs every butterfly, as its f(0, y) can
-be -0.
+of each zero pattern is built once and kept.  The messages the rightward half
+skips go stale, but the leftward ones never do: a skipped leftward butterfly
+holds the +0 its update would write.  So the fixed-point stop compares
+left[1..n_log2 - 1] as bits before and after an iteration's leftward half.
+left[0] follows from left[1], as right[0] is constant, and the whole right
+state from left[1..n_log2 - 1], so when those repeat in iteration t >= 2,
+iteration t leaves every message of the full schedule as t - 1 left it.
+The stop is tested beside the stop rule, and a row it ends skips its
+rightward half too.  Min-sum runs every butterfly, as its f(0, y) can be -0.
 """
 
 from __future__ import annotations
@@ -102,8 +103,9 @@ class BpConfig:
     bp_decode_many is given a CRC check for, once that passes too); 'none'
     applies no decision rule, so its decodes never report converged.  In
     every mode the decoder also stops at an exact fixed point, an iteration
-    that leaves its messages bit-identical, because every later iteration
-    would repeat it; results equal those of running on to max_iters.
+    after the first that leaves its messages bit-identical, because every
+    later iteration would repeat it; results equal those of running on to
+    max_iters.
     max_iters is a Python int >= 1.
     """
 
@@ -131,10 +133,9 @@ class DecodeResult:
     dilute the ratio the rate estimator reads.
 
     iterations_used is the iteration the decode ended in.  An iteration the
-    early-stop rule ends is counted, though only its leftward half ran, since
-    the rule reads nothing the rightward half writes; a fixed point known one
-    iteration ahead is counted in the iteration that reaches it, which need
-    not run (see the module docstring).  stop_reason says why the loop
+    early-stop rule or the fixed-point stop ends is counted, though only its
+    leftward half ran, since neither reads anything the rightward half
+    writes (see the module docstring).  stop_reason says why the loop
     ended: 'frozen' or 'crc' when the early-stop rule fired, 'fixed_point'
     when an iteration left the messages bit-identical, and 'max_iters' when
     the budget ran out.  converged is true exactly when the early-stop rule
@@ -242,11 +243,11 @@ def _gathered(src, index, g, b1, tail, box, a0, dst, scatter, out):
 # runs on those alone; a denser one runs on strided views.  The gather fills
 # 5 rows of the 4-row operand buffer, so the share can be at most 0.8.  On a
 # 2-vCPU Xeon (numpy 2.4, N=1024, B=1..8) a gathered stage half broke even
-# with a strided one at a share of 0.8-1.0.  A rightward gather also costs
-# the fixed-point stop its read mask, the kept left and, once per stop, a
-# full rightward half, so the share stays below the break-even point: at
+# with a strided one at a share of 0.8-1.0.  The share stays below that: at
 # 0.8, K=96 rate-1/8 frames gathered two rightward stages (0.785 and 0.797)
-# and decoded 12-25% slower than on the full schedule.
+# and decoded 12-25% slower than on the full schedule.  That was measured
+# while a rightward gather also cost the fixed-point stop extra work, which
+# it no longer does; whether a higher share pays now is not re-measured.
 _GATHER_SHARE = 0.75
 
 
@@ -307,7 +308,7 @@ class _GatherPlan:
         if key not in self._index:
             n = 1 << self.n_log2
             leftward = direction == "leftward"
-            p = self.leftward[s] if leftward else self.rightward[0][s]
+            p = self.leftward[s] if leftward else self.rightward[s]
             right, q = self.n_log2 * b * n, 1 << s
             y, x = (0, right) if leftward else (right, 0)
             at = np.array([y + q, y, y, x, x + q])[:, None, None] + (np.arange(b) * n)[:, None]
@@ -316,11 +317,9 @@ class _GatherPlan:
 
     @property
     def rightward(self):
-        """(stages, read): stages[s] is None for a rightward stage
-        (0..n_log2 - 2) that runs every butterfly, or the top positions of
-        those it runs on their own; read is None when no stage runs on its
-        own, so every message is computed, else the (n_log2 - 1, 1, N) mask
-        of the messages of right[1..n_log2 - 1] that some stage half reads.
+        """stages[s] is None for a rightward stage (0..n_log2 - 2) that runs
+        every butterfly, or the top positions of those it runs on their own:
+        the butterflies with an output that some later stage half reads.
 
         A zero lp makes f(lp, y) = f(y, lp) = +0 whatever y is, so leftward
         stage s reads right[s] at p and q only where left[s + 1][p] is
@@ -344,8 +343,7 @@ class _GatherPlan:
                     if np.count_nonzero(run) <= _GATHER_SHARE * n / 2:
                         stages[s] = _tops(n, s, run)
                     r[:, 1] |= out[:, 1]
-            gathers = any(p is not None for p in stages)
-            self._rightward = stages, read[1:, None] if gathers else None
+            self._rightward = stages
         return self._rightward
 
 
@@ -407,23 +405,19 @@ class _Lockstep:
     the rightward one, and take their gather indices from the plan, which
     keeps them per batch size: a known pattern's schedule builds only views.
 
-    The fixed-point stop (moved, settled) reads what the rightward half
-    skipped.  whole says whether right[1..n_log2 - 1] holds every message of
-    the last rightward half, as at the +0 start; when it does not, the
-    previous iteration's left[1..n_log2 - 1] is kept in prev_left, from
-    which those messages can be evaluated again.
+    The fixed-point stop reads only left, which no skipped butterfly leaves
+    stale: remember keeps state, left[1..n_log2 - 1], before a leftward
+    half, and repeated compares it after.
     """
 
-    def __init__(self, msgs, rows, exact, whole=True, prev_left=None):
+    def __init__(self, msgs, rows, exact):
         self.msgs, self.rows, self.exact = msgs, rows, exact
-        self.whole, self.prev_left = whole, prev_left
         self.left, self.right = msgs
         _, layers, b, n = msgs.shape
         self.n_log2 = n_log2 = layers - 1
-        # the only state one iteration hands the next: left is recomputed
-        # from it, left[n_log2] and right[0] are constants, right[n_log2] is
-        # never read
-        self.state = self.right[1:n_log2]
+        # the messages every other one follows from: right from these, left[0]
+        # from left[1], as left[n_log2] and right[0] are constants
+        self.state = self.left[1:n_log2]
         self.prev_state = np.empty_like(self.state)
         self.x, self.t, self.d = (np.empty((2, 2, b * n // 2)) for _ in range(3))
         self._views = [None] * n_log2
@@ -435,7 +429,7 @@ class _Lockstep:
             # nonzero; denser patterns run the full schedule both ways
             if np.count_nonzero(sent) <= _GATHER_SHARE * n:
                 self.plan = _gather_plan(n_log2, (~sent).tobytes())
-        self._leftward = self._rightward = self.read = None
+        self._leftward = self._rightward = None
 
     @property
     def leftward(self):
@@ -449,9 +443,7 @@ class _Lockstep:
     def rightward(self):
         # stages 0..n-2, as right[n_log2] is unused
         if self._rightward is None:
-            plan = [None] * (self.n_log2 - 1)
-            if self.plan:
-                plan, self.read = self.plan.rightward
+            plan = self.plan.rightward if self.plan else [None] * (self.n_log2 - 1)
             self._rightward = [self._step(s, p, "rightward") for s, p in enumerate(plan)]
         return self._rightward
 
@@ -505,52 +497,14 @@ class _Lockstep:
         return pilot
 
     def remember(self):
-        """Keep left[1..n_log2 - 1] for this iteration's settled(), before
-        the leftward half overwrites it, when right does not hold it whole."""
-        if not self.whole:
-            if self.prev_left is None:
-                self.prev_left = np.empty_like(self.state)
-            np.copyto(self.prev_left, self.left[1:self.n_log2])
-
-    def moved(self):
-        """Run the rightward half; per row, whether any message of
-        right[1..n_log2 - 1] that a stage half reads changed, as bits (so a
-        sign flip of a zero counts)."""
+        """Keep state, before the leftward half overwrites it."""
         np.copyto(self.prev_state, self.state)
-        self.prev_whole = self.whole
-        self.run(self.rightward)
-        self.whole = self.read is None
-        changed = np.not_equal(self.prev_state.view(np.uint64), self.state.view(np.uint64))
-        if self.read is not None:
-            changed &= self.read
-        return changed.any(axis=(0, 2))
 
-    def settled(self, stopped):
-        """Per row listed in stopped, whose read messages did not move: True
-        when the whole of right[1..n_log2 - 1] did not move either, so this
-        iteration is a fixed point, and False when only the next one is.
-
-        Once the read messages repeat, the next leftward half repeats this
-        one's left, so the next rightward half repeats the whole right.  The
-        whole right of this iteration and of the last are evaluated afresh
-        over every butterfly, from this iteration's left and prev_left, or
-        taken from prev_state when that held it whole.
-        """
-        if self.read is None:  # every message was computed and compared
-            return np.ones(len(stopped), dtype=bool)
-        # one batch: the stopped rows, then (unless prev_state holds the
-        # last right whole) the same rows with the last left
-        m = len(stopped)
-        rows = stopped if self.prev_whole else np.concatenate([stopped, stopped])
-        core = _Lockstep(np.take(self.msgs, rows, axis=2), self.rows[rows], self.exact)
-        if self.prev_whole:
-            before = np.take(self.prev_state, stopped, axis=1)
-        else:
-            core.left[1:self.n_log2, m:] = np.take(self.prev_left, stopped, axis=1)
-            before = core.state[:, m:]
-        core.run([core._strided_step(s, "rightward") for s in range(self.n_log2 - 1)])
-        now = core.state[:, :m]
-        return ~np.not_equal(now.view(np.uint64), before.view(np.uint64)).any(axis=(0, 2))
+    def repeated(self):
+        """Per row, whether the leftward half left state as remember kept
+        it, as bits (so a sign flip of a zero counts)."""
+        return ~np.not_equal(self.prev_state.view(np.uint64),
+                             self.state.view(np.uint64)).any(axis=(0, 2))
 
     def drop(self, stopped):
         """The rows not listed in stopped, with a schedule sized to them."""
@@ -558,11 +512,9 @@ class _Lockstep:
         # the schedule's views go before the next one is built (its index arrays
         # stay with the plan)
         self._leftward = self._rightward = self._views = None
-        prev_left = None if self.prev_left is None else np.take(self.prev_left, keep, axis=1)
         # take, unlike an indexed copy, returns msgs C-contiguous, as the
         # butterfly views and the flat gathers need
-        return _Lockstep(np.take(self.msgs, keep, axis=2), self.rows[keep], self.exact,
-                         self.whole, prev_left)
+        return _Lockstep(np.take(self.msgs, keep, axis=2), self.rows[keep], self.exact)
 
 
 def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
@@ -570,14 +522,14 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     """Decode a batch of channel-LLR rows in lockstep; one DecodeResult per row.
 
     The batch's messages take 2 (n_log2 + 1) B N floats, and (n_log2 - 1) B N
-    more keep the last iteration's left messages once a rightward half skips
-    work; they grow the work per row once they leave the cache, so a caller
-    with many codewords decodes them in groups (run_point sizes its groups
-    from N).  Under the
-    exact rule, the positions zero in every row decide which leftward
-    butterflies run (see the module docstring): a batch of punctured frames
-    decodes faster when its rows share their zeros, and a row that carries
-    a position the others puncture makes every row run it.  The zeros also
+    more keep left[1..n_log2 - 1] from before each leftward half for the
+    fixed-point stop; they grow the work per row once they leave the cache,
+    so a caller with many codewords decodes them in groups (run_point sizes
+    its groups from N).  Under the exact rule, the positions zero in every
+    row decide which leftward butterflies run (see the module docstring): a
+    batch of punctured frames decodes faster when its rows share their
+    zeros, and a row that carries a position the others puncture makes every
+    row run it.  The zeros also
     decide which rightward butterflies run: only those whose messages some
     leftward update reads, directly or through later rightward stages.  The
     gather plan of a zero pattern is built on its first decode and kept for
@@ -652,13 +604,14 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
                                     u_posterior=u_posterior)
 
     for iterations in range(1, cfg.max_iters + 1):
-        core.remember()
+        if iterations > 1:
+            core.remember()
         core.run(core.leftward)
         if iterations == 1:
             pilot = core.pilot()
 
+        stopped = []
         if cfg.early_stop != "none":
-            stopped = []
             for i in _frozen_pass(core.left[0], frozen).nonzero()[0]:
                 check = checks[core.rows[i]]
                 if check is None:
@@ -670,27 +623,17 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
                 if check(info_bits):
                     read_out(i, iterations, "crc", u_posterior, info_bits)
                     stopped.append(i)
-            if len(stopped) == core.rows.size:
-                break
-            if stopped:
-                core = core.drop(stopped)
-
-        moved = core.moved()
-        if not moved.all():
-            stopped = (~moved).nonzero()[0]
-            # a row whose read messages repeat reaches the whole fixed point
-            # now or in the next iteration, which the stop rule cannot end
-            # (it would see this left[0] again) and which need not run
-            for i, now in zip(stopped, core.settled(stopped)):
-                if now:
-                    read_out(i, iterations, "fixed_point")
-                elif iterations < cfg.max_iters:
-                    read_out(i, iterations + 1, "fixed_point")
-                else:
-                    read_out(i, iterations, "max_iters")
-            if len(stopped) == core.rows.size:
-                break
+        if iterations > 1:
+            # a row whose left repeats holds the left[0] the rule did not
+            # pass in the last iteration, so the rule stopped none of these
+            for i in core.repeated().nonzero()[0]:
+                read_out(i, iterations, "fixed_point")
+                stopped.append(i)
+        if len(stopped) == core.rows.size:
+            break
+        if stopped:
             core = core.drop(stopped)
+        core.run(core.rightward)
     else:
         for i in range(core.rows.size):
             read_out(i, cfg.max_iters, "max_iters")

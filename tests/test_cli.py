@@ -130,6 +130,24 @@ class TestDecode:
         code, out, _ = run_cli(capsys, "decode", "--spec", str(spec_file), "--llrs", str(llr_file))
         assert code == 0 and json.loads(out)["iterations"] >= 1
 
+    @pytest.mark.parametrize("spec, llrs, stop", [
+        # silent: every left[0] message is +0, which passes the frozen check
+        ({"n_log2": 4, "k": 8}, ["0"] * 16, (1, "frozen", True)),
+        # a length-2 repetition code whose two LLRs contradict: the frozen
+        # check never passes, and with no inner message layer iteration 2
+        # repeats iteration 1
+        ({"n_log2": 1, "k": 1}, ["1.0", "-1.0"], (2, "fixed_point", False)),
+    ], ids=["silent", "contradicting"])
+    def test_stop_reason(self, capsys, tmp_path, spec, llrs, stop):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        llr_file = tmp_path / "llrs.csv"
+        llr_file.write_text(",".join(llrs))
+        code, out, _ = run_cli(capsys, "decode", "--spec", str(spec_file), "--llrs", str(llr_file))
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["iterations"], payload["stop_reason"], payload["converged"]) == stop
+
 
 class TestLlr:
     def test_csv_shape(self, capsys):

@@ -72,7 +72,8 @@ def bp_decode_reference(llrs, spec, cfg, crc_check=None, fixed_point_stop=True):
     """The index-pair decoder loop (test oracle).
 
     It runs until the early-stop rule fires, max_iters is spent or, with
-    fixed_point_stop, an iteration leaves right[1:n_log2] bit-identical.
+    fixed_point_stop, an iteration after the first leaves left[1:n_log2]
+    bit-identical: every other message follows from those.
     Returns (info_bits, u_posterior, frozen_hard, fber, fber_over_observed,
     converged, iterations_used, stop_reason).
     """
@@ -95,7 +96,7 @@ def bp_decode_reference(llrs, spec, cfg, crc_check=None, fixed_point_stop=True):
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
         iterations += 1
-        before = right[1:n_log2].copy()
+        before = left[1:n_log2].copy()
         for s in range(n_log2 - 1, -1, -1):
             p, q = pairs[s]
             lp, lq = left[s + 1, p], left[s + 1, q]
@@ -116,7 +117,7 @@ def bp_decode_reference(llrs, spec, cfg, crc_check=None, fixed_point_stop=True):
                 converged = True
                 stop_reason = "frozen" if crc_check is None else "crc"
                 break
-        if fixed_point_stop and before.tobytes() == right[1:n_log2].tobytes():
+        if fixed_point_stop and iterations > 1 and before.tobytes() == left[1:n_log2].tobytes():
             stop_reason = "fixed_point"
             break
 
@@ -257,6 +258,70 @@ class TestFixedPointStop:
         llrs, spec, _ = _unpunctured_cases()[0]
         res = bp_decode(llrs, spec, BpConfig(max_iters=1, early_stop="none"))
         assert (res.iterations_used, res.stop_reason) == (1, "max_iters")
+
+    def test_first_iteration(self):
+        # every message starts at +0, which no iteration wrote, so the stop
+        # compares from iteration 2 on.  A silent punctured channel leaves
+        # every left message +0 in every iteration: the fixed point is
+        # iteration 2, and under a budget of 1 the budget ends first.
+        plan = plan_session(96)
+        silent = np.zeros((1, plan.n_mother))
+        for max_iters, want in ((60, ("fixed_point", 2)), (1, ("max_iters", 1))):
+            got = assert_rows_match_reference(silent, plan.spec,
+                                              BpConfig(max_iters=max_iters, early_stop="none"))
+            assert (got[0].stop_reason, got[0].iterations_used) == want
+        # with every position an info bit, right[0] holds no prior and right
+        # stays +0, so iteration 2 repeats iteration 1's left
+        spec = design_code(5, 32)
+        rng = np.random.default_rng(3)
+        llrs = rng.standard_normal((1, 32))
+        llrs[0, rng.permutation(32)[:20]] = 0.0
+        got = assert_rows_match_reference(llrs, spec, BpConfig(early_stop="none"))
+        assert (got[0].stop_reason, got[0].iterations_used) == ("fixed_point", 2)
+
+    def test_budget_ends_before_the_left_repeats(self):
+        # a punctured row whose left repeats first in iteration 12: a budget
+        # of 11 ends before it does
+        llrs, spec, _ = _session_rows(96, ["1/2"] * 2, [2.0, 4.0], seed=9)
+        for max_iters, want in ((30, ("fixed_point", 12)), (11, ("max_iters", 11))):
+            got = assert_rows_match_reference(llrs[:1], spec, BpConfig(max_iters=max_iters))
+            assert (got[0].stop_reason, got[0].iterations_used) == want
+
+    def test_rows_drop_together(self, gathered_calls, monkeypatch):
+        # a row the CRC stops in iteration 2 beside a silent row with a CRC
+        # of its own that fails: its left is +0 throughout, so it repeats in
+        # iteration 2 too, and both leave the batch in one drop while a
+        # third row decodes on
+        drops = []
+        drop = decoding._Lockstep.drop
+
+        def recorded(core, stopped):
+            drops.append(sorted(int(i) for i in stopped))
+            return drop(core, stopped)
+
+        monkeypatch.setattr(decoding._Lockstep, "drop", recorded)
+        plan = plan_session(96)
+        spec = plan.spec
+        silent = np.zeros(plan.n_mother)
+        wrong_crc = crc16(np.ones(96, dtype=np.uint8))
+        # the CRC-stopped row sends every position, so no rightward half
+        # gathers until it drops, or at rate 3/4, so the batch gathers from
+        # iteration 1
+        rng = np.random.default_rng(4)
+        info = rng.integers(0, 2, 96).astype(np.uint8)
+        dense = awgn_llrs(encode_systematic(info, spec), -0.5, rng)
+        sparse, _, sparse_crcs = _session_rows(96, ["3/4"], [4.0], seed=0)
+        deep, _, deep_crcs = _session_rows(96, ["3/4"], [-3.0], seed=1)
+        for other, crc in ((dense, crc16(info)), (sparse[0], sparse_crcs[0])):
+            drops.clear()
+            gathered_calls.clear()
+            got = assert_rows_match_reference(np.array([other, silent, deep[0]]), spec,
+                                              BpConfig(max_iters=8),
+                                              _row_checks([crc, wrong_crc, deep_crcs[0]], [True] * 3))
+            assert [(r.stop_reason, r.iterations_used) for r in got] == \
+                [("crc", 2), ("fixed_point", 2), ("max_iters", 8)]
+            assert drops == [[0, 1]]
+            assert "rightward" in gathered_calls
 
 
 MODES = [("none", False), ("frozen", False), ("frozen", True), ("none", True)]
@@ -614,112 +679,6 @@ class TestPunctured:
         assert not gathered_calls
 
 
-class TestReadFixedPoint:
-    """Under a rightward gather, only the messages some stage half reads are
-    computed and compared.  When they stop moving in iteration t, the whole
-    state stops in t or t + 1, and the decoder tells which from this
-    iteration's and the last one's left messages without running t + 1.
-    iterations_used and stop_reason stay the index-pair reference's."""
-
-    @pytest.fixture
-    def settled_calls(self, monkeypatch):
-        """(whether prev_state held the last right whole, per-row verdicts)
-        of every settled() call."""
-        calls = []
-        settled = decoding._Lockstep.settled
-
-        def recorded(core, stopped):
-            verdicts = settled(core, stopped)
-            calls.append((core.prev_whole, verdicts.tolist()))
-            return verdicts
-
-        monkeypatch.setattr(decoding._Lockstep, "settled", recorded)
-        return calls
-
-    def test_read_part_stops_an_iteration_early(self, gathered_calls, settled_calls):
-        llrs, spec, crcs = _session_rows(96, ["1/2"] * 2, [2.0, 4.0], seed=9)
-        for early_stop in ("none", "frozen"):
-            settled_calls.clear()
-            cfg = BpConfig(max_iters=30, early_stop=early_stop)
-            got = assert_rows_match_reference(llrs, spec, cfg, _row_checks(crcs, [True, True]))
-            # row 1's read messages repeat with the whole state, in iteration
-            # 6; row 0's repeat in iteration 11, the whole state only in 12,
-            # which does not run
-            assert [(r.stop_reason, r.iterations_used) for r in got] == \
-                [("fixed_point", 12), ("fixed_point", 6)]
-            assert settled_calls == [(False, [True]), (False, [False])]
-        assert "rightward" in gathered_calls
-
-    def test_budget_ends_before_the_whole_state_repeats(self, settled_calls):
-        # row 0 above with a budget of 11: its read messages repeat in the
-        # last iteration, so the whole state never does within the budget
-        llrs, spec, _ = _session_rows(96, ["1/2"] * 2, [2.0, 4.0], seed=9)
-        got = assert_rows_match_reference(llrs[:1], spec, BpConfig(max_iters=11))
-        assert (got[0].stop_reason, got[0].iterations_used) == ("max_iters", 11)
-        assert settled_calls == [(False, [False])]
-
-    def test_first_iteration(self, settled_calls):
-        # before iteration 1 every right message is +0.  A silent punctured
-        # channel leaves every left message +0, so no stage half reads right,
-        # but the frozen prior moves right in iteration 1 and only then
-        # repeats: the fixed point is iteration 2.  Under a budget of 1 the
-        # budget ends first.
-        plan = plan_session(96)
-        silent = np.zeros((1, plan.n_mother))
-        for max_iters, want in ((60, ("fixed_point", 2)), (1, ("max_iters", 1))):
-            got = assert_rows_match_reference(silent, plan.spec,
-                                              BpConfig(max_iters=max_iters, early_stop="none"))
-            assert (got[0].stop_reason, got[0].iterations_used) == want
-        # with every position an info bit, right[0] holds no prior, right
-        # stays +0, and iteration 1 is the fixed point
-        spec = design_code(5, 32)
-        rng = np.random.default_rng(3)
-        llrs = rng.standard_normal((1, 32))
-        llrs[0, rng.permutation(32)[:20]] = 0.0
-        got = assert_rows_match_reference(llrs, spec, BpConfig(early_stop="none"))
-        assert (got[0].stop_reason, got[0].iterations_used) == ("fixed_point", 1)
-        assert settled_calls == [(True, [False]), (True, [False]), (True, [True])]
-
-    def test_rows_drop_and_switch_plans(self, gathered_calls, settled_calls):
-        # a silent row beside one the CRC stops in iteration 2, with a CRC of
-        # its own that fails: its read messages (none, once it runs alone)
-        # repeat in iteration 2, right after the other row drops out
-        plan = plan_session(96)
-        spec = plan.spec
-        silent = np.zeros(plan.n_mother)
-        wrong_crc = crc16(np.ones(96, dtype=np.uint8))
-        # the other row sends every position, so no rightward half gathers
-        # until it drops, and prev_state holds iteration 1's right whole
-        rng = np.random.default_rng(4)
-        info = rng.integers(0, 2, 96).astype(np.uint8)
-        dense = awgn_llrs(encode_systematic(info, spec), -0.5, rng)
-        # or it sends at rate 3/4, so the batch gathers from iteration 1 and
-        # the last left is carried through the drop
-        sparse, _, sparse_crcs = _session_rows(96, ["3/4"], [4.0], seed=0)
-        # a third row decodes on, so the drop keeps two rows
-        deep, _, deep_crcs = _session_rows(96, ["3/4"], [-3.0], seed=1)
-        for other, crc, prev_whole in ((dense, crc16(info), True),
-                                       (sparse[0], sparse_crcs[0], False)):
-            settled_calls.clear()
-            gathered_calls.clear()
-            got = assert_rows_match_reference(np.array([other, silent, deep[0]]), spec,
-                                              BpConfig(max_iters=8),
-                                              _row_checks([crc, wrong_crc, deep_crcs[0]], [True] * 3))
-            assert [(r.stop_reason, r.iterations_used) for r in got] == \
-                [("crc", 2), ("fixed_point", 2), ("max_iters", 8)]
-            assert settled_calls == [(prev_whole, [True])]
-            assert "rightward" in gathered_calls
-
-    def test_minsum_runs_no_rightward_gather(self, gathered_calls, settled_calls):
-        llrs, spec, crcs = _session_rows(96, ["1/2", "3/4"], [2.0, 4.0], seed=9)
-        for early_stop in ("none", "frozen"):
-            cfg = BpConfig(max_iters=30, update_rule="minsum", early_stop=early_stop)
-            assert_rows_match_reference(llrs, spec, cfg, _row_checks(crcs, [True, False]))
-        assert gathered_calls == []
-        # every message is computed, so a repeat is the whole fixed point
-        assert all(verdicts == [True] * len(verdicts) for _, verdicts in settled_calls)
-
-
 class TestPlanCache:
     """Gather plans are kept across calls; reusing one leaves every result
     as a fresh decode's."""
@@ -820,7 +779,8 @@ class TestFrozenStopCheck:
 
 class TestSkippedWork:
     """One box-plus per stage half: an iteration runs 2n - 1 of them, one
-    that the stop rule ends runs only its leftward n, and the pilot adds 1."""
+    that the stop rule or the fixed-point stop ends runs only its leftward
+    n, and the pilot adds 1."""
 
     @pytest.fixture
     def boxplus_calls(self, monkeypatch):
@@ -852,12 +812,12 @@ class TestSkippedWork:
                 res = bp_decode_many(llrs[None], spec, cfg, [check])[0]
                 iters = res.iterations_used
                 assert boxplus_calls.count("pilot") == 1
-                if res.converged:
-                    assert len(boxplus_calls) == (iters - 1) * (2 * n - 1) + n + 1
-                else:
+                if res.stop_reason == "max_iters":
                     assert len(boxplus_calls) == iters * (2 * n - 1) + 1
+                else:
+                    assert len(boxplus_calls) == (iters - 1) * (2 * n - 1) + n + 1
                 seen.add((res.stop_reason, iters == 1))
-        # rule stops in and after iteration 1, and both whole-iteration stops
+        # rule stops in and after iteration 1, a fixed point and the budget
         assert {("crc", True), ("crc", False), ("frozen", True),
                 ("fixed_point", False), ("max_iters", False)} <= seen
 
@@ -881,22 +841,21 @@ class TestSkippedWork:
         assert len(boxplus_calls) == 3 * 11 + 1
 
     def test_fixed_point_and_budget_stops_run_whole_iterations(self, boxplus_calls):
-        # a channel with no zero runs the full schedule, so its fixed point
-        # ends a whole iteration
+        # a channel with no zero runs the full schedule; its fixed point
+        # ends in the leftward half of iteration 22
         llrs, spec, _ = _small_code_cases()[2]
         assert np.all(llrs != 0)
         res = bp_decode(llrs, spec, BpConfig(early_stop="none"))
-        assert (res.stop_reason, res.iterations_used) == ("fixed_point", 21)
-        assert len(boxplus_calls) == 21 * 9 + 1
+        assert (res.stop_reason, res.iterations_used) == ("fixed_point", 22)
+        assert len(boxplus_calls) == 21 * 9 + 5 + 1
         # a silent channel: no stage half reads right, so every stage gathers
         # nothing; iteration 1 runs 5 leftward stages, the pilot and 4 empty
-        # rightward ones, then the 4 stages of one rightward half over every
-        # butterfly show that the whole state repeats only in iteration 2,
-        # which does not run
+        # rightward ones, and iteration 2 the 5 leftward stages that repeat
+        # its left
         boxplus_calls.clear()
         res = bp_decode(np.zeros(spec.n), spec, BpConfig(early_stop="none"))
         assert (res.stop_reason, res.iterations_used) == ("fixed_point", 2)
-        assert len(boxplus_calls) == 5 + 1 + 4 + 4
+        assert len(boxplus_calls) == 5 + 1 + 4 + 5
         boxplus_calls.clear()
         res = bp_decode(_unpunctured_cases()[0][0], design_code(6, 32),
                         BpConfig(max_iters=3, early_stop="none"))
