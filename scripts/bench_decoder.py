@@ -7,8 +7,10 @@ Decodes run with early_stop 'none', so every row runs --iters iterations
 unless it reaches a fixed point; a case reports the median over --repeats
 calls of the call time divided by the iterations run, the median time of a
 one-iteration call (the per-call cost a decode that stops at once pays), and
-how many stage halves of that iteration ran gathered, in each direction.
-Rate 1/4 is the cumulative stage-2 pattern a deep-failure session decodes.
+how many butterflies per row an iteration runs in each direction, from the
+gather plan of the batch.  Rate 1/4 is the cumulative stage-2 pattern a
+deep-failure session decodes; "all" sends every position, so no butterfly is
+skipped.
 
 With --against DIR, the ``polarlink`` package under DIR (a source tree's
 ``src``, say a checkout of an earlier commit) is imported as a second module
@@ -44,7 +46,7 @@ from polarlink.decoding import BpConfig, bp_decode_many
 from polarlink.encoding import encode_systematic
 from polarlink.protocol import plan_session
 
-RATES = ("3/4", "1/2", "1/4", "1/8")
+RATES = ("3/4", "1/2", "1/4", "1/8", "all")
 BATCHES = (1, 2, 4, 8)
 RULES = ("exact", "minsum")
 SNR_DB = -3.0
@@ -54,7 +56,7 @@ def batch_llrs(k, rate, batch, rng):
     """(B, N) channel LLRs: AWGN-equivalent at SNR_DB on the positions sent
     at ``rate`` (mean +-4g, variance 8g), 0 elsewhere."""
     plan = plan_session(k)
-    positions = plan.positions(Fraction(rate))
+    positions = np.arange(plan.n_mother) if rate == "all" else plan.positions(Fraction(rate))
     g = 10.0 ** (SNR_DB / 10.0)
     llrs = np.zeros((batch, plan.n_mother))
     for row in llrs:
@@ -93,24 +95,23 @@ def timed(fns, repeats):
     return [statistics.median(t) for t in times]
 
 
-def gathered_halves(call):
-    """Stage halves that call() runs gathered, per direction, read off the
-    schedule each run takes."""
+def butterflies_per_row_iteration(call):
+    """Butterflies per row that an iteration of call()'s decode runs, per
+    direction: the widths of the gather plan its batch starts with."""
     run = decoding._Lockstep.run
-    counts = {"leftward": 0, "rightward": 0}
+    plans = []
 
-    def counted(core, half):
-        for step in half:
-            if step.kernel is decoding._gathered:
-                counts[step.direction] += 1
+    def recorded(core, half):
+        plans.append(core.plan)
         return run(core, half)
 
-    decoding._Lockstep.run = counted
+    decoding._Lockstep.run = recorded
     try:
         call()
     finally:
         decoding._Lockstep.run = run
-    return counts
+    return {direction: sum(p.size for p in getattr(plans[0], direction))
+            for direction in ("leftward", "rightward")}
 
 
 def run(k, iters, repeats, seed=0, against=None):
@@ -134,7 +135,7 @@ def run(k, iters, repeats, seed=0, against=None):
                 results = calls(iters)[0]()
                 ran = max(r.iterations_used for r in results)
                 call_s, one_s = timed(calls(iters), repeats), timed(calls(1), repeats)
-                gathered = gathered_halves(calls(1)[0])
+                butterflies = butterflies_per_row_iteration(calls(1)[0])
                 case = {
                     "rule": rule, "rate": rate, "batch": batch,
                     "zero_share": round(float((llrs == 0).all(axis=0).mean()), 4),
@@ -143,11 +144,12 @@ def run(k, iters, repeats, seed=0, against=None):
                     "ms_per_iter": round(1e3 * call_s[0] / ran, 4),
                     "ms_per_row_iter": round(1e3 * call_s[0] / ran / batch, 4),
                     "one_iteration_call_us": round(1e6 * one_s[0], 1),
-                    "gathered_halves_per_iteration": gathered,
+                    "butterflies_per_row_iteration": butterflies,
                 }
                 line = (f"{rule:6s} rate {rate:3s} B={batch}: {case['ms_per_iter']:.3f} ms/iter, "
-                        f"1-iter call {case['one_iteration_call_us']:.0f} us, gathered "
-                        f"{gathered['leftward']} left {gathered['rightward']} right")
+                        f"1-iter call {case['one_iteration_call_us']:.0f} us, "
+                        f"butterflies {butterflies['leftward']} left "
+                        f"{butterflies['rightward']} right")
                 if against is not None:
                     case["against"] = {"ms_per_iter": round(1e3 * call_s[1] / ran, 4),
                                        "one_iteration_call_us": round(1e6 * one_s[1], 1)}

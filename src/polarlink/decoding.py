@@ -8,21 +8,20 @@ posterior of exactly zero decides bit 0.
 
 The decoder runs a batch of codewords of one code in lockstep: the leftward
 and rightward messages are (n_log2 + 1, B, N) each, one row per codeword
-within each layer.  The butterflies are addressed as strided views, a
-layer's rows end to end reshaped to (-1, 2, 2^s) and split into top and
-bottom halves.  One iteration runs one stacked box-plus per stage half over
-every running row, into buffers allocated once per batch size, so a batch
-pays the per-call cost of each numpy kernel once.  Every view a stage
-half's kernels touch (operand, scratch, tail and output rows) is built once,
-with the schedule, rather than on each call, and the stop rule tests left[0]
-through a frozen-position mask rather than gathering its frozen columns: at
-the batch sizes of a sweep (B = 1 to 8) an iteration's cost is mostly fixed
-per numpy call, and at B = 2 building the views took about a fifth of a
-gathered stage half's time.  It keeps a bit-identity
-contract: every message the decoder reads, and so every result field and
-stop, equals that of the plain per-butterfly update rules, signed zeros
-included, since the fixed-point stop compares messages as bits.  The test
-suite checks this against an index-pair reference loop.
+within each layer.  One iteration runs one stacked box-plus per stage half
+over every running row, on the butterflies that half's gather plan lists,
+taken from the messages by one flat gather into buffers allocated once per
+batch size and written back by one scatter, so a batch pays the per-call
+cost of each numpy kernel once.  Every view a stage half's kernels touch
+(gathered operands, scratch, tail and output rows) is built once, with the
+schedule, rather than on each call, and the stop rule tests left[0] through
+a frozen-position mask rather than gathering its frozen columns: at the
+batch sizes of a sweep (B = 1 to 8) an iteration's cost is mostly fixed per
+numpy call.  It keeps a bit-identity contract: every message the decoder
+reads, and so every result field and stop, equals that of the plain
+per-butterfly update rules, signed zeros included, since the fixed-point
+stop compares messages as bits.  The test suite checks this against an
+index-pair reference loop.
 
 Each row stops on its own rule and is read out when it stops; the rows still
 running are then compacted into smaller arrays, so the work follows them,
@@ -42,28 +41,30 @@ decision (< 0) nor the observed mask (|x| > 0) reads; the pilot is iteration
 Work whose output nothing reads, or whose output is known, is skipped.  The
 stop rule reads only left[0] and the constant right[0], both final once
 leftward stage 0 has run, so it is checked between the halves and a stop
-skips the rightward half, whose schedule is then never built.  Puncturing
-pins most channel LLRs at exactly 0 (Niu, Chen & Lin, ICC 2013), and under
-the exact rule f(+-0, y) = +0, so a leftward butterfly with two zero inputs
-outputs +0.  The positions zero in every row of the batch propagate stage
-by stage: a top output is zero when its top input is, a bottom output when
-both inputs are.  The set is derived per stage, as it can shrink from layer
-to layer (at rate 1/8 it does for about a third of the session sizes).  By
-the same rule a leftward butterfly whose top input lp is zero reads nothing
-of right, and the bottom output f(rp, lp) + rq of a rightward one reads rp
-only where lp is nonzero, so most rightward messages feed no leftward
-update: at K=96, rate 3/4, an iteration needs 650 of its 4608 rightward
-butterflies.  A stage half that needs at most _GATHER_SHARE of its
-butterflies runs its box-plus on those alone, through index arrays; the plan
-of each zero pattern is built once and kept.  The messages the rightward half
-skips go stale, but the leftward ones never do: a skipped leftward butterfly
-holds the +0 its update would write.  So the fixed-point stop compares
-left[1..n_log2 - 1] as bits before and after an iteration's leftward half.
-left[0] follows from left[1], as right[0] is constant, and the whole right
-state from left[1..n_log2 - 1], so when those repeat in iteration t >= 2,
-iteration t leaves every message of the full schedule as t - 1 left it.
-The stop is tested beside the stop rule, and a row it ends skips its
-rightward half too.  Min-sum runs every butterfly, as its f(0, y) can be -0.
+skips the rightward half, whose schedule is then never built; the last
+iteration of the budget skips it too, as no leftward half follows.
+Puncturing pins most channel LLRs at exactly 0 (Niu, Chen & Lin, ICC 2013),
+and under the exact rule f(+-0, y) = +0, so a leftward butterfly with two
+zero inputs outputs +0.  The positions zero in every row of the batch
+propagate stage by stage: a top output is zero when its top input is, a
+bottom output when both inputs are.  The set is derived per stage, as it can
+shrink from layer to layer (at rate 1/8 it does for about a third of the
+session sizes).  By the same rule a leftward butterfly whose top input lp is
+zero reads nothing of right, and the bottom output f(rp, lp) + rq of a
+rightward one reads rp only where lp is nonzero, so most rightward messages
+feed no leftward update: at K=96, rate 3/4, an iteration needs 650 of its
+4608 rightward butterflies.  Each stage half runs its box-plus on the
+butterflies it needs alone; the plan of each zero pattern is built once and
+kept.  Min-sum's f(0, y) can be -0, so under min-sum, as for a batch with no
+zero position, the plan is that of the empty zero set, which lists every
+butterfly.  The messages the rightward half skips go stale, but the leftward
+ones never do: a skipped leftward butterfly holds the +0 its update would
+write.  So the fixed-point stop compares left[1..n_log2 - 1] as bits before
+and after an iteration's leftward half.  left[0] follows from left[1], as
+right[0] is constant, and the whole right state from left[1..n_log2 - 1], so
+when those repeat in iteration t >= 2, iteration t leaves every message of
+the full schedule as t - 1 left it.  The stop is tested beside the stop
+rule, and a row it ends skips its rightward half too.
 """
 
 from __future__ import annotations
@@ -133,13 +134,13 @@ class DecodeResult:
     dilute the ratio the rate estimator reads.
 
     iterations_used is the iteration the decode ended in.  An iteration the
-    early-stop rule or the fixed-point stop ends is counted, though only its
-    leftward half ran, since neither reads anything the rightward half
-    writes (see the module docstring).  stop_reason says why the loop
-    ended: 'frozen' or 'crc' when the early-stop rule fired, 'fixed_point'
-    when an iteration left the messages bit-identical, and 'max_iters' when
-    the budget ran out.  converged is true exactly when the early-stop rule
-    fired.
+    early-stop rule, the fixed-point stop or the budget ends is counted,
+    though only its leftward half ran, since nothing reads what its
+    rightward half would write (see the module docstring).  stop_reason
+    says why the loop ended: 'frozen' or 'crc' when the early-stop rule
+    fired, 'fixed_point' when an iteration left the messages bit-identical,
+    and 'max_iters' when the budget ran out.  converged is true exactly when
+    the early-stop rule fired.
     """
 
     info_bits: np.ndarray
@@ -197,31 +198,8 @@ def _box_views(x, t, d, out, exact):
     return x, x[0], x[1], t, t[0], t[1], d, d[0], d[1], out, exact
 
 
-def _halves(layer, s):
-    """Stage-s butterfly view of a layer: [top; bottom] at positions p and p + 2^s.
-
-    layer is (B, N), one row per codeword, and C-contiguous, so its rows
-    run end to end and each half is (B*N/2^(s+1), 2^s) in position order: a
-    butterfly never crosses a row, since N is a multiple of 2^(s+1).  numpy
-    loops fastest over the last axis, so where 2^s is the shorter side the
-    halves are transposed to let the inner loop run the long way;
-    element-wise kernels see the same pairs either way.
-    """
-    v = layer.reshape(-1, 2, 1 << s).swapaxes(0, 1)
-    return v if v.shape[2] >= v.shape[1] else v.swapaxes(1, 2)
-
-
-def _strided(a, shared, b0, rq, lq, b1, other, box, out_q, tail):
-    """One stage half over every butterfly, through the strided views."""
-    np.copyto(a, shared)
-    np.add(rq, lq, b0)
-    np.copyto(b1, other)
-    _boxplus(*box)
-    np.add(out_q, tail, out_q)
-
-
 def _gathered(src, index, g, b1, tail, box, a0, dst, scatter, out):
-    """One stage half over the butterflies that index lists only.
+    """One stage half over the butterflies that index lists.
 
     src[index], taken into g, is [yq; yp; yp; xp; xq] of each butterfly,
     where y is the side the half updates (left leftward, right rightward,
@@ -237,18 +215,6 @@ def _gathered(src, index, g, b1, tail, box, a0, dst, scatter, out):
     _boxplus(*box)
     np.add(a0, tail, a0)
     dst[scatter] = out
-
-
-# A stage half whose butterflies to run are at most this share of its N/2
-# runs on those alone; a denser one runs on strided views.  The gather fills
-# 5 rows of the 4-row operand buffer, so the share can be at most 0.8.  On a
-# 2-vCPU Xeon (numpy 2.4, N=1024, B=1..8) a gathered stage half broke even
-# with a strided one at a share of 0.8-1.0.  The share stays below that: at
-# 0.8, K=96 rate-1/8 frames gathered two rightward stages (0.785 and 0.797)
-# and decoded 12-25% slower than on the full schedule.  That was measured
-# while a rightward gather also cost the fixed-point stop extra work, which
-# it no longer does; whether a higher share pays now is not re-measured.
-_GATHER_SHARE = 0.75
 
 
 def _stage_zeros(n_log2, zero):
@@ -275,24 +241,35 @@ def _tops(n, s, run):
 class _GatherPlan:
     """Which butterflies each stage half runs, for one zero pattern.
 
-    leftward[s] is None for a leftward stage that runs every butterfly, or
-    the top positions p of those with a nonzero input, which it runs on
-    their own: a butterfly with two zero inputs writes the +0 its outputs
-    already hold.  The rightward plan is derived on first use (see
-    rightward), which a decode the stop rule ends in iteration 1 never
-    reaches.  The gather index of each stage half is kept per batch size
-    (see index).
+    leftward[s] holds the top positions p of the stage-s butterflies with a
+    nonzero input: a butterfly with two zero inputs writes the +0 its
+    outputs already hold.  rightward[s] (stages 0..n_log2 - 2) holds those
+    of the butterflies with an output that some later stage half reads.  A
+    zero lp makes f(lp, y) = f(y, lp) = +0 whatever y is, so leftward stage
+    s reads right[s] at p and q only where left[s + 1][p] is outside the
+    zero set.  Rightward stage s runs the butterflies with a read output in
+    right[s + 1]: the top one, f(rp, rq + lq), reads rp and rq, and the
+    bottom one, f(rp, lp) + rq, reads rq, and rp only where lp is outside
+    the zero set.  A read message of any layer lies outside that layer's
+    zero set (by induction from right[n_log2 - 1]), so a read top output
+    adds no read to the leftward stage's.  Both halves come from one pass
+    over the stages; the empty zero set lists every butterfly.  The gather
+    index of each stage half is kept per batch size (see index).
     """
 
     def __init__(self, n_log2, zero):
-        self.n_log2, self.zero = n_log2, zero
+        self.n_log2 = n_log2
         n = 1 << n_log2
-        self.leftward = [None] * n_log2
-        for s, _, both in _stage_zeros(n_log2, zero):
-            live = ~both
-            if np.count_nonzero(live) <= _GATHER_SHARE * n / 2:
-                self.leftward[s] = _tops(n, s, live)
-        self._rightward = None
+        self.leftward, self.rightward = [None] * n_log2, [None] * (n_log2 - 1)
+        read = np.zeros((n_log2, n), dtype=bool)
+        for s, top, both in _stage_zeros(n_log2, zero):
+            self.leftward[s] = _tops(n, s, ~both)
+            r = read[s].reshape(-1, 2, 1 << s)
+            r[:, 0] = r[:, 1] = ~top
+            if s < n_log2 - 1:
+                out = read[s + 1].reshape(-1, 2, 1 << s)
+                self.rightward[s] = _tops(n, s, out[:, 0] | out[:, 1])
+                r[:, 1] |= out[:, 1]
         self._index = {}
 
     def index(self, s, direction, b):
@@ -314,37 +291,6 @@ class _GatherPlan:
             at = np.array([y + q, y, y, x, x + q])[:, None, None] + (np.arange(b) * n)[:, None]
             self._index[key] = (at + p).reshape(5, -1)
         return self._index[key]
-
-    @property
-    def rightward(self):
-        """stages[s] is None for a rightward stage (0..n_log2 - 2) that runs
-        every butterfly, or the top positions of those it runs on their own:
-        the butterflies with an output that some later stage half reads.
-
-        A zero lp makes f(lp, y) = f(y, lp) = +0 whatever y is, so leftward
-        stage s reads right[s] at p and q only where left[s + 1][p] is
-        outside the zero set.  Rightward stage s runs the butterflies with a
-        read output in right[s + 1]: the top one, f(rp, rq + lq), reads rp
-        and rq, and the bottom one, f(rp, lp) + rq, reads rq, and rp only
-        where lp is outside the zero set.  A read message of any layer lies
-        outside that layer's zero set (by induction from right[n_log2 - 1]),
-        so a read top output adds no read to the leftward stage's.
-        """
-        if self._rightward is None:
-            n_log2, n = self.n_log2, 1 << self.n_log2
-            read = np.zeros((n_log2, n), dtype=bool)
-            stages = [None] * (n_log2 - 1)
-            for s, top, _ in _stage_zeros(n_log2, self.zero):
-                r = read[s].reshape(-1, 2, 1 << s)
-                r[:, 0] = r[:, 1] = ~top
-                if s < n_log2 - 1:
-                    out = read[s + 1].reshape(-1, 2, 1 << s)
-                    run = out[:, 0] | out[:, 1]
-                    if np.count_nonzero(run) <= _GATHER_SHARE * n / 2:
-                        stages[s] = _tops(n, s, run)
-                    r[:, 1] |= out[:, 1]
-            self._rightward = stages
-        return self._rightward
 
 
 @lru_cache(maxsize=16)
@@ -384,26 +330,27 @@ class _Lockstep:
       left[s]    = [f(lp, rq + lq); f(lp, rp) + lq]
       right[s+1] = [f(rp, rq + lq); f(rp, lp) + rq]
     so both rows of a hold the shared operand (f is symmetric bit for bit).
-    The operand and scratch buffers are allocated once per batch size; every
-    stage sees them, and the message layers, through butterfly views.  A
-    schedule is a list of _Step, one per stage half, each holding its kernel
-    and every view the kernel and its box-plus touch, built with the step,
-    and its direction; run calls the kernels and does nothing else.
+    It runs on the butterflies its _GatherPlan lists, through one flat
+    gather over left[s + 1] and right[s] into the buffer g and one scatter
+    into the layer it writes.  g and the scratch are allocated once per
+    batch size.  A schedule is a list of _Step, one per stage half, each
+    holding its kernel and every view the kernel and its box-plus touch,
+    built with the step, and its direction; run calls the kernels and does
+    nothing else.
 
-    Under the exact rule, a stage half that needs few butterflies runs that
-    box-plus on those alone, through one flat gather over left[s + 1] and
-    right[s] and one scatter into the layer it writes (_GatherPlan).  A
-    leftward stage skips the butterflies with two zero inputs, whose outputs
-    stay at the +0 the full update would write, since f(+-0, y) = +0 and msgs
-    starts at +0.  A rightward stage skips the butterflies whose outputs no
-    later stage half reads.  Those messages go stale but stay finite, and a
-    stage half that takes one in anyway writes what it would from a fresh
-    one: it takes it only into f beside a zero lp, which gives +0 whatever
-    it holds, or into an output nothing reads.  Min-sum keeps the full
-    schedule, as its f(0, y) can be -0.  The schedules are built when a half
-    first runs, so a decode the stop rule ends in iteration 1 never builds
-    the rightward one, and take their gather indices from the plan, which
-    keeps them per batch size: a known pattern's schedule builds only views.
+    Under the exact rule the plan is that of the positions zero in every
+    row.  A leftward stage skips the butterflies with two zero inputs, whose
+    outputs stay at the +0 the full update would write, since f(+-0, y) = +0
+    and msgs starts at +0.  A rightward stage skips the butterflies whose
+    outputs no later stage half reads.  Those messages go stale but stay
+    finite, and a stage half that takes one in anyway writes what it would
+    from a fresh one: it takes it only into f beside a zero lp, which gives
+    +0 whatever it holds, or into an output nothing reads.  Under min-sum,
+    whose f(0, y) can be -0, the plan is the empty zero set's, which lists
+    every butterfly.  The schedules are built when a half first runs, so a
+    decode the stop rule ends in iteration 1 never builds the rightward
+    one, and take their gather indices from the plan, which keeps them per
+    batch size: a known pattern's schedule builds only views.
 
     The fixed-point stop reads only left, which no skipped butterfly leaves
     stale: remember keeps state, left[1..n_log2 - 1], before a leftward
@@ -419,63 +366,35 @@ class _Lockstep:
         # from left[1], as left[n_log2] and right[0] are constants
         self.state = self.left[1:n_log2]
         self.prev_state = np.empty_like(self.state)
-        self.x, self.t, self.d = (np.empty((2, 2, b * n // 2)) for _ in range(3))
-        self._views = [None] * n_log2
-        self.plan = None
-        if exact:
-            sent = self.left[n_log2].any(axis=0)
-            # zeros only thin out leftward, so no leftward stage gathers
-            # unless at most _GATHER_SHARE of the channel positions are
-            # nonzero; denser patterns run the full schedule both ways
-            if np.count_nonzero(sent) <= _GATHER_SHARE * n:
-                self.plan = _gather_plan(n_log2, (~sent).tobytes())
+        # a stage half gathers 5 rows of at most b * n / 2 butterflies into
+        # g, and its box-plus takes 4 of them through each scratch buffer
+        self.g = np.empty(5 * b * n // 2)
+        self.t, self.d = np.empty(2 * b * n), np.empty(2 * b * n)
+        zero = ~self.left[n_log2].any(axis=0) if exact else np.zeros(n, dtype=bool)
+        self.plan = _gather_plan(n_log2, zero.tobytes())
         self._leftward = self._rightward = None
 
     @property
     def leftward(self):
         if self._leftward is None:
-            plan = self.plan.leftward if self.plan else [None] * self.n_log2
-            self._leftward = [self._step(s, p, "leftward")
-                              for s, p in reversed(list(enumerate(plan)))]
+            self._leftward = [self._step(s, "leftward") for s in reversed(range(self.n_log2))]
         return self._leftward
 
     @property
     def rightward(self):
         # stages 0..n-2, as right[n_log2] is unused
         if self._rightward is None:
-            plan = self.plan.rightward if self.plan else [None] * (self.n_log2 - 1)
-            self._rightward = [self._step(s, p, "rightward") for s, p in enumerate(plan)]
+            self._rightward = [self._step(s, "rightward") for s in range(self.n_log2 - 1)]
         return self._rightward
 
-    def _step(self, s, p, direction):
-        if p is None:
-            return self._strided_step(s, direction)
-        return self._gathered_step(s, direction)
-
-    def _strided_step(self, s, direction):
-        if self._views[s] is None:
-            (lp, lq), (rp, rq) = _halves(self.left[s + 1], s), _halves(self.right[s], s)
-            xs, ts, ds = (buf.reshape((2, 2) + lp.shape) for buf in (self.x, self.t, self.d))
-            self._views[s] = lp, lq, rp, rq, xs, ts, ds
-        lp, lq, rp, rq, xs, ts, ds = self._views[s]
-        if direction == "leftward":
-            out, shared, other, tail = _halves(self.left[s], s), lp, rp, lq
-        else:
-            out, shared, other, tail = _halves(self.right[s + 1], s), rp, lp, rq
-        box = _box_views(xs, ts, ds, out, self.exact)
-        return _Step(_strided, (xs[0], shared, xs[1, 0], rq, lq, xs[1, 1], other, box,
-                                out[1], tail), direction)
-
-    def _gathered_step(self, s, direction):
+    def _step(self, s, direction):
         # the outputs' positions, index[:2], land one layer down from
         # left[s + 1] in left[s], or one layer up from right[s] in right[s + 1]
         index = self.plan.index(s, direction, self.left.shape[1])
         layer, w = self.left[0].size, index.shape[1]
-        # the gather lands in the operand buffer, which only strided steps
-        # otherwise use
-        g = self.x.reshape(-1)[:5 * w].reshape(5, w)
+        g = self.g[:5 * w].reshape(5, w)
         xs = g[1:].reshape(2, 2, w)
-        ts, ds = (buf.reshape(-1)[:4 * w].reshape(2, 2, w) for buf in (self.t, self.d))
+        ts, ds = (buf[:4 * w].reshape(2, 2, w) for buf in (self.t, self.d))
         flat = self.msgs.reshape(-1)
         dst = s if direction == "leftward" else s + 2
         return _Step(_gathered, (flat[(s + 1) * layer:], index, g, xs[1, 1], g[0],
@@ -491,8 +410,8 @@ class _Lockstep:
         module docstring) through one stage-0 box-plus with no right[0]
         prior, run as a one-step half."""
         pilot = self.left[1].copy()
-        v = _halves(pilot, 0)
-        t, d = (buf[0].reshape(v.shape) for buf in (self.t, self.d))
+        v = pilot.reshape(-1, 2).T  # [top; bottom] of every stage-0 butterfly
+        t, d = (buf[:pilot.size].reshape(v.shape) for buf in (self.t, self.d))
         self.run([_Step(_boxplus, _box_views(v, t, d, v[0], self.exact), "pilot")])
         return pilot
 
@@ -511,9 +430,9 @@ class _Lockstep:
         keep = np.delete(np.arange(self.rows.size), stopped)
         # the schedule's views go before the next one is built (its index arrays
         # stay with the plan)
-        self._leftward = self._rightward = self._views = None
-        # take, unlike an indexed copy, returns msgs C-contiguous, as the
-        # butterfly views and the flat gathers need
+        self._leftward = self._rightward = None
+        # take, unlike an indexed copy, returns msgs C-contiguous, as the flat
+        # gathers need
         return _Lockstep(np.take(self.msgs, keep, axis=2), self.rows[keep], self.exact)
 
 
@@ -529,13 +448,11 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     row decide which leftward butterflies run (see the module docstring): a
     batch of punctured frames decodes faster when its rows share their
     zeros, and a row that carries a position the others puncture makes every
-    row run it.  The zeros also
-    decide which rightward butterflies run: only those whose messages some
-    leftward update reads, directly or through later rightward stages.  The
-    gather plan of a zero pattern is built on its first decode and kept for
-    the next ones (the 16 most recent patterns), with the index arrays of
-    each batch size it has run; its rightward half is derived when a decode
-    of the pattern first runs a rightward half.
+    row run it.  The zeros also decide which rightward butterflies run: only
+    those whose messages some leftward update reads, directly or through
+    later rightward stages.  The gather plan of a zero pattern, both halves,
+    is built on its first decode and kept for the next ones (the 16 most
+    recent patterns), with the index arrays of each batch size it has run.
 
     Parameters
     ----------
@@ -633,7 +550,9 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
             break
         if stopped:
             core = core.drop(stopped)
-        core.run(core.rightward)
+        # no leftward half follows the budget's last iteration to read this one
+        if iterations < cfg.max_iters:
+            core.run(core.rightward)
     else:
         for i in range(core.rows.size):
             read_out(i, cfg.max_iters, "max_iters")

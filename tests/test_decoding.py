@@ -287,7 +287,7 @@ class TestFixedPointStop:
             got = assert_rows_match_reference(llrs[:1], spec, BpConfig(max_iters=max_iters))
             assert (got[0].stop_reason, got[0].iterations_used) == want
 
-    def test_rows_drop_together(self, gathered_calls, monkeypatch):
+    def test_rows_drop_together(self, half_widths, monkeypatch):
         # a row the CRC stops in iteration 2 beside a silent row with a CRC
         # of its own that fails: its left is +0 throughout, so it repeats in
         # iteration 2 too, and both leave the batch in one drop while a
@@ -304,9 +304,9 @@ class TestFixedPointStop:
         spec = plan.spec
         silent = np.zeros(plan.n_mother)
         wrong_crc = crc16(np.ones(96, dtype=np.uint8))
-        # the CRC-stopped row sends every position, so no rightward half
-        # gathers until it drops, or at rate 3/4, so the batch gathers from
-        # iteration 1
+        # the CRC-stopped row sends every position, so the batch runs every
+        # butterfly until it drops, or at rate 3/4, so the batch skips some
+        # from iteration 1
         rng = np.random.default_rng(4)
         info = rng.integers(0, 2, 96).astype(np.uint8)
         dense = awgn_llrs(encode_systematic(info, spec), -0.5, rng)
@@ -314,14 +314,15 @@ class TestFixedPointStop:
         deep, _, deep_crcs = _session_rows(96, ["3/4"], [-3.0], seed=1)
         for other, crc in ((dense, crc16(info)), (sparse[0], sparse_crcs[0])):
             drops.clear()
-            gathered_calls.clear()
+            half_widths.clear()
             got = assert_rows_match_reference(np.array([other, silent, deep[0]]), spec,
                                               BpConfig(max_iters=8),
                                               _row_checks([crc, wrong_crc, deep_crcs[0]], [True] * 3))
             assert [(r.stop_reason, r.iterations_used) for r in got] == \
                 [("crc", 2), ("fixed_point", 2), ("max_iters", 8)]
             assert drops == [[0, 1]]
-            assert "rightward" in gathered_calls
+            assert any(d == "rightward" and sum(w) < len(w) * spec.n // 2
+                       for d, w in half_widths)
 
 
 MODES = [("none", False), ("frozen", False), ("frozen", True), ("none", True)]
@@ -548,51 +549,49 @@ def _stage_work(zero, n_log2):
 
 
 @pytest.fixture
-def gathered_calls(monkeypatch):
-    """The direction of every gathered stage half run, in order, read off
-    the schedule each run takes."""
+def half_widths(monkeypatch):
+    """(direction, butterflies per row of each stage) of every stage half
+    run, in order, read off the gather plan of the batch that runs it."""
     calls = []
     run = decoding._Lockstep.run
 
     def counted(core, half):
-        calls.extend(step.direction for step in half if step.kernel is decoding._gathered)
+        direction = half[0].direction
+        if direction != "pilot":
+            calls.append((direction, [p.size for p in getattr(core.plan, direction)]))
         return run(core, half)
 
     monkeypatch.setattr(decoding._Lockstep, "run", counted)
     return calls
 
 
+def _skipped_some(half_widths, n):
+    """Whether some stage half ran fewer than all n/2 butterflies of a stage."""
+    return any(w < n // 2 for _, widths in half_widths for w in widths)
+
+
 class TestPunctured:
-    """Puncturing pins channel LLRs at 0; the exact rule runs a stage half
-    with few butterflies to run on those alone.  Every field stays bitwise
-    equal to the index-pair reference."""
+    """Puncturing pins channel LLRs at 0; the exact rule skips the
+    butterflies whose outputs are known +0 or never read.  Every field stays
+    bitwise equal to the index-pair reference."""
 
     @pytest.mark.parametrize("k", [32, 96, 512])
     @pytest.mark.parametrize("rate", ["3/4", "1/2", "1/4", "1/8"])
-    def test_session_patterns_bitwise(self, gathered_calls, k, rate):
+    def test_session_patterns_bitwise(self, half_widths, k, rate):
         llrs, spec, _ = _session_rows(k, [rate] * 2, [-1.0, 3.0], seed=k)
         assert_rows_match_reference(llrs, spec, BpConfig(max_iters=6, early_stop="none"))
-        # a stage half gathers where its butterflies to run are at most the
-        # gather share, once at most that share of positions is sent; each
-        # of 2 iterations runs both halves
-        gathered_calls.clear()
+        # every stage half runs the butterflies the index pairs say it needs;
+        # the budget's last iteration runs only its leftward half
+        half_widths.clear()
         got = bp_decode_many(llrs, spec, BpConfig(max_iters=2, early_stop="none"))
         assert [r.stop_reason for r in got] == ["max_iters"] * 2
-        zero = (llrs == 0).all(axis=0)
-        share = decoding._GATHER_SHARE * spec.n / 2
-        planned = np.count_nonzero(~zero) <= 2 * share
-        leftward, rightward = _stage_work(zero, spec.n_log2)
-        want = [planned * sum(c <= share for c in counts) for counts in (leftward, rightward)]
-        assert [gathered_calls.count(d) for d in ("leftward", "rightward")] == \
-            [2 * w for w in want]
-        # 3/4 and 1/2 patterns gather every stage half (the rightward half
-        # has n_log2 - 1, as nothing reads right[n_log2]), 1/4 all but the
-        # densest leftward stage at K=32 and 512, and 1/8 none: at K=32 and
-        # 512 it sends every position
-        assert want == {("3/4", 32): [8, 7], ("3/4", 96): [10, 9], ("3/4", 512): [12, 11],
-                        ("1/2", 32): [8, 7], ("1/2", 96): [10, 9], ("1/2", 512): [12, 11],
-                        ("1/4", 32): [7, 7], ("1/4", 96): [10, 9], ("1/4", 512): [11, 11],
-                        ("1/8", 32): [0, 0], ("1/8", 96): [0, 0], ("1/8", 512): [0, 0]}[rate, k]
+        work = dict(zip(("leftward", "rightward"),
+                        _stage_work((llrs == 0).all(axis=0), spec.n_log2)))
+        assert half_widths == [(d, work[d]) for d in ("leftward", "rightward", "leftward")]
+        # at K=32 and 512, rate 1/8 sends every position, so every leftward
+        # butterfly runs
+        assert (work["leftward"] == [spec.n // 2] * spec.n_log2) == \
+            (rate == "1/8" and k != 96)
 
     def test_rightward_work_at_k96(self):
         # butterflies the rightward half needs of 9 * 512, per cumulative
@@ -607,15 +606,14 @@ class TestPunctured:
         assert {rate: sum(c) for rate, c in needed.items()} == \
             {"3/4": 650, "1/2": 973, "1/4": 1949, "1/8": 3776}
 
-    def test_zero_set_not_closed(self, gathered_calls):
+    def test_zero_set_not_closed(self, half_widths):
         # at K=112, rate 1/8 sends a position p but not p + 2^s for some
         # stage s, so zeros thin out from layer to layer and the set each
         # stage skips must be derived stage by stage
         plan = plan_session(112)
         llrs, spec, crcs = _session_rows(112, ["1/8"] * 3, [-2.0, 1.0, 6.0], seed=11)
         sent = llrs[0] != 0
-        # too many positions are sent for any stage to gather; the stage-1
-        # positions plus those that break closure are few enough
+        # the stage-1 positions plus those that break closure
         keep = np.zeros(spec.n, dtype=bool)
         keep[plan.positions(Fraction(3, 4))] = True
         for s in range(spec.n_log2):
@@ -628,9 +626,9 @@ class TestPunctured:
             for early_stop in ("none", "frozen"):
                 cfg = BpConfig(max_iters=12, early_stop=early_stop)
                 assert_rows_match_reference(batch, spec, cfg, _row_checks(crcs, [True, False, True]))
-        assert gathered_calls
+        assert _skipped_some(half_widths, spec.n)
 
-    def test_mixed_rate_batch(self, gathered_calls):
+    def test_mixed_rate_batch(self, half_widths):
         # the batch's zero set is the intersection of its rows'
         llrs, spec, crcs = _session_rows(96, ["3/4", "2/3", "1/2", "1/4"], [0.0, 1.0, -1.0, -4.0],
                                          seed=12)
@@ -639,7 +637,7 @@ class TestPunctured:
         for early_stop in ("none", "frozen"):
             cfg = BpConfig(max_iters=10, early_stop=early_stop)
             assert_rows_match_reference(llrs, spec, cfg, _row_checks(crcs, [True] * 4))
-        assert gathered_calls
+        assert _skipped_some(half_widths, spec.n)
 
     def test_punctured_negative_zero(self):
         llrs, spec, crcs = _session_rows(96, ["3/4", "1/2"], [0.0, 2.0], seed=13)
@@ -652,7 +650,7 @@ class TestPunctured:
             assert_rows_match_reference(llrs, spec, cfg, _row_checks(crcs, [True, False]))
             assert_rows_match_reference(llrs[:1], spec, cfg)
 
-    def test_rows_stopping_apart_switch_plans(self, gathered_calls):
+    def test_rows_stopping_apart_switch_plans(self, half_widths):
         # rows stop in different iterations; dropping the rate-1/2 and 1/4
         # rows grows the common zero set, so the rows left run another plan
         llrs, spec, crcs = _session_rows(96, ["1/4", "1/2", "3/4", "3/4", "3/4"],
@@ -662,21 +660,28 @@ class TestPunctured:
                                           _row_checks(crcs, [True] * 5))
         assert len({r.iterations_used for r in got}) >= 3
         assert decoding._gather_plan.cache_info().currsize >= 2
-        assert gathered_calls
+        assert _skipped_some(half_widths, spec.n)
 
-    def test_dense_batch_runs_strided(self, gathered_calls):
+    @staticmethod
+    def assert_every_butterfly_ran(half_widths, spec):
+        assert {d for d, _ in half_widths} == {"leftward", "rightward"}
+        for direction, widths in half_widths:
+            stages = spec.n_log2 if direction == "leftward" else spec.n_log2 - 1
+            assert widths == [spec.n // 2] * stages
+
+    def test_dense_batch_runs_every_butterfly(self, half_widths):
         llrs, spec, crcs = _session_rows(32, ["1/8"] * 3, [-2.0, 0.0, 2.0], seed=15)
         llrs[llrs == 0] = 0.5  # no position is zero
         assert_rows_match_reference(llrs, spec, BpConfig(max_iters=8), _row_checks(crcs, [True] * 3))
-        assert not gathered_calls
+        self.assert_every_butterfly_ran(half_widths, spec)
 
-    def test_minsum_keeps_full_schedule(self, gathered_calls):
+    def test_minsum_runs_every_butterfly(self, half_widths):
         llrs, spec, crcs = _session_rows(96, ["3/4", "1/2", "1/8"], [1.0, -1.0, -3.0], seed=16)
         llrs[0, np.flatnonzero(llrs[0] == 0)[::4]] = -0.0
         for early_stop in ("none", "frozen"):
             cfg = BpConfig(max_iters=10, update_rule="minsum", early_stop=early_stop)
             assert_rows_match_reference(llrs, spec, cfg, _row_checks(crcs, [True] * 3))
-        assert not gathered_calls
+        self.assert_every_butterfly_ran(half_widths, spec)
 
 
 class TestPlanCache:
@@ -779,8 +784,8 @@ class TestFrozenStopCheck:
 
 class TestSkippedWork:
     """One box-plus per stage half: an iteration runs 2n - 1 of them, one
-    that the stop rule or the fixed-point stop ends runs only its leftward
-    n, and the pilot adds 1."""
+    that the stop rule, the fixed-point stop or the budget ends runs only
+    its leftward n, and the pilot adds 1."""
 
     @pytest.fixture
     def boxplus_calls(self, monkeypatch):
@@ -812,10 +817,7 @@ class TestSkippedWork:
                 res = bp_decode_many(llrs[None], spec, cfg, [check])[0]
                 iters = res.iterations_used
                 assert boxplus_calls.count("pilot") == 1
-                if res.stop_reason == "max_iters":
-                    assert len(boxplus_calls) == iters * (2 * n - 1) + 1
-                else:
-                    assert len(boxplus_calls) == (iters - 1) * (2 * n - 1) + n + 1
+                assert len(boxplus_calls) == (iters - 1) * (2 * n - 1) + n + 1
                 seen.add((res.stop_reason, iters == 1))
         # rule stops in and after iteration 1, a fixed point and the budget
         assert {("crc", True), ("crc", False), ("frozen", True),
@@ -838,7 +840,7 @@ class TestSkippedWork:
         llrs = np.array([c[0] for c in _unpunctured_cases()])
         res = bp_decode_many(llrs, spec, BpConfig(max_iters=3, early_stop="none"))
         assert [r.stop_reason for r in res] == ["max_iters"] * 3
-        assert len(boxplus_calls) == 3 * 11 + 1
+        assert len(boxplus_calls) == 2 * 11 + 6 + 1
 
     def test_fixed_point_and_budget_stops_run_whole_iterations(self, boxplus_calls):
         # a channel with no zero runs the full schedule; its fixed point
@@ -848,10 +850,10 @@ class TestSkippedWork:
         res = bp_decode(llrs, spec, BpConfig(early_stop="none"))
         assert (res.stop_reason, res.iterations_used) == ("fixed_point", 22)
         assert len(boxplus_calls) == 21 * 9 + 5 + 1
-        # a silent channel: no stage half reads right, so every stage gathers
-        # nothing; iteration 1 runs 5 leftward stages, the pilot and 4 empty
-        # rightward ones, and iteration 2 the 5 leftward stages that repeat
-        # its left
+        # a silent channel: no stage half reads right, so every rightward
+        # stage runs no butterfly; iteration 1 runs 5 leftward stages, the
+        # pilot and 4 empty rightward ones, and iteration 2 the 5 leftward
+        # stages that repeat its left
         boxplus_calls.clear()
         res = bp_decode(np.zeros(spec.n), spec, BpConfig(early_stop="none"))
         assert (res.stop_reason, res.iterations_used) == ("fixed_point", 2)
@@ -860,7 +862,7 @@ class TestSkippedWork:
         res = bp_decode(_unpunctured_cases()[0][0], design_code(6, 32),
                         BpConfig(max_iters=3, early_stop="none"))
         assert (res.stop_reason, res.iterations_used) == ("max_iters", 3)
-        assert len(boxplus_calls) == 3 * 11 + 1
+        assert len(boxplus_calls) == 2 * 11 + 6 + 1
 
 
 class TestBpDecode:

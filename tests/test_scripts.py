@@ -43,8 +43,17 @@ def test_bench_decoder_runs():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     assert {case["rate"] for case in report["cases"]} == set(bench.RATES)
-    assert all(set(case["gathered_halves_per_iteration"]) == {"leftward", "rightward"}
-               for case in report["cases"])
+    # with every position sent, or under min-sum, an iteration runs every
+    # butterfly: N/2 per stage, n_log2 stages leftward and n_log2 - 1 rightward
+    n = report["settings"]["n"]
+    every = {"leftward": (n.bit_length() - 1) * n // 2, "rightward": (n.bit_length() - 2) * n // 2}
+    for case in report["cases"]:
+        butterflies = case["butterflies_per_row_iteration"]
+        if case["rate"] == "all" or case["rule"] == "minsum":
+            assert butterflies == every
+        else:
+            assert 0 < butterflies["leftward"] <= every["leftward"]
+            assert 0 <= butterflies["rightward"] <= every["rightward"]
 
 
 def test_bench_decoder_against_a_second_tree():
