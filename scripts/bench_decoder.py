@@ -7,10 +7,10 @@ Decodes run with early_stop 'none', so every row runs --iters iterations
 unless it reaches a fixed point; a case reports the median over --repeats
 calls of the call time divided by the iterations run, the median time of a
 one-iteration call (the per-call cost a decode that stops at once pays), and
-how many butterflies per row an iteration runs in each direction, from the
-gather plan of the batch.  Rate 1/4 is the cumulative stage-2 pattern a
-deep-failure session decodes; "all" sends every position, so no butterfly is
-skipped.
+how many output messages per row an iteration box-plusses and copies in each
+direction, from the gather plan of the batch.  Rate 1/4 is the cumulative
+stage-2 pattern a deep-failure session decodes; "all" sends every position,
+so every output is box-plussed.
 
 With --against DIR, the ``polarlink`` package under DIR (a source tree's
 ``src``, say a checkout of an earlier commit) is imported as a second module
@@ -95,9 +95,10 @@ def timed(fns, repeats):
     return [statistics.median(t) for t in times]
 
 
-def butterflies_per_row_iteration(call):
-    """Butterflies per row that an iteration of call()'s decode runs, per
-    direction: the widths of the gather plan its batch starts with."""
+def messages_per_row_iteration(call):
+    """Box-plus outputs and copies per row that an iteration of call()'s
+    decode writes, per direction, read off the gather plan its batch starts
+    with."""
     run = decoding._Lockstep.run
     plans = []
 
@@ -110,8 +111,13 @@ def butterflies_per_row_iteration(call):
         call()
     finally:
         decoding._Lockstep.run = run
-    return {direction: sum(p.size for p in getattr(plans[0], direction))
-            for direction in ("leftward", "rightward")}
+    counts = {}
+    for direction in ("leftward", "rightward"):
+        kinds = getattr(plans[0], direction)
+        counts[direction] = {
+            "boxplus": sum(k.bottom.size + 2 * k.both.size + k.top.size for k in kinds),
+            "copies": sum(k.copy.size for k in kinds)}
+    return counts
 
 
 def run(k, iters, repeats, seed=0, against=None):
@@ -135,7 +141,7 @@ def run(k, iters, repeats, seed=0, against=None):
                 results = calls(iters)[0]()
                 ran = max(r.iterations_used for r in results)
                 call_s, one_s = timed(calls(iters), repeats), timed(calls(1), repeats)
-                butterflies = butterflies_per_row_iteration(calls(1)[0])
+                messages = messages_per_row_iteration(calls(1)[0])
                 case = {
                     "rule": rule, "rate": rate, "batch": batch,
                     "zero_share": round(float((llrs == 0).all(axis=0).mean()), 4),
@@ -144,12 +150,14 @@ def run(k, iters, repeats, seed=0, against=None):
                     "ms_per_iter": round(1e3 * call_s[0] / ran, 4),
                     "ms_per_row_iter": round(1e3 * call_s[0] / ran / batch, 4),
                     "one_iteration_call_us": round(1e6 * one_s[0], 1),
-                    "butterflies_per_row_iteration": butterflies,
+                    "messages_per_row_iteration": messages,
                 }
                 line = (f"{rule:6s} rate {rate:3s} B={batch}: {case['ms_per_iter']:.3f} ms/iter, "
                         f"1-iter call {case['one_iteration_call_us']:.0f} us, "
-                        f"butterflies {butterflies['leftward']} left "
-                        f"{butterflies['rightward']} right")
+                        f"box-plus {messages['leftward']['boxplus']} left "
+                        f"{messages['rightward']['boxplus']} right, copies "
+                        f"{messages['leftward']['copies']} left "
+                        f"{messages['rightward']['copies']} right")
                 if against is not None:
                     case["against"] = {"ms_per_iter": round(1e3 * call_s[1] / ran, 4),
                                        "one_iteration_call_us": round(1e6 * one_s[1], 1)}

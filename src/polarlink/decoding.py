@@ -8,14 +8,14 @@ posterior of exactly zero decides bit 0.
 
 The decoder runs a batch of codewords of one code in lockstep: the leftward
 and rightward messages are (n_log2 + 1, B, N) each, one row per codeword
-within each layer.  One iteration runs one stacked box-plus per stage half
-over every running row, on the butterflies that half's gather plan lists,
-taken from the messages by one flat gather into buffers allocated once per
-batch size and written back by one scatter, so a batch pays the per-call
-cost of each numpy kernel once.  Every view a stage half's kernels touch
-(gathered operands, scratch, tail and output rows) is built once, with the
-schedule, rather than on each call, and the stop rule tests left[0] through
-a frozen-position mask rather than gathering its frozen columns: at the
+within each layer.  One iteration runs one box-plus per stage half over
+every running row, on the output messages that half's gather plan says need
+one, taken from the messages by one flat gather into buffers allocated once
+per batch size and written back by one scatter, so a batch pays the
+per-call cost of each numpy kernel once.  Every view a stage half's kernels
+touch (gathered operands, scratch, tail and output spans) is built once,
+with the schedule, rather than on each call, and the stop rule tests left[0]
+through a frozen-position mask rather than gathering its frozen columns: at the
 batch sizes of a sweep (B = 1 to 8) an iteration's cost is mostly fixed per
 numpy call.  It keeps a bit-identity contract: every message the decoder
 reads, and so every result field and stop, equals that of the plain
@@ -44,27 +44,31 @@ leftward stage 0 has run, so it is checked between the halves and a stop
 skips the rightward half, whose schedule is then never built; the last
 iteration of the budget skips it too, as no leftward half follows.
 Puncturing pins most channel LLRs at exactly 0 (Niu, Chen & Lin, ICC 2013),
-and under the exact rule f(+-0, y) = +0, so a leftward butterfly with two
-zero inputs outputs +0.  The positions zero in every row of the batch
-propagate stage by stage: a top output is zero when its top input is, a
-bottom output when both inputs are.  The set is derived per stage, as it can
-shrink from layer to layer (at rate 1/8 it does for about a third of the
-session sizes).  By the same rule a leftward butterfly whose top input lp is
-zero reads nothing of right, and the bottom output f(rp, lp) + rq of a
-rightward one reads rp only where lp is nonzero, so most rightward messages
-feed no leftward update: at K=96, rate 3/4, an iteration needs 650 of its
-4608 rightward butterflies.  Each stage half runs its box-plus on the
-butterflies it needs alone; the plan of each zero pattern is built once and
+and under the exact rule f(+-0, y) = +0, so a butterfly whose top input lp
+is zero outputs +0 at the top and +0 + lq at the bottom: a known output and
+a copy, neither of which needs a box-plus.  The positions zero in every row
+of the batch propagate stage by stage: a top output is zero when its top
+input is, a bottom output when both inputs are.  The set is derived per
+stage, as it can shrink from layer to layer (at rate 1/8 it does for about
+a third of the session sizes).  By the same rule a leftward butterfly whose
+lp is zero reads nothing of right, and the bottom output f(rp, lp) + rq of a
+rightward one reads rp only where lp is nonzero and is a copy of rq
+elsewhere, so most rightward messages feed no leftward update.  Each stage
+half box-plusses only the outputs that need it, copies those that are a
+zero plus a tail, and skips the rest: at K=96, rate 3/4, an iteration
+box-plusses 1172 of its 19456 output messages, 650 leftward and 522
+rightward, and copies 987.  The plan of each zero pattern is built once and
 kept.  Min-sum's f(0, y) can be -0, so under min-sum, as for a batch with no
-zero position, the plan is that of the empty zero set, which lists every
-butterfly.  The messages the rightward half skips go stale, but the leftward
-ones never do: a skipped leftward butterfly holds the +0 its update would
-write.  So the fixed-point stop compares left[1..n_log2 - 1] as bits before
-and after an iteration's leftward half.  left[0] follows from left[1], as
-right[0] is constant, and the whole right state from left[1..n_log2 - 1], so
-when those repeat in iteration t >= 2, iteration t leaves every message of
-the full schedule as t - 1 left it.  The stop is tested beside the stop
-rule, and a row it ends skips its rightward half too.
+zero position, the plan is that of the empty zero set, which box-plusses
+both outputs of every butterfly.  The messages the rightward half skips go
+stale, but the leftward ones never do: a skipped leftward output holds the
++0 its update would write.  So the fixed-point stop compares
+left[1..n_log2 - 1] as bits before and after an iteration's leftward half.
+left[0] follows from left[1], as right[0] is constant, and the whole right
+state from left[1..n_log2 - 1], so when those repeat in iteration t >= 2,
+iteration t leaves every message of the full schedule as t - 1 left it.
+The stop is tested beside the stop rule, and a row it ends skips its
+rightward half too.
 """
 
 from __future__ import annotations
@@ -193,27 +197,33 @@ def _boxplus(x, a, b, t, m, u, d, d0, d1, out, exact):
         np.multiply(u, m, out)
 
 
-def _box_views(x, t, d, out, exact):
-    """_boxplus's arguments over the operands x, the scratch t and d, and out."""
-    return x, x[0], x[1], t, t[0], t[1], d, d[0], d[1], out, exact
+def _box_views(x, a, b, t, d, out, exact):
+    """_boxplus's arguments over the operands x (a and b its rows, in either
+    order), the scratch t and d, and out."""
+    return x, a, b, t, t[0], t[1], d, d[0], d[1], out, exact
 
 
-def _gathered(src, index, g, b1, tail, box, a0, dst, scatter, out):
-    """One stage half over the butterflies that index lists.
+def _gathered(src, index, g, xq, tail_xq, box, bottom, tail_bottom, dst, scatter, out):
+    """One stage half over the output messages its plan lists.
 
-    src[index], taken into g, is [yq; yp; yp; xp; xq] of each butterfly,
-    where y is the side the half updates (left leftward, right rightward,
-    so yp is its shared operand and yq its tail) and x the other side.  g's
-    last four rows are then the operands [a; b], b1 = g[4] and a0 = g[1];
-    the outputs overwrite a, out = g[1:3], in the order [bottom; top], and
-    dst[scatter] takes them to q and p of the layer written.  take's
+    y is the side the half updates (left leftward, right rightward), so yp
+    is each butterfly's shared operand and yq its tail, and x is the other
+    side.  T, F and B are the butterflies that box-plus their top output
+    only, both outputs and their bottom output only, and C those whose
+    bottom output is a copy.  src[index], taken into g, is [yq(T|F|B|C) |
+    xq(T|F) xp(F|B) | yp(T|F) yp(F|B) | +0(C)].  The pre-add makes xq = xq
+    + yq, the tail of a top output; the box-plus overwrites the yp row, a,
+    with f(a, b) over the row b before it; the post-add adds yq to each
+    bottom output and to the +0 of each copy, which so turns a -0 tail into
+    +0 as f(+-0, y) + yq = +0 + yq does.  out = [a | copies] is then one
+    span, and dst[scatter] takes it to the layer written.  take's
     mode="wrap" skips the bounds check of mode="raise", which would buffer
     the copy; every index is in range.
     """
     src.take(index, out=g, mode="wrap")
-    np.add(b1, tail, b1)
+    np.add(xq, tail_xq, xq)
     _boxplus(*box)
-    np.add(a0, tail, a0)
+    np.add(bottom, tail_bottom, bottom)
     dst[scatter] = out
 
 
@@ -233,27 +243,49 @@ def _stage_zeros(n_log2, zero):
         z[:, 1] &= z[:, 0]
 
 
-def _tops(n, s, run):
-    """The top positions p of the stage-s butterflies that run selects."""
-    return np.arange(n).reshape(-1, 2, 1 << s)[:, 0][run]
+class _Outputs(NamedTuple):
+    """The top positions p of a stage half's butterflies, by the outputs
+    they box-plus (top only, both, bottom only) and by whether their bottom
+    output is a copy; a butterfly in none of them writes nothing."""
+
+    top: np.ndarray
+    both: np.ndarray
+    bottom: np.ndarray
+    copy: np.ndarray
+
+
+def _outputs(s, n, top, bottom, copy):
+    """_Outputs from stage s's masks over its butterflies: which box-plus
+    their top and bottom outputs, and which copy their bottom one."""
+    p = np.arange(n).reshape(-1, 2, 1 << s)[:, 0]
+    both = top & bottom
+    return _Outputs(p[top ^ both], p[both], p[bottom ^ both], p[copy])
 
 
 class _GatherPlan:
-    """Which butterflies each stage half runs, for one zero pattern.
+    """Which output messages each stage half writes, for one zero pattern.
 
-    leftward[s] holds the top positions p of the stage-s butterflies with a
-    nonzero input: a butterfly with two zero inputs writes the +0 its
-    outputs already hold.  rightward[s] (stages 0..n_log2 - 2) holds those
-    of the butterflies with an output that some later stage half reads.  A
-    zero lp makes f(lp, y) = f(y, lp) = +0 whatever y is, so leftward stage
-    s reads right[s] at p and q only where left[s + 1][p] is outside the
-    zero set.  Rightward stage s runs the butterflies with a read output in
-    right[s + 1]: the top one, f(rp, rq + lq), reads rp and rq, and the
-    bottom one, f(rp, lp) + rq, reads rq, and rp only where lp is outside
-    the zero set.  A read message of any layer lies outside that layer's
-    zero set (by induction from right[n_log2 - 1]), so a read top output
-    adds no read to the leftward stage's.  Both halves come from one pass
-    over the stages; the empty zero set lists every butterfly.  The gather
+    A stage half's outputs are of three kinds.  A box-plus output is f(yp,
+    xp) + yq at the bottom q or f(yp, xq + yq) at the top p, where y is the
+    side the half updates.  A copy is the bottom output +0 + yq of a
+    butterfly whose top input lp is in the zero set, since f(+-0, y) = +0
+    under the exact rule.  A skipped output is a top output known to be +0,
+    which holds the +0 msgs starts with, or a rightward output that no
+    later stage half reads, which goes stale.  leftward[s] and rightward[s]
+    (stages 0..n_log2 - 2) hold each half's _Outputs.
+
+    Leftward, a butterfly with a nonzero lp box-plusses both outputs, one
+    with a zero lp copies its bottom output when lq is nonzero, and one
+    with two zero inputs writes nothing, as its outputs hold the +0 they
+    would be set to.  So leftward stage s reads right[s] at p and q only
+    where lp is nonzero.  Rightward stage s writes the outputs in right[s +
+    1] that some later stage half reads: the top one, f(rp, rq + lq),
+    reads rp and rq, and the bottom one, f(rp, lp) + rq, reads rq, and rp
+    only where lp is nonzero, elsewhere being a copy of rq.  A read message
+    of any layer lies outside that layer's zero set (by induction from
+    right[n_log2 - 1]), so a read top output adds no read to the leftward
+    stage's.  Both halves come from one pass over the stages; the empty
+    zero set box-plusses both outputs of every butterfly.  The gather
     index of each stage half is kept per batch size (see index).
     """
 
@@ -263,33 +295,47 @@ class _GatherPlan:
         self.leftward, self.rightward = [None] * n_log2, [None] * (n_log2 - 1)
         read = np.zeros((n_log2, n), dtype=bool)
         for s, top, both in _stage_zeros(n_log2, zero):
-            self.leftward[s] = _tops(n, s, ~both)
+            self.leftward[s] = _outputs(s, n, ~top, ~top, top & ~both)
             r = read[s].reshape(-1, 2, 1 << s)
             r[:, 0] = r[:, 1] = ~top
             if s < n_log2 - 1:
                 out = read[s + 1].reshape(-1, 2, 1 << s)
-                self.rightward[s] = _tops(n, s, out[:, 0] | out[:, 1])
+                self.rightward[s] = _outputs(s, n, out[:, 0], out[:, 1] & ~top, out[:, 1] & top)
                 r[:, 1] |= out[:, 1]
         self._index = {}
 
     def index(self, s, direction, b):
-        """The (5, b * live) gather index of stage s's half in a b-row batch.
+        """Stage s's half in a b-row batch: its gather index, its scatter
+        index and how many butterflies (T, F, B, C) of _gathered it has
+        over the batch.
 
-        Row by row, [yq, yp, yp, xp, xq] of each butterfly it runs (y =
-        left leftward, right rightward), as offsets from the start of left[s
-        + 1] in the (2, n_log2 + 1, b, N) messages: q = p + 2^s, and right[s]
-        lies n_log2 layers on.  Built on first use and kept, so a decode of
-        a known pattern and batch size builds only views.
+        The gather index lists [yq(T|F|B|C) | xq(T|F) xp(F|B) | yp(T|F)
+        yp(F|B) | +0(C)] (see _gathered; y = left leftward, right
+        rightward) as offsets from the start of left[s + 1] in the (2,
+        n_log2 + 1, b, N) messages: q = p + 2^s, right[s] lies n_log2 layers
+        on, and each +0 is taken from right[n_log2], which no stage half
+        writes.  The scatter index lists the positions [p(T|F) | q(F|B|C)]
+        of the outputs, offset as their yq and yp are, so from the start of
+        the layer written one layer down (leftward) or up (rightward).  Each
+        kind lists its butterflies row by row, so every operand the kernels
+        touch is one slice.  Built on first use and kept, so a decode of a
+        known pattern and batch size builds only views.
         """
         key = s, direction, b
         if key not in self._index:
             n = 1 << self.n_log2
             leftward = direction == "leftward"
-            p = self.leftward[s] if leftward else self.rightward[s]
+            rows = (np.arange(b) * n)[:, None]
+            kinds = self.leftward[s] if leftward else self.rightward[s]
+            nt, nf, nb, nc = (b * p.size for p in kinds)
+            tops = np.concatenate([(rows + p).ravel() for p in kinds])  # [T | F | B | C]
+            tf, fb = tops[:nt + nf], tops[nt:nt + nf + nb]
             right, q = self.n_log2 * b * n, 1 << s
             y, x = (0, right) if leftward else (right, 0)
-            at = np.array([y + q, y, y, x, x + q])[:, None, None] + (np.arange(b) * n)[:, None]
-            self._index[key] = (at + p).reshape(5, -1)
+            gather = np.concatenate([tops + (y + q), tf + (x + q), fb + x, tf + y, fb + y,
+                                     np.full(nc, (2 * self.n_log2 - s) * b * n)])
+            scatter = np.concatenate([tf + y, gather[nt:nt + nf + nb + nc]])
+            self._index[key] = gather, scatter, (nt, nf, nb, nc)
         return self._index[key]
 
 
@@ -325,34 +371,38 @@ class _Lockstep:
 
     msgs is (2, n_log2 + 1, B, N): left and right, the leftward and
     rightward messages into each layer, one row per codeword, so each layer
-    of every row is one contiguous block.  Each stage half takes one
-    box-plus f over operands [a; b] that stack its two outputs,
+    of every row is one contiguous block.  The two outputs of a stage-s
+    butterfly are
       left[s]    = [f(lp, rq + lq); f(lp, rp) + lq]
       right[s+1] = [f(rp, rq + lq); f(rp, lp) + rq]
-    so both rows of a hold the shared operand (f is symmetric bit for bit).
-    It runs on the butterflies its _GatherPlan lists, through one flat
-    gather over left[s + 1] and right[s] into the buffer g and one scatter
-    into the layer it writes.  g and the scratch are allocated once per
-    batch size.  A schedule is a list of _Step, one per stage half, each
-    holding its kernel and every view the kernel and its box-plus touch,
-    built with the step, and its direction; run calls the kernels and does
-    nothing else.
+    at [p; q], so both box-plusses share an operand.  Each stage half runs
+    one box-plus f, over the outputs its _GatherPlan says need one, and
+    copies the outputs that are +0 plus a tail, through one flat gather
+    over left[s + 1] and right[s] into the buffer g and one scatter into
+    the layer it writes (see _gathered).  g and the scratch are allocated
+    once per batch size.  A schedule is a list of _Step, one per stage
+    half, each holding its kernel and every view the kernel and its
+    box-plus touch, built with the step, and its direction; run calls the
+    kernels and does nothing else.
 
     Under the exact rule the plan is that of the positions zero in every
-    row.  A leftward stage skips the butterflies with two zero inputs, whose
-    outputs stay at the +0 the full update would write, since f(+-0, y) = +0
-    and msgs starts at +0.  A rightward stage skips the butterflies whose
-    outputs no later stage half reads.  Those messages go stale but stay
-    finite, and a stage half that takes one in anyway writes what it would
-    from a fresh one: it takes it only into f beside a zero lp, which gives
-    +0 whatever it holds, or into an output nothing reads.  Under min-sum,
-    whose f(0, y) can be -0, the plan is the empty zero set's, which lists
-    every butterfly.  The schedules are built when a half first runs, so a
-    decode the stop rule ends in iteration 1 never builds the rightward
-    one, and take their gather indices from the plan, which keeps them per
-    batch size: a known pattern's schedule builds only views.
+    row.  The top output of a butterfly whose lp is zero is never written:
+    it stays at the +0 the full update would write, since f(+-0, y) = +0
+    and msgs starts at +0, and a row's zeros include the batch's, so an
+    earlier plan of a larger batch wrote +0 there too.  A rightward stage
+    skips the outputs that no later stage half reads.  Those messages go
+    stale but stay finite, and no stage half takes one in: every operand
+    gathered is one its plan reads, and dropping rows only grows the zero
+    set, which shrinks what the plan reads.  right[n_log2], which no stage
+    half writes, holds +0 throughout; the copies take their +0 from it.
+    Under min-sum, whose f(0, y) can be -0, the plan is the empty zero
+    set's, which box-plusses both outputs of every butterfly.  The
+    schedules are built when a half first runs, so a decode the stop rule
+    ends in iteration 1 never builds the rightward one, and take their
+    gather indices from the plan, which keeps them per batch size: a known
+    pattern's schedule builds only views.
 
-    The fixed-point stop reads only left, which no skipped butterfly leaves
+    The fixed-point stop reads only left, which no skipped output leaves
     stale: remember keeps state, left[1..n_log2 - 1], before a leftward
     half, and repeated compares it after.
     """
@@ -366,8 +416,9 @@ class _Lockstep:
         # from left[1], as left[n_log2] and right[0] are constants
         self.state = self.left[1:n_log2]
         self.prev_state = np.empty_like(self.state)
-        # a stage half gathers 5 rows of at most b * n / 2 butterflies into
-        # g, and its box-plus takes 4 of them through each scratch buffer
+        # a stage half gathers at most 5 operands of each of its b * n / 2
+        # butterflies into g, and its box-plus takes at most 2 * b * n of them
+        # through each scratch buffer
         self.g = np.empty(5 * b * n // 2)
         self.t, self.d = np.empty(2 * b * n), np.empty(2 * b * n)
         zero = ~self.left[n_log2].any(axis=0) if exact else np.zeros(n, dtype=bool)
@@ -388,18 +439,20 @@ class _Lockstep:
         return self._rightward
 
     def _step(self, s, direction):
-        # the outputs' positions, index[:2], land one layer down from
-        # left[s + 1] in left[s], or one layer up from right[s] in right[s + 1]
-        index = self.plan.index(s, direction, self.left.shape[1])
-        layer, w = self.left[0].size, index.shape[1]
-        g = self.g[:5 * w].reshape(5, w)
-        xs = g[1:].reshape(2, 2, w)
-        ts, ds = (buf[:4 * w].reshape(2, 2, w) for buf in (self.t, self.d))
+        index, scatter, (nt, nf, nb, nc) = self.plan.index(s, direction, self.left.shape[1])
+        layer = self.left[0].size
+        tails, m = nt + nf + nb + nc, nt + 2 * nf + nb
+        g = self.g[:index.size]
+        x = g[tails:tails + 2 * m].reshape(2, m)  # [b; a], the box-plus operands
+        t, d = (buf[:2 * m].reshape(2, m) for buf in (self.t, self.d))
         flat = self.msgs.reshape(-1)
+        # the outputs land one layer down from left[s + 1] in left[s], or one
+        # layer up from right[s] in right[s + 1]
         dst = s if direction == "leftward" else s + 2
-        return _Step(_gathered, (flat[(s + 1) * layer:], index, g, xs[1, 1], g[0],
-                                 _box_views(xs, ts, ds, xs[0], self.exact), xs[0, 0],
-                                 flat[dst * layer:], index[:2], xs[0]), direction)
+        return _Step(_gathered, (flat[(s + 1) * layer:], index, g, x[0, :nt + nf], g[:nt + nf],
+                                 _box_views(x, x[1], x[0], t, d, x[1], self.exact),
+                                 g[tails + m + nt + nf:], g[nt:tails],
+                                 flat[dst * layer:], scatter, g[tails + m:]), direction)
 
     def run(self, half):
         for kernel, args, _ in half:
@@ -412,7 +465,7 @@ class _Lockstep:
         pilot = self.left[1].copy()
         v = pilot.reshape(-1, 2).T  # [top; bottom] of every stage-0 butterfly
         t, d = (buf[:pilot.size].reshape(v.shape) for buf in (self.t, self.d))
-        self.run([_Step(_boxplus, _box_views(v, t, d, v[0], self.exact), "pilot")])
+        self.run([_Step(_boxplus, _box_views(v, v[0], v[1], t, d, v[0], self.exact), "pilot")])
         return pilot
 
     def remember(self):
@@ -445,14 +498,16 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     fixed-point stop; they grow the work per row once they leave the cache,
     so a caller with many codewords decodes them in groups (run_point sizes
     its groups from N).  Under the exact rule, the positions zero in every
-    row decide which leftward butterflies run (see the module docstring): a
-    batch of punctured frames decodes faster when its rows share their
-    zeros, and a row that carries a position the others puncture makes every
-    row run it.  The zeros also decide which rightward butterflies run: only
-    those whose messages some leftward update reads, directly or through
-    later rightward stages.  The gather plan of a zero pattern, both halves,
-    is built on its first decode and kept for the next ones (the 16 most
-    recent patterns), with the index arrays of each batch size it has run.
+    row decide which output messages need a box-plus (see the module
+    docstring): a butterfly whose top input is zero in every row copies its
+    bottom output and leaves its top one at +0, so a batch of punctured
+    frames decodes faster when its rows share their zeros, and a row that
+    carries a position the others puncture makes every row box-plus it.
+    The zeros also decide which rightward outputs are written at all: only
+    those some leftward update reads, directly or through later rightward
+    stages.  The gather plan of a zero pattern, both halves, is built on
+    its first decode and kept for the next ones (the 16 most recent
+    patterns), with the index arrays of each batch size it has run.
 
     Parameters
     ----------

@@ -460,7 +460,7 @@ def hex_to_bits(s: str, nbits: int) -> np.ndarray:
 def frame_to_wire(frame: Frame) -> str:
     parts = [
         bits_to_hex(header_encode(frame.header)),
-        ",".join(str(int(p)) for p in frame.payload_positions),
+        ",".join(map(str, np.asarray(frame.payload_positions).tolist())),
         bits_to_hex(frame.payload_bits),
     ]
     if frame.crc is not None:
@@ -476,7 +476,7 @@ def frame_from_wire(line: str) -> Frame:
     header = header_decode(hex_to_bits(parts[0], 7))
     if not _POSITIONS.fullmatch(parts[1]):
         raise ValueError(f"payload positions must be unsigned decimals: {line!r}")
-    values = [int(p) for p in parts[1].split(",")]
+    values = list(map(int, parts[1].split(",")))
     if max(values) >= 2**63:
         raise ValueError(f"payload position out of int64 range: {line!r}")
     positions = np.array(values, dtype=np.int64)

@@ -12,7 +12,6 @@ do not depend on worker count or execution order.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 from fractions import Fraction
 from pathlib import Path
@@ -298,7 +297,7 @@ def _lockstep_sessions(cfg: SimConfig, snr_db: float, rate, lanes, records) -> l
             llrs.append(_transmit(frame.payload_bits, cfg, noise, channel_rng))
             if records[i] is not None:
                 records[i].frames.append(frame_to_wire(frame))
-                records[i].frame_llrs.append([float(v) for v in llrs[-1]])
+                records[i].frame_llrs.append(llrs[-1].tolist())
         return gateway_on_frames(frames, llrs, [gws[i] for i in idx])
 
     first = [tag_stage1(codeword, plan, STAGE1_RATE if rate is None else rate)
@@ -462,6 +461,9 @@ def run_sweep(cfg: SimConfig):
     """
     tasks = [(scheme, p) for scheme in cfg.schemes for p in range(len(cfg.snr_db))]
     if cfg.workers > 1:
+        # imported here, off the import path of every 1-worker caller
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             per_task = list(pool.map(run_point, [cfg] * len(tasks), *zip(*tasks)))
     else:

@@ -321,7 +321,7 @@ class TestFixedPointStop:
             assert [(r.stop_reason, r.iterations_used) for r in got] == \
                 [("crc", 2), ("fixed_point", 2), ("max_iters", 8)]
             assert drops == [[0, 1]]
-            assert any(d == "rightward" and sum(w) < len(w) * spec.n // 2
+            assert any(d == "rightward" and sum(box for box, _ in w) < len(w) * spec.n
                        for d, w in half_widths)
 
 
@@ -522,27 +522,31 @@ def _zero_sets_by_layer(zero, n_log2):
     return layers
 
 
-def _stage_work(zero, n_log2):
-    """Butterflies per stage that the exact rule needs, from index pairs:
-    leftward, those with a nonzero input; rightward (stages 0..n_log2 - 2),
-    those with an output that a later stage half reads.  Where
-    left[s + 1][p] is zero, f(lp, .) = +0, so leftward stage s reads
-    right[s] at p and q only where it is nonzero; rightward stage s's top
-    output reads rp and rq, its bottom one, f(rp, lp) + rq, reads rq, and rp
-    only where lp is nonzero.  Returns (leftward counts, rightward counts),
-    indexed by stage."""
+def _stage_outputs(zero, n_log2):
+    """(box-plus outputs, copies) per stage that the exact rule needs, from
+    index pairs.  Where left[s + 1][p] is zero, f(lp, .) = +0: the top
+    output is +0 and the bottom one +0 + the tail, a copy.  Leftward, a
+    butterfly with a nonzero lp box-plusses both outputs, and one with a
+    zero lp copies its bottom output when lq is nonzero; so leftward stage
+    s reads right[s] at p and q only where lp is nonzero.  Rightward
+    (stages 0..n_log2 - 2), only the outputs that a later stage half reads
+    are written: the top one box-plussed, reading rp and rq, and the bottom
+    one, f(rp, lp) + rq, reading rq, and box-plussed reading rp where lp is
+    nonzero, else a copy.  Returns (leftward, rightward), indexed by
+    stage."""
     pairs = _ref_stage_pairs(n_log2)
     layers = _zero_sets_by_layer(zero, n_log2)
     read = np.zeros((n_log2 + 1, 1 << n_log2), dtype=bool)
-    leftward, rightward = [0] * n_log2, [0] * (n_log2 - 1)
+    leftward, rightward = [None] * n_log2, [None] * (n_log2 - 1)
     for s in reversed(range(n_log2)):
         p, q = pairs[s]
         z = layers[n_log2 - 1 - s]  # layer s + 1
-        leftward[s] = np.count_nonzero(~(z[p] & z[q]))
+        leftward[s] = (2 * np.count_nonzero(~z[p]), np.count_nonzero(z[p] & ~z[q]))
         read[s][p] = read[s][q] = ~z[p]
         if s < n_log2 - 1:
             top, bottom = read[s + 1][p], read[s + 1][q]
-            rightward[s] = np.count_nonzero(top | bottom)
+            rightward[s] = (np.count_nonzero(top) + np.count_nonzero(bottom & ~z[p]),
+                            np.count_nonzero(bottom & z[p]))
             read[s][p] |= top | (bottom & ~z[p])
             read[s][q] |= top | bottom
     return leftward, rightward
@@ -550,15 +554,17 @@ def _stage_work(zero, n_log2):
 
 @pytest.fixture
 def half_widths(monkeypatch):
-    """(direction, butterflies per row of each stage) of every stage half
-    run, in order, read off the gather plan of the batch that runs it."""
+    """(direction, (box-plus outputs, copies) per row of each stage) of
+    every stage half run, in order, read off the gather plan of the batch
+    that runs it."""
     calls = []
     run = decoding._Lockstep.run
 
     def counted(core, half):
         direction = half[0].direction
         if direction != "pilot":
-            calls.append((direction, [p.size for p in getattr(core.plan, direction)]))
+            calls.append((direction, [(k.bottom.size + 2 * k.both.size + k.top.size, k.copy.size)
+                                      for k in getattr(core.plan, direction)]))
         return run(core, half)
 
     monkeypatch.setattr(decoding._Lockstep, "run", counted)
@@ -566,45 +572,71 @@ def half_widths(monkeypatch):
 
 
 def _skipped_some(half_widths, n):
-    """Whether some stage half ran fewer than all n/2 butterflies of a stage."""
-    return any(w < n // 2 for _, widths in half_widths for w in widths)
+    """Whether some stage half box-plussed fewer than all n outputs of a
+    stage."""
+    return any(box < n for _, widths in half_widths for box, _ in widths)
+
+
+@st.composite
+def _punctured_batches(draw):
+    """A short code and 1-4 rows of grid LLRs that share one random sent
+    set: every unsent position is 0, and -0 at some sent and unsent
+    positions of each row; each row has its own CRC and is gated by it or
+    not."""
+    n_log2 = draw(st.integers(2, 6))
+    spec = design_code(n_log2, draw(st.integers(1, 1 << n_log2)))
+    positions = st.integers(0, spec.n - 1)
+    unsent = sorted(draw(st.sets(positions)))
+    rows, crcs = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        llrs, crc = _draw_grid_row(draw, spec)
+        llrs[unsent] = 0.0
+        llrs[sorted(draw(st.sets(positions, max_size=spec.n // 4 + 1)))] = -0.0
+        rows.append(llrs)
+        crcs.append(crc)
+    gated = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    return np.array(rows), spec, crcs, gated
 
 
 class TestPunctured:
-    """Puncturing pins channel LLRs at 0; the exact rule skips the
-    butterflies whose outputs are known +0 or never read.  Every field stays
-    bitwise equal to the index-pair reference."""
+    """Puncturing pins channel LLRs at 0; the exact rule copies the outputs
+    that are a zero plus a tail and skips those known +0 or never read.
+    Every field stays bitwise equal to the index-pair reference."""
 
     @pytest.mark.parametrize("k", [32, 96, 512])
     @pytest.mark.parametrize("rate", ["3/4", "1/2", "1/4", "1/8"])
     def test_session_patterns_bitwise(self, half_widths, k, rate):
         llrs, spec, _ = _session_rows(k, [rate] * 2, [-1.0, 3.0], seed=k)
         assert_rows_match_reference(llrs, spec, BpConfig(max_iters=6, early_stop="none"))
-        # every stage half runs the butterflies the index pairs say it needs;
-        # the budget's last iteration runs only its leftward half
+        # every stage half box-plusses and copies the outputs the index pairs
+        # say it needs; the budget's last iteration runs only its leftward half
         half_widths.clear()
         got = bp_decode_many(llrs, spec, BpConfig(max_iters=2, early_stop="none"))
         assert [r.stop_reason for r in got] == ["max_iters"] * 2
         work = dict(zip(("leftward", "rightward"),
-                        _stage_work((llrs == 0).all(axis=0), spec.n_log2)))
+                        _stage_outputs((llrs == 0).all(axis=0), spec.n_log2)))
         assert half_widths == [(d, work[d]) for d in ("leftward", "rightward", "leftward")]
         # at K=32 and 512, rate 1/8 sends every position, so every leftward
-        # butterfly runs
-        assert (work["leftward"] == [spec.n // 2] * spec.n_log2) == \
+        # output is box-plussed
+        assert (work["leftward"] == [(spec.n, 0)] * spec.n_log2) == \
             (rate == "1/8" and k != 96)
 
-    def test_rightward_work_at_k96(self):
-        # butterflies the rightward half needs of 9 * 512, per cumulative
-        # session pattern
+    def test_work_at_k96(self):
+        # (box-plus outputs, copies) per row-iteration of the 10 * 1024
+        # leftward and 9 * 1024 rightward outputs, per cumulative session
+        # pattern
         plan = plan_session(96)
         needed = {}
         for rate in ("3/4", "1/2", "1/4", "1/8"):
             zero = np.ones(plan.n_mother, dtype=bool)
             zero[plan.positions(Fraction(rate))] = False
-            needed[rate] = _stage_work(zero, plan.spec.n_log2)[1]
-        assert needed["3/4"] == [86, 86, 87, 88, 87, 78, 72, 50, 16]
-        assert {rate: sum(c) for rate, c in needed.items()} == \
-            {"3/4": 650, "1/2": 973, "1/4": 1949, "1/8": 3776}
+            needed[rate] = _stage_outputs(zero, plan.spec.n_log2)
+        assert needed["3/4"][1] == [(84, 44), (84, 44), (82, 46), (79, 48), (64, 51), (56, 45),
+                                    (41, 43), (24, 28), (8, 8)]
+        assert {rate: tuple(tuple(map(sum, zip(*half))) for half in n)
+                for rate, n in needed.items()} == {
+            "3/4": ((650, 630), (522, 357)), "1/2": ((1118, 802), (926, 463)),
+            "1/4": ((2754, 1086), (2370, 688)), "1/8": ((6740, 940), (5972, 718))}
 
     def test_zero_set_not_closed(self, half_widths):
         # at K=112, rate 1/8 sends a position p but not p + 2^s for some
@@ -639,6 +671,16 @@ class TestPunctured:
             assert_rows_match_reference(llrs, spec, cfg, _row_checks(crcs, [True] * 4))
         assert _skipped_some(half_widths, spec.n)
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=_punctured_batches(), rule=st.sampled_from(["exact", "minsum"]),
+           early_stop=st.sampled_from(["none", "frozen"]), max_iters=st.integers(1, 8))
+    def test_shared_sent_sets_bitwise(self, case, rule, early_stop, max_iters):
+        # rows of one sent set copy and skip outputs from iteration 1, and
+        # rows that stop apart can leave a larger common zero set behind
+        llrs, spec, crcs, gated = case
+        cfg = BpConfig(max_iters=max_iters, update_rule=rule, early_stop=early_stop)
+        assert_rows_match_reference(llrs, spec, cfg, _row_checks(crcs, gated))
+
     def test_punctured_negative_zero(self):
         llrs, spec, crcs = _session_rows(96, ["3/4", "1/2"], [0.0, 2.0], seed=13)
         unsent = np.flatnonzero(llrs[0] == 0)
@@ -649,6 +691,40 @@ class TestPunctured:
             cfg = BpConfig(max_iters=10, early_stop=early_stop)
             assert_rows_match_reference(llrs, spec, cfg, _row_checks(crcs, [True, False]))
             assert_rows_match_reference(llrs[:1], spec, cfg)
+
+    def test_copies_clear_negative_zero_tails(self, monkeypatch):
+        # a row's -0 at a position the other row sends, beside a top input
+        # zero in both, is the tail of a copy: the copy writes +0 + -0 = +0,
+        # as the full update does, so every message of iteration 1's
+        # leftward half equals the index-pair update's bit for bit
+        llrs, spec, _ = _session_rows(96, ["3/4", "1/2"], [0.0, 2.0], seed=13)
+        llrs[0, llrs[0] == 0] = -0.0
+        lefts = []
+        run = decoding._Lockstep.run
+
+        def recorded(core, half):
+            run(core, half)
+            if half[0].direction == "leftward":
+                lefts.append(core.left.copy())
+
+        monkeypatch.setattr(decoding._Lockstep, "run", recorded)
+        bp_decode_many(llrs, spec, BpConfig(max_iters=1, early_stop="none"))
+        n_log2, pairs = spec.n_log2, _ref_stage_pairs(spec.n_log2)
+        right = np.zeros((n_log2 + 1, spec.n))
+        right[0, spec.frozen_set] = FROZEN_PRIOR_LLR
+        copied = False
+        for row, got in zip(llrs, lefts[0].transpose(1, 0, 2)):
+            left = np.zeros((n_log2 + 1, spec.n))
+            left[n_log2] = row
+            for s in reversed(range(n_log2)):
+                p, q = pairs[s]
+                left[s, p] = _ref_boxplus_exact(left[s + 1, p], right[s, q] + left[s + 1, q])
+                left[s, q] = _ref_boxplus_exact(left[s + 1, p], right[s, p]) + left[s + 1, q]
+            assert got.tobytes() == left.tobytes()
+            p, q = pairs[n_log2 - 1]
+            copied |= bool((np.signbit(row[q]) & (row[q] == 0) & (llrs[:, p] == 0).all(axis=0)
+                            & (llrs[:, q] != 0).any(axis=0)).any())
+        assert copied
 
     def test_rows_stopping_apart_switch_plans(self, half_widths):
         # rows stop in different iterations; dropping the rate-1/2 and 1/4
@@ -664,10 +740,11 @@ class TestPunctured:
 
     @staticmethod
     def assert_every_butterfly_ran(half_widths, spec):
+        # both outputs of every butterfly are box-plussed, and none copied
         assert {d for d, _ in half_widths} == {"leftward", "rightward"}
         for direction, widths in half_widths:
             stages = spec.n_log2 if direction == "leftward" else spec.n_log2 - 1
-            assert widths == [spec.n // 2] * stages
+            assert widths == [(spec.n, 0)] * stages
 
     def test_dense_batch_runs_every_butterfly(self, half_widths):
         llrs, spec, crcs = _session_rows(32, ["1/8"] * 3, [-2.0, 0.0, 2.0], seed=15)

@@ -1,4 +1,4 @@
-"""Smoke tests: the documented demos and the decoder microbenchmark run.
+"""Smoke tests: the documented demos and the benchmark scripts run.
 
 Each runs in its own interpreter with ``src`` on PYTHONPATH, as the README
 shows, and must exit 0 with output.  Demo 06 (a 60-trial sweep, about 10 s)
@@ -43,17 +43,19 @@ def test_bench_decoder_runs():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     assert {case["rate"] for case in report["cases"]} == set(bench.RATES)
-    # with every position sent, or under min-sum, an iteration runs every
-    # butterfly: N/2 per stage, n_log2 stages leftward and n_log2 - 1 rightward
+    # with every position sent, or under min-sum, an iteration box-plusses
+    # every output: N per stage, n_log2 stages leftward and n_log2 - 1
+    # rightward; a punctured pattern copies some outputs and skips others
     n = report["settings"]["n"]
-    every = {"leftward": (n.bit_length() - 1) * n // 2, "rightward": (n.bit_length() - 2) * n // 2}
+    every = {"leftward": (n.bit_length() - 1) * n, "rightward": (n.bit_length() - 2) * n}
     for case in report["cases"]:
-        butterflies = case["butterflies_per_row_iteration"]
+        messages = case["messages_per_row_iteration"]
         if case["rate"] == "all" or case["rule"] == "minsum":
-            assert butterflies == every
+            assert messages == {d: {"boxplus": every[d], "copies": 0} for d in every}
         else:
-            assert 0 < butterflies["leftward"] <= every["leftward"]
-            assert 0 <= butterflies["rightward"] <= every["rightward"]
+            for d in every:
+                assert 0 <= messages[d]["boxplus"] + messages[d]["copies"] <= every[d]
+            assert messages["leftward"]["boxplus"] > 0
 
 
 def test_bench_decoder_against_a_second_tree():
@@ -67,3 +69,17 @@ def test_bench_decoder_against_a_second_tree():
     for case in report["cases"]:
         assert set(case["against"]) == {"ms_per_iter", "one_iteration_call_us"}
         assert all(ratio > 0 for ratio in case["ratio_against_over_this"].values())
+
+
+def test_bench_sweep_against_a_second_tree():
+    # the same tree under a second module name: every round writes the same
+    # metrics.csv through both, and each shape reports its ratio
+    out = _run(ROOT / "scripts" / "bench_sweep.py", "--against", "src", "--rounds", "2")
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert set(report["shapes"]) == {"deep_fail", "waterfall"}
+    for shape in report["shapes"].values():
+        ratio = shape["ratio_other_over_this"]
+        assert 0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
+        assert 0 <= shape["wins"] <= shape["rounds"] == 2
+        assert shape["this"]["trials_per_s"] > 0 and shape["other"]["trials_per_s"] > 0
