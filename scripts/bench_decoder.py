@@ -4,9 +4,13 @@ Each case decodes B rows of the K-bit session code's punctured mother code:
 the positions a session sends at ``rate`` (SessionPlan.positions) carry
 channel LLRs at a deep-failure SNR, and every other position carries 0.
 Decodes run with early_stop 'none', so every row runs --iters iterations
-unless it reaches a fixed point; a case reports the median over --repeats
-calls of the call time divided by the iterations run, the median time of a
-one-iteration call (the per-call cost a decode that stops at once pays), and
+unless it reaches a fixed point, and rows that reach one drop out of the
+batch while the others run on.  So a case divides the median call time over
+--repeats calls by the row-iterations run, the sum of the rows'
+iterations_used: ms_per_row_iter is that quotient and ms_per_iter B times
+it, the cost of one iteration of all B rows.  It also reports the median
+time of a one-iteration call (the per-call cost a decode that stops at once
+pays), and
 how many output messages per row an iteration box-plusses and copies in each
 direction, from the gather plan of the batch.  Rate 1/4 is the cumulative
 stage-2 pattern a deep-failure session decodes; "all" sends every position,
@@ -140,15 +144,17 @@ def run(k, iters, repeats, seed=0, against=None):
 
                 results = calls(iters)[0]()
                 ran = max(r.iterations_used for r in results)
+                row_iterations = sum(r.iterations_used for r in results)
                 call_s, one_s = timed(calls(iters), repeats), timed(calls(1), repeats)
                 messages = messages_per_row_iteration(calls(1)[0])
                 case = {
                     "rule": rule, "rate": rate, "batch": batch,
                     "zero_share": round(float((llrs == 0).all(axis=0).mean()), 4),
                     "iterations": ran,
-                    "all_rows_ran_all": all(r.iterations_used == iters for r in results),
-                    "ms_per_iter": round(1e3 * call_s[0] / ran, 4),
-                    "ms_per_row_iter": round(1e3 * call_s[0] / ran / batch, 4),
+                    "row_iterations": row_iterations,
+                    "all_rows_ran_all": row_iterations == iters * batch,
+                    "ms_per_iter": round(1e3 * call_s[0] * batch / row_iterations, 4),
+                    "ms_per_row_iter": round(1e3 * call_s[0] / row_iterations, 4),
                     "one_iteration_call_us": round(1e6 * one_s[0], 1),
                     "messages_per_row_iteration": messages,
                 }
@@ -159,7 +165,7 @@ def run(k, iters, repeats, seed=0, against=None):
                         f"{messages['leftward']['copies']} left "
                         f"{messages['rightward']['copies']} right")
                 if against is not None:
-                    case["against"] = {"ms_per_iter": round(1e3 * call_s[1] / ran, 4),
+                    case["against"] = {"ms_per_iter": round(1e3 * call_s[1] * batch / row_iterations, 4),
                                        "one_iteration_call_us": round(1e6 * one_s[1], 1)}
                     case["ratio_against_over_this"] = {
                         "ms_per_iter": round(call_s[1] / call_s[0], 3),

@@ -11,7 +11,7 @@ and rightward messages are (n_log2 + 1, B, N) each, one row per codeword
 within each layer.  One iteration runs one box-plus per stage half over
 every running row, on the output messages that half's gather plan says need
 one, taken from the messages by one flat gather into buffers allocated once
-per batch size and written back by one scatter, so a batch pays the
+per decode and written back by one scatter, so a batch pays the
 per-call cost of each numpy kernel once.  Every view a stage half's kernels
 touch (gathered operands, scratch, tail and output spans) is built once,
 with the schedule, rather than on each call, and the stop rule tests left[0]
@@ -24,8 +24,8 @@ stop compares messages as bits.  The test suite checks this against an
 index-pair reference loop.
 
 Each row stops on its own rule and is read out when it stops; the rows still
-running are then compacted into smaller arrays, so the work follows them,
-and a row's result does not depend on the rows decoded beside it.
+running then move up to the first rows of the arrays, so the work follows
+them, and a row's result does not depend on the rows decoded beside it.
 bp_decode decodes one codeword, as a one-row batch.
 
 Frozen-position hard decisions are taken from a prior-free leftward pass
@@ -58,17 +58,22 @@ half box-plusses only the outputs that need it, copies those that are a
 zero plus a tail, and skips the rest: at K=96, rate 3/4, an iteration
 box-plusses 1172 of its 19456 output messages, 650 leftward and 522
 rightward, and copies 987.  The plan of each zero pattern is built once and
-kept.  Min-sum's f(0, y) can be -0, so under min-sum, as for a batch with no
-zero position, the plan is that of the empty zero set, which box-plusses
-both outputs of every butterfly.  The messages the rightward half skips go
-stale, but the leftward ones never do: a skipped leftward output holds the
-+0 its update would write.  So the fixed-point stop compares
-left[1..n_log2 - 1] as bits before and after an iteration's leftward half.
-left[0] follows from left[1], as right[0] is constant, and the whole right
-state from left[1..n_log2 - 1], so when those repeat in iteration t >= 2,
-iteration t leaves every message of the full schedule as t - 1 left it.
-The stop is tested beside the stop rule, and a row it ends skips its
-rightward half too.
+kept, with one gather index per stage half that holds no batch size: a
+batch derives its own from it, in one pass per direction, when it builds
+its schedule, and the plan keeps the one of the last batch size a decode
+started with.  A process that forks workers can build the plans they will
+use before it forks (prepare_decoder; run_sweep does).  Min-sum's f(0, y)
+can be -0, so under min-sum, as for a batch with no zero position, the
+plan is that of the empty zero set, which box-plusses both outputs of
+every butterfly.
+The messages the rightward half skips go stale, but the leftward ones never
+do: a skipped leftward output holds the +0 its update would write.  So the
+fixed-point stop compares left[1..n_log2 - 1] as bits before and after an
+iteration's leftward half.  left[0] follows from left[1], as right[0] is
+constant, and the whole right state from left[1..n_log2 - 1], so when those
+repeat in iteration t >= 2, iteration t leaves every message of the full
+schedule as t - 1 left it.  The stop is tested beside the stop rule, and a
+row it ends skips its rightward half too.
 """
 
 from __future__ import annotations
@@ -90,6 +95,7 @@ __all__ = [
     "bp_decode_many",
     "combine_llrs",
     "ml_decode_oracle",
+    "prepare_decoder",
 ]
 
 # Finite stand-in for the +inf frozen prior; e^40 dwarfs any simulated channel
@@ -285,8 +291,11 @@ class _GatherPlan:
     of any layer lies outside that layer's zero set (by induction from
     right[n_log2 - 1]), so a read top output adds no read to the leftward
     stage's.  Both halves come from one pass over the stages; the empty
-    zero set box-plusses both outputs of every butterfly.  The gather
-    index of each stage half is kept per batch size (see index).
+    zero set box-plusses both outputs of every butterfly.  Each stage half
+    keeps one gather index, that of a one-row batch, from which a batch of
+    any size derives its own (see index and _batch_index); the plan also
+    keeps the indices derived for the last batch size a decode started
+    with (see batch_index).
     """
 
     def __init__(self, n_log2, zero):
@@ -302,41 +311,94 @@ class _GatherPlan:
                 out = read[s + 1].reshape(-1, 2, 1 << s)
                 self.rightward[s] = _outputs(s, n, out[:, 0], out[:, 1] & ~top, out[:, 1] & top)
                 r[:, 1] |= out[:, 1]
-        self._index = {}
+        self._index, self._batch = {}, {}
 
-    def index(self, s, direction, b):
-        """Stage s's half in a b-row batch: its gather index, its scatter
-        index and how many butterflies (T, F, B, C) of _gathered it has
-        over the batch.
+    def index(self, direction):
+        """The one-row indices of every stage half of one direction, as
+        (index, spans): one array, and per stage s spans[s] = (lo, mid, hi,
+        counts), stage s's gather index being index[lo:mid], its scatter
+        index index[mid:hi] and counts how many butterflies (T, F, B, C) of
+        _gathered it has.
 
         The gather index lists [yq(T|F|B|C) | xq(T|F) xp(F|B) | yp(T|F)
         yp(F|B) | +0(C)] (see _gathered; y = left leftward, right
         rightward) as offsets from the start of left[s + 1] in the (2,
-        n_log2 + 1, b, N) messages: q = p + 2^s, right[s] lies n_log2 layers
+        n_log2 + 1, 1, N) messages: q = p + 2^s, right[s] lies n_log2 layers
         on, and each +0 is taken from right[n_log2], which no stage half
         writes.  The scatter index lists the positions [p(T|F) | q(F|B|C)]
         of the outputs, offset as their yq and yp are, so from the start of
-        the layer written one layer down (leftward) or up (rightward).  Each
-        kind lists its butterflies row by row, so every operand the kernels
-        touch is one slice.  Built on first use and kept, so a decode of a
-        known pattern and batch size builds only views.
+        the layer written one layer down (leftward) or up (rightward).  So
+        every entry is layer * N + position, and each kind is one slice.
+        Built on first use and kept: a batch of any size derives its own
+        from it, for the whole direction at once (batch_index).
         """
-        key = s, direction, b
-        if key not in self._index:
-            n = 1 << self.n_log2
+        if direction not in self._index:
+            n_log2 = self.n_log2
+            n = 1 << n_log2
             leftward = direction == "leftward"
-            rows = (np.arange(b) * n)[:, None]
-            kinds = self.leftward[s] if leftward else self.rightward[s]
-            nt, nf, nb, nc = (b * p.size for p in kinds)
-            tops = np.concatenate([(rows + p).ravel() for p in kinds])  # [T | F | B | C]
-            tf, fb = tops[:nt + nf], tops[nt:nt + nf + nb]
-            right, q = self.n_log2 * b * n, 1 << s
-            y, x = (0, right) if leftward else (right, 0)
-            gather = np.concatenate([tops + (y + q), tf + (x + q), fb + x, tf + y, fb + y,
-                                     np.full(nc, (2 * self.n_log2 - s) * b * n)])
-            scatter = np.concatenate([tf + y, gather[nt:nt + nf + nb + nc]])
-            self._index[key] = gather, scatter, (nt, nf, nb, nc)
-        return self._index[key]
+            parts, spans, lo = [np.empty(0, dtype=np.intp)], [], 0  # n_log2 = 1 has no rightward
+            for s, kinds in enumerate(self.leftward if leftward else self.rightward):
+                nt, nf, nb, nc = counts = tuple(p.size for p in kinds)
+                tops = np.concatenate(kinds)  # [T | F | B | C]
+                tf, fb = tops[:nt + nf], tops[nt:nt + nf + nb]
+                right, q = n_log2 * n, 1 << s
+                y, x = (0, right) if leftward else (right, 0)
+                gather = np.concatenate([tops + (y + q), tf + (x + q), fb + x, tf + y, fb + y,
+                                         np.full(nc, (2 * n_log2 - s) * n)])
+                scatter = np.concatenate([tf + y, gather[nt:nt + nf + nb + nc]])
+                parts += gather, scatter
+                mid = lo + gather.size
+                spans.append((lo, mid, mid + scatter.size, counts))
+                lo = mid + scatter.size
+            self._index[direction] = np.concatenate(parts), spans
+        return self._index[direction]
+
+    def batch_index(self, direction, stride, rows):
+        """The indices of direction for the first rows rows of a batch whose
+        messages are (2, n_log2 + 1, stride, N), as (index, spans); the
+        spans count one row, as those of index(direction) do.
+
+        The plan keeps the index of all rows of the last stride a decode
+        started with here, so a decode of a known pattern and batch size
+        derives nothing.  Once more than half its rows are left after a
+        drop (their stride stays), it copies their entries from the kept
+        index, which is faster than deriving them; fewer rows, and rows
+        that drop into this pattern from a batch of another pattern or
+        stride, derive theirs (_batch_index).
+        """
+        index, spans = self.index(direction)
+        if stride == 1:
+            return index, spans
+        kept = self._batch.get(direction)
+        if rows == stride:
+            if kept is None or kept[0] != stride:
+                kept = self._batch[direction] = stride, _batch_index(index, self.n_log2, stride, rows)
+            return kept[1], spans
+        if kept is not None and kept[0] == stride and 2 * rows > stride:
+            return np.ascontiguousarray(kept[1].reshape(-1, stride)[:, :rows]).reshape(-1), spans
+        return _batch_index(index, self.n_log2, stride, rows), spans
+
+
+def _batch_index(index, n_log2, stride, rows):
+    """A one-row index of _GatherPlan.index, for rows rows of a batch whose
+    messages are (2, n_log2 + 1, stride, N).
+
+    There a layer spans stride rows, so the one-row entry e = layer * N + p
+    of row r lies at e + layer * (stride - 1) * N + r * N.  The entries are
+    listed position by position, the rows of each innermost, so each slice
+    of the one-row index is one slice rows times as long here.  The +0
+    entries of the copies land on row r of right[n_log2], which holds +0 in
+    every row.  Each row is one strided add over the whole index; the
+    alternatives run numpy's inner loop over the rows.
+    """
+    n = 1 << n_log2
+    base = index >> n_log2
+    base *= (stride - 1) * n
+    base += index
+    out = np.empty((index.size, rows), dtype=index.dtype)
+    for r in range(rows):
+        np.add(base, r * n, out[:, r])
+    return out.reshape(-1)
 
 
 @lru_cache(maxsize=16)
@@ -344,6 +406,19 @@ def _gather_plan(n_log2, zero):
     """The _GatherPlan of the positions zero in every row's channel LLRs
     (zero, a bool mask as bytes), kept for the next decodes of the pattern."""
     return _GatherPlan(n_log2, zero)
+
+
+def prepare_decoder(spec: CodeSpec, sent) -> None:
+    """Build and keep what the first exact-rule decode of rows whose nonzero
+    channel LLRs lie at the positions sent would build: the gather plan of
+    their zero pattern, with every stage half's one-row index.  A process
+    that forks workers calls it before the fork, so that each worker starts
+    with the plans its decodes use."""
+    zero = np.ones(spec.n, dtype=bool)
+    zero[sent] = False
+    plan = _gather_plan(spec.n_log2, zero.tobytes())
+    for direction in ("leftward", "rightward"):
+        plan.index(direction)
 
 
 def _frozen_pass(left0, frozen):
@@ -371,7 +446,10 @@ class _Lockstep:
 
     msgs is (2, n_log2 + 1, B, N): left and right, the leftward and
     rightward messages into each layer, one row per codeword, so each layer
-    of every row is one contiguous block.  The two outputs of a stage-s
+    of every row is one contiguous block.  The rows still decoding are the
+    first rows.size of its B: when rows stop, drop moves the others up, and
+    msgs keeps its stride B for the whole decode, as do g and the scratch,
+    which are allocated once per decode.  The two outputs of a stage-s
     butterfly are
       left[s]    = [f(lp, rq + lq); f(lp, rp) + lq]
       right[s+1] = [f(rp, rq + lq); f(rp, lp) + rq]
@@ -379,11 +457,10 @@ class _Lockstep:
     one box-plus f, over the outputs its _GatherPlan says need one, and
     copies the outputs that are +0 plus a tail, through one flat gather
     over left[s + 1] and right[s] into the buffer g and one scatter into
-    the layer it writes (see _gathered).  g and the scratch are allocated
-    once per batch size.  A schedule is a list of _Step, one per stage
-    half, each holding its kernel and every view the kernel and its
-    box-plus touch, built with the step, and its direction; run calls the
-    kernels and does nothing else.
+    the layer it writes (see _gathered).  A schedule is a list of _Step,
+    one per stage half, each holding its kernel and every view the kernel
+    and its box-plus touch, built with the step, and its direction; run
+    calls the kernels and does nothing else.
 
     Under the exact rule the plan is that of the positions zero in every
     row.  The top output of a butterfly whose lp is zero is never written:
@@ -398,29 +475,31 @@ class _Lockstep:
     Under min-sum, whose f(0, y) can be -0, the plan is the empty zero
     set's, which box-plusses both outputs of every butterfly.  The
     schedules are built when a half first runs, so a decode the stop rule
-    ends in iteration 1 never builds the rightward one, and take their
-    gather indices from the plan, which keeps them per batch size: a known
-    pattern's schedule builds only views.
+    ends in iteration 1 never builds the rightward one.  Each takes its
+    gather and scatter indices for its rows from the plan
+    (_GatherPlan.batch_index), which derives none for a known pattern and
+    batch size, and builds views over them.
 
     The fixed-point stop reads only left, which no skipped output leaves
     stale: remember keeps state, left[1..n_log2 - 1], before a leftward
     half, and repeated compares it after.
     """
 
-    def __init__(self, msgs, rows, exact):
+    def __init__(self, msgs, rows, exact, scratch=None):
         self.msgs, self.rows, self.exact = msgs, rows, exact
-        self.left, self.right = msgs
-        _, layers, b, n = msgs.shape
+        # the batch's rows are the first rows.size of the stride msgs has
+        self.left, self.right = msgs[:, :, :rows.size]
+        _, layers, stride, n = msgs.shape
         self.n_log2 = n_log2 = layers - 1
         # the messages every other one follows from: right from these, left[0]
         # from left[1], as left[n_log2] and right[0] are constants
         self.state = self.left[1:n_log2]
         self.prev_state = np.empty_like(self.state)
-        # a stage half gathers at most 5 operands of each of its b * n / 2
-        # butterflies into g, and its box-plus takes at most 2 * b * n of them
-        # through each scratch buffer
-        self.g = np.empty(5 * b * n // 2)
-        self.t, self.d = np.empty(2 * b * n), np.empty(2 * b * n)
+        # a stage half gathers at most 5 operands of each of its stride * n / 2
+        # butterflies into g, and its box-plus takes at most 2 * stride * n of
+        # them through each scratch buffer
+        self.g, self.t, self.d = scratch or (np.empty(5 * stride * n // 2),
+                                             np.empty(2 * stride * n), np.empty(2 * stride * n))
         zero = ~self.left[n_log2].any(axis=0) if exact else np.zeros(n, dtype=bool)
         self.plan = _gather_plan(n_log2, zero.tobytes())
         self._leftward = self._rightward = None
@@ -428,19 +507,31 @@ class _Lockstep:
     @property
     def leftward(self):
         if self._leftward is None:
-            self._leftward = [self._step(s, "leftward") for s in reversed(range(self.n_log2))]
+            self._leftward = self._schedule("leftward", reversed(range(self.n_log2)))
         return self._leftward
 
     @property
     def rightward(self):
         # stages 0..n-2, as right[n_log2] is unused
         if self._rightward is None:
-            self._rightward = [self._step(s, "rightward") for s in range(self.n_log2 - 1)]
+            self._rightward = self._schedule("rightward", range(self.n_log2 - 1))
         return self._rightward
 
-    def _step(self, s, direction):
-        index, scatter, (nt, nf, nb, nc) = self.plan.index(s, direction, self.left.shape[1])
-        layer = self.left[0].size
+    def _schedule(self, direction, stages):
+        """The steps of one direction's stage halves, in the order given,
+        over the plan's indices for these rows."""
+        b = self.rows.size
+        index, spans = self.plan.batch_index(direction, self.msgs.shape[2], b)
+        steps = []
+        for s in stages:
+            lo, mid, hi, counts = spans[s]
+            steps.append(self._step(s, direction, index[b * lo:b * mid], index[b * mid:b * hi],
+                                    [b * c for c in counts]))
+        return steps
+
+    def _step(self, s, direction, index, scatter, counts):
+        nt, nf, nb, nc = counts
+        layer = self.msgs[0, 0].size
         tails, m = nt + nf + nb + nc, nt + 2 * nf + nb
         g = self.g[:index.size]
         x = g[tails:tails + 2 * m].reshape(2, m)  # [b; a], the box-plus operands
@@ -479,14 +570,16 @@ class _Lockstep:
                              self.state.view(np.uint64)).any(axis=(0, 2))
 
     def drop(self, stopped):
-        """The rows not listed in stopped, with a schedule sized to them."""
+        """The rows not listed in stopped, with a schedule sized to them:
+        they move up to the first rows of msgs, whose stride stays."""
         keep = np.delete(np.arange(self.rows.size), stopped)
-        # the schedule's views go before the next one is built (its index arrays
-        # stay with the plan)
+        # the schedule's views and indices go before the next one is built
         self._leftward = self._rightward = None
-        # take, unlike an indexed copy, returns msgs C-contiguous, as the flat
-        # gathers need
-        return _Lockstep(np.take(self.msgs, keep, axis=2), self.rows[keep], self.exact)
+        # keep ascends, so no row is overwritten before it moves
+        for i, row in enumerate(keep):
+            if i != row:
+                self.msgs[:, :, i] = self.msgs[:, :, row]
+        return _Lockstep(self.msgs, self.rows[keep], self.exact, (self.g, self.t, self.d))
 
 
 def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
@@ -507,7 +600,9 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     those some leftward update reads, directly or through later rightward
     stages.  The gather plan of a zero pattern, both halves, is built on
     its first decode and kept for the next ones (the 16 most recent
-    patterns), with the index arrays of each batch size it has run.
+    patterns), with one index per stage half from which each batch size
+    derives its own, and with the indices of the last batch size a decode
+    of the pattern started with.
 
     Parameters
     ----------

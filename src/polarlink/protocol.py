@@ -224,6 +224,15 @@ class SessionPlan:
                              f"[K={self.k}, N={self.n_mother}]")
         return np.concatenate([self.spec.info_set, self.spec.parity_schedule[:budget - self.k]])
 
+    def sent_rates(self, rate: Fraction | None = None) -> tuple:
+        """Every rate whose positions a session sends: with rate None an
+        adaptive session's, the stage-1 rate and each stage-2 one (the
+        timeout fallback among them); with a rate, a fixed-rate session's,
+        that rate.  positions of any two rates nest, so the positions a
+        batch of such frames sends, its rows together, are one of these
+        rates' positions."""
+        return (STAGE1_RATE, *RATE_TABLE) if rate is None else (rate,)
+
     def stage2_positions(self, rate: Fraction) -> np.ndarray:
         """Parity positions stage 2 adds beyond stage 1, schedule order."""
         if rate not in RATE_TABLE:
@@ -317,7 +326,10 @@ def _checked_frame(frame: Frame, llrs, session: GatewaySession):
     n_mother = session.plan.n_mother
     if positions.size and not (positions.min() >= 0 and positions.max() < n_mother):
         raise ValueError(f"payload positions must lie in [0, {n_mother})")
-    if np.unique(positions).size != positions.size:
+    # a mask, not np.unique, which imports numpy.ma on its first call
+    seen = np.zeros(n_mother, dtype=bool)
+    seen[positions] = True
+    if np.count_nonzero(seen) != positions.size:
         raise ValueError("payload positions must not repeat")
     if frame.header.length_code != _length_code(session.plan.k):
         raise ValueError(f"header length_code {frame.header.length_code} does not match "

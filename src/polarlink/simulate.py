@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .decoding import prepare_decoder
 from .encoding import encode_transform_pair
 from .phy import LeakageModel, NoiseModel, check_n_fft, llr_basic_many, llr_leakage_many, synthesize_symbols
 from .protocol import (
@@ -452,19 +453,44 @@ def run_point(cfg: SimConfig, scheme: str, point: int, trials=None) -> list:
     return results
 
 
+def _prepare_workers(cfg: SimConfig) -> None:
+    """Build here what each pool worker's first trial would build for itself.
+
+    Forked workers start with a copy of this process, so they then begin
+    warm: numpy.random, which numpy imports on first use, is loaded, and so
+    is the decoder's gather plan of each position set the sweep's sessions
+    send (SessionPlan.sent_rates), which covers the positions every batch
+    of their frames sends, also after rows drop.
+    """
+    np.random  # noqa: B018 (the attribute access imports it)
+    sessions = [rate for kind, rate in map(parse_scheme, cfg.schemes) if kind != "hamming74"]
+    if sessions:
+        plan = plan_session(cfg.k)
+        for rate in set().union(*map(plan.sent_rates, sessions)):
+            prepare_decoder(plan.spec, plan.positions(rate))
+
+
 def run_sweep(cfg: SimConfig):
     """Run all (scheme, snr, trial) combinations; returns (metrics, trials).
 
     Each (scheme, point) is one run_point task, and tasks may execute in
     parallel processes; outputs are ordered by (scheme, point, trial)
-    regardless of worker count.
+    regardless of worker count.  With several workers, when the pool's
+    processes fork (multiprocessing's default start method on Linux before
+    Python 3.14), _prepare_workers runs first, so no worker builds a decoder
+    plan or imports a module in its first trial.
     """
     tasks = [(scheme, p) for scheme in cfg.schemes for p in range(len(cfg.snr_db))]
     if cfg.workers > 1:
         # imported here, off the import path of every 1-worker caller
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # the context the pool would take, taken here to ask how it starts
+        context = multiprocessing.get_context()
+        if context.get_start_method() == "fork":
+            _prepare_workers(cfg)
+        with ProcessPoolExecutor(max_workers=cfg.workers, mp_context=context) as pool:
             per_task = list(pool.map(run_point, [cfg] * len(tasks), *zip(*tasks)))
     else:
         per_task = [run_point(cfg, scheme, p) for scheme, p in tasks]

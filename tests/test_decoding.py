@@ -797,22 +797,71 @@ class TestPlanCache:
             bp_decode_many(llrs, spec, BpConfig(max_iters=2))
         assert decoding._gather_plan.cache_info().currsize == bound
 
-    def test_gather_index_kept_per_batch_size(self):
+    def test_one_index_per_stage_half(self):
         # every row sends the rate-3/4 positions, so all batches share one
-        # plan; a second pass over the batch sizes builds no index
-        llrs, spec, _ = _session_rows(96, ["3/4"] * 3, [-2.0, -1.0, 0.0], seed=24)
+        # plan, and it keeps one index per stage half whatever their sizes,
+        # beside the array derived for the batch size the last decode
+        # started with
+        llrs, spec, _ = _session_rows(96, ["3/4"] * 8, np.linspace(-2.0, 1.5, 8), seed=24)
         cfg = BpConfig(max_iters=3, early_stop="none")
-        want = {b: self.fresh(llrs[:b], spec, cfg, None) for b in (1, 2, 3)}
         decoding._gather_plan.cache_clear()
-        keys = []
-        for b in (1, 2, 3, 3, 2, 1):
-            for got, res in zip(bp_decode_many(llrs[:b], spec, cfg), want[b]):
-                assert_results_bitwise_equal(got, res)
+        plan = decoding._gather_plan(spec.n_log2, (llrs == 0).all(axis=0).tobytes())
+        for b in range(1, 9):
+            assert_rows_match_reference(llrs[:b], spec, cfg)
             assert decoding._gather_plan.cache_info().currsize == 1
-            plan = decoding._gather_plan(spec.n_log2, (llrs == 0).all(axis=0).tobytes())
-            keys.append(set(plan._index))
-        assert keys[2] == keys[5]
-        assert {b for _, _, b in keys[5]} == {1, 2, 3}
+            if b > 1:
+                assert {d: stride for d, (stride, _) in plan._batch.items()} == {
+                    "leftward": b, "rightward": b}
+        assert set(plan._index) == {"leftward", "rightward"}
+        for direction, stages in (("leftward", spec.n_log2), ("rightward", spec.n_log2 - 1)):
+            # one gather and one scatter per stage half, tiling one array
+            index, spans = plan._index[direction]
+            assert len(spans) == stages
+            bounds = [bound for lo, mid, hi, _ in spans for bound in (lo, mid, hi)]
+            assert bounds[0] == 0 and bounds[-1] == index.size
+            assert bounds == sorted(bounds)
+            assert all(hi == lo for (*_, hi, _), (lo, *_) in zip(spans, spans[1:]))
+            assert plan._batch[direction][1].size == 8 * index.size
+
+    @pytest.mark.parametrize("rate", ["3/4", "1/8"])
+    def test_batch_index_offsets_every_entry_to_each_row(self, rate):
+        # each message of real (2, n_log2 + 1, stride, N) arrays holds the
+        # code of its (layer, row, position), layers counted across both
+        # sides; read through the index of a batch's first rows, each
+        # one-row entry e = layer * N + p reaches its message once per row,
+        # the rows innermost, whether the plan keeps it (rows = stride),
+        # copies it from the one it keeps (more than half the rows) or
+        # derives it (fewer, or a plan that kept no index at this stride)
+        llrs, spec, _ = _session_rows(16, [rate], [0.0], seed=25)
+        n_log2, n = spec.n_log2, spec.n
+        zero = (llrs[0] == 0).tobytes()
+        kept = decoding._GatherPlan(n_log2, zero)
+
+        def code(layer, row, pos):
+            return (layer * 100 + row) * 10_000 + pos
+
+        for stride in range(1, 9):
+            msgs = code(*np.meshgrid(np.arange(2 * (n_log2 + 1)), np.arange(stride),
+                                     np.arange(n), indexing="ij"))
+            flat = msgs.reshape(-1)
+            for rows in range(stride, 0, -1):
+                for plan in (kept, decoding._GatherPlan(n_log2, zero)):
+                    for direction in ("leftward", "rightward"):
+                        one, _ = plan.index(direction)
+                        index, spans = plan.batch_index(direction, stride, rows)
+                        assert index.flags.c_contiguous
+                        for s, (lo, mid, hi, _) in enumerate(spans):
+                            # offsets run from left[s + 1], and from the layer written
+                            for origin, a, z in ((s + 1, lo, mid),
+                                                 (s if direction == "leftward" else s + 2, mid, hi)):
+                                got = flat[origin * stride * n:][index[rows * a:rows * z]]
+                                e = one[a:z, None]
+                                want = code(origin + e // n, np.arange(rows), e % n)
+                                assert np.array_equal(got, want.reshape(-1))
+                if stride > 1:
+                    # the plan that started at this stride keeps it; the fresh
+                    # one derived fewer rows without keeping any
+                    assert all(kept._batch[d][0] == stride for d in ("leftward", "rightward"))
 
 
 class TestFrozenStopCheck:

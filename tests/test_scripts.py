@@ -49,6 +49,15 @@ def test_bench_decoder_runs():
     n = report["settings"]["n"]
     every = {"leftward": (n.bit_length() - 1) * n, "rightward": (n.bit_length() - 2) * n}
     for case in report["cases"]:
+        # the call's time is spread over the row-iterations it ran, as many
+        # as batch * iterations only when no row stopped early
+        batch, iters = case["batch"], report["settings"]["iters"]
+        assert 1 <= case["iterations"] <= iters
+        assert case["iterations"] <= case["row_iterations"] <= batch * case["iterations"]
+        assert case["all_rows_ran_all"] == (case["row_iterations"] == batch * iters)
+        # both are rounded to 4 decimals
+        assert case["ms_per_iter"] == pytest.approx(batch * case["ms_per_row_iter"],
+                                                    abs=batch * 1e-4)
         messages = case["messages_per_row_iteration"]
         if case["rate"] == "all" or case["rule"] == "minsum":
             assert messages == {d: {"boxplus": every[d], "copies": 0} for d in every}
@@ -71,15 +80,27 @@ def test_bench_decoder_against_a_second_tree():
         assert all(ratio > 0 for ratio in case["ratio_against_over_this"].values())
 
 
-def test_bench_sweep_against_a_second_tree():
-    # the same tree under a second module name: every round writes the same
-    # metrics.csv through both, and each shape reports its ratio
-    out = _run(ROOT / "scripts" / "bench_sweep.py", "--against", "src", "--rounds", "2")
+def _bench_sweep_report(workers, rounds):
+    """bench_sweep.py against this same tree: every round writes the same
+    metrics.csv through both, and each shape reports its ratio."""
+    out = _run(ROOT / "scripts" / "bench_sweep.py", "--against", "src", "--rounds", str(rounds),
+               "--workers", str(workers))
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout)
+    assert report["settings"]["workers"] == workers
     assert set(report["shapes"]) == {"deep_fail", "waterfall"}
     for shape in report["shapes"].values():
         ratio = shape["ratio_other_over_this"]
         assert 0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
-        assert 0 <= shape["wins"] <= shape["rounds"] == 2
+        assert 0 <= shape["wins"] <= shape["rounds"] == rounds
         assert shape["this"]["trials_per_s"] > 0 and shape["other"]["trials_per_s"] > 0
+
+
+def test_bench_sweep_against_a_second_tree():
+    # the same tree, each side in an interpreter of its own
+    _bench_sweep_report(workers=1, rounds=2)
+
+
+def test_bench_sweep_workers_run_each_tree_apart():
+    # with a pool, which each side's interpreter forks
+    _bench_sweep_report(workers=2, rounds=1)

@@ -2,12 +2,17 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import polarlink.protocol as protocol
 import polarlink.simulate as simulate
+from polarlink import decoding
 from polarlink.decoding import BpConfig, bp_decode_many
 from polarlink.encoding import encode_systematic
 from polarlink.protocol import crc16, plan_session
@@ -563,3 +568,106 @@ class TestRunSweep:
         rows = [ln for ln in text.splitlines() if ln.startswith("sozu")]
         assert len(rows) == 5
         assert rows[0].split(",")[2] == "ber"
+
+
+class TestWarmWorkers:
+    """run_sweep builds in the parent, before its pool forks, what a
+    worker's first trial would otherwise build: no module import and no
+    gather plan is left to the worker."""
+
+    TRIAL = """
+import json, sys
+from polarlink import simulate
+cfg = simulate.SimConfig(k=96, snr_db=(-3.0,), schemes=("sozu", "fixed:1/2", "hamming74"),
+                         trials=1)
+if sys.argv[1] == "prepared":
+    simulate._prepare_workers(cfg)
+before = set(sys.modules)
+for scheme in cfg.schemes:
+    simulate.run_point(cfg, scheme, 0, (0,))
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+    def added_modules(self, mode):
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", self.TRIAL, mode], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+        assert out.returncode == 0, out.stderr
+        return set(json.loads(out.stdout))
+
+    def test_first_trials_import_nothing(self):
+        # in a fresh interpreter, one trial of each scheme after the
+        # pre-fork step imports no module; without the step numpy.random
+        # comes in with the first trial
+        assert self.added_modules("prepared") == set()
+        assert "numpy.random" in self.added_modules("cold")
+
+    def test_prepared_plans_cover_every_decoded_pattern(self, monkeypatch):
+        real = decoding._gather_plan
+        patterns = []
+
+        def recorded(n_log2, zero):
+            patterns.append((n_log2, zero))
+            return real(n_log2, zero)
+
+        monkeypatch.setattr(decoding, "_gather_plan", recorded)
+        cfg = SimConfig(k=96, snr_db=(-3.0, 1.0, 5.0, 9.0, 13.0, 18.0), trials=4, fb_loss=0.5,
+                        master_seed=31, schemes=("sozu", "fixed:1/2", "fixed:1/3"))
+        simulate._prepare_workers(cfg)
+        prepared, patterns[:] = set(patterns), []
+        run_sweep(cfg)
+        decoded = set(patterns)
+        # the stage-1 set, at least one stage-2 set and the two fixed sets
+        assert len(decoded) >= 4
+        assert decoded <= prepared
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_prepared_only_for_a_forking_pool(self, monkeypatch, method):
+        # the pool gets the context the step was chosen by, and a pool
+        # whose workers do not fork gets no pre-fork step
+        import concurrent.futures
+        import multiprocessing
+
+        context = multiprocessing.get_context(method)
+        prepared, pools = [], []
+
+        class InProcessPool:
+            def __init__(self, max_workers, mp_context):
+                pools.append(mp_context)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda: context)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(simulate, "_prepare_workers", prepared.append)
+        cfg = SimConfig(k=16, snr_db=(3.0,), trials=2, schemes=("sozu",), workers=2)
+        assert run_sweep(cfg)[0] == run_sweep(dataclasses.replace(cfg, workers=1))[0]
+        assert pools == [context]
+        assert prepared == ([cfg] if method == "fork" else [])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16,
+                                       np.int32, np.uint32, np.int64, np.uint64])
+    def test_gateway_refuses_repeated_positions(self, dtype):
+        plan = plan_session(8)
+        codeword = encode_systematic(np.arange(8, dtype=np.uint8) % 2, plan.spec)
+        frame = protocol.tag_stage1(codeword, plan)
+        llrs = np.ones(len(frame.payload_positions))
+        positions = np.asarray(frame.payload_positions).astype(dtype)
+        gw = protocol.GatewaySession(plan)
+        repeated = positions.copy()
+        repeated[-1] = repeated[0]
+        with pytest.raises(ValueError, match="must not repeat"):
+            protocol.gateway_on_frames([dataclasses.replace(frame, payload_positions=repeated)],
+                                       [llrs], [gw])
+        assert gw.decisions == [] and not gw.seen_ids
+        decision, = protocol.gateway_on_frames(
+            [dataclasses.replace(frame, payload_positions=positions)], [llrs], [gw])
+        assert decision["action"] in ("ack", "request_rate")
