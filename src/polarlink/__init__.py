@@ -21,7 +21,6 @@ from .decoding import (
     bp_decode,
     bp_decode_many,
     combine_llrs,
-    ml_decode_oracle,
 )
 from .encoding import (
     AllocationMeter,

@@ -85,7 +85,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .construction import CodeSpec
-from .encoding import encode_systematic, polar_transform
+from .encoding import polar_transform
 
 __all__ = [
     "FROZEN_PRIOR_LLR",
@@ -94,7 +94,6 @@ __all__ = [
     "bp_decode",
     "bp_decode_many",
     "combine_llrs",
-    "ml_decode_oracle",
     "prepare_decoder",
 ]
 
@@ -732,26 +731,3 @@ def combine_llrs(frames) -> np.ndarray:
     if any(fr.shape != length for fr in frames):
         raise ValueError("all frames must have the same length")
     return np.sum(frames, axis=0)
-
-
-def ml_decode_oracle(llrs, spec: CodeSpec) -> np.ndarray:
-    """Exhaustive maximum-likelihood decode for small codes (test oracle).
-
-    Scores every codeword by LLR correlation sum((1-2x) * L) and returns the
-    info bits of the best one; ties go to the lexicographically smallest info
-    word.  Enumeration is bounded at K <= 16.
-    """
-    if spec.k > 16:
-        raise ValueError("ml oracle limited to k <= 16")
-    llrs = np.asarray(llrs, dtype=np.float64)
-    if llrs.shape != (spec.n,):
-        raise ValueError(f"llrs must have length {spec.n}")
-    m = np.arange(1 << spec.k, dtype=np.int64)
-    # info words in lexicographic order, first bit most significant
-    info_words = ((m[:, None] >> np.arange(spec.k - 1, -1, -1)) & 1).astype(np.uint8)
-    codewords = np.empty((m.size, spec.n), dtype=np.uint8)
-    for i in range(m.size):
-        codewords[i] = encode_systematic(info_words[i], spec)
-    scores = (1.0 - 2.0 * codewords) @ llrs
-    best = int(np.argmax(scores))  # argmax keeps the first (lexicographically smallest) tie
-    return info_words[best]

@@ -23,7 +23,7 @@ from polarlink.construction import (
     capacity_evolve,
     design_code,
 )
-from polarlink.decoding import FROZEN_PRIOR_LLR, bp_decode, ml_decode_oracle
+from polarlink.decoding import FROZEN_PRIOR_LLR, bp_decode
 from polarlink.encoding import (
     encode_dense_oracle,
     encode_systematic,
@@ -47,6 +47,7 @@ from polarlink.simulate import (
 )
 
 from gf2 import gf2_inverse, gf2_matmul
+from ml_oracle import ml_decode_oracle
 from test_protocol import crc16_longdivision_oracle
 
 N_FFT = 128

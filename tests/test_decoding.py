@@ -15,10 +15,11 @@ from polarlink.decoding import (
     bp_decode,
     bp_decode_many,
     combine_llrs,
-    ml_decode_oracle,
 )
 from polarlink.encoding import encode_systematic, polar_transform
 from polarlink.protocol import RATE_TABLE, crc16, plan_session
+
+from ml_oracle import ml_decode_oracle
 
 
 def noiseless_llrs(codeword):

@@ -8,6 +8,7 @@ is left out.
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,14 @@ def _run(*argv):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *map(str, argv)], cwd=ROOT, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+
+def _script(name):
+    """scripts/<name>.py, imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_demos_are_found():
@@ -39,10 +48,7 @@ def test_bench_decoder_runs():
     out = _run(ROOT / "scripts" / "bench_decoder.py", "--k", "8", "--iters", "2", "--repeats", "1")
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout)
-    spec = importlib.util.spec_from_file_location("bench_decoder", ROOT / "scripts" / "bench_decoder.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    assert {case["rate"] for case in report["cases"]} == set(bench.RATES)
+    assert {case["rate"] for case in report["cases"]} == set(_script("bench_decoder").RATES)
     # with every position sent, or under min-sum, an iteration box-plusses
     # every output: N per stage, n_log2 stages leftward and n_log2 - 1
     # rightward; a punctured pattern copies some outputs and skips others
@@ -68,8 +74,8 @@ def test_bench_decoder_runs():
 
 
 def test_bench_decoder_against_a_second_tree():
-    # the same tree under a second module name: both timings and their
-    # ratios come out for every case
+    # the same tree, each side in an interpreter of its own: both timings
+    # and their ratios come out for every case
     out = _run(ROOT / "scripts" / "bench_decoder.py", "--k", "8", "--iters", "2",
                "--repeats", "2", "--against", "src")
     assert out.returncode == 0, out.stderr
@@ -104,3 +110,63 @@ def test_bench_sweep_against_a_second_tree():
 def test_bench_sweep_workers_run_each_tree_apart():
     # with a pool, which each side's interpreter forks
     _bench_sweep_report(workers=2, rounds=1)
+
+
+SCRIPTS = {"bench_decoder": ["--k", "8", "--iters", "2", "--repeats", "1"],
+           "bench_sweep": ["--rounds", "1"]}
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_against_a_dir_without_polarlink_fails(script, tmp_path):
+    # the served interpreter would otherwise fall back to this tree's
+    # polarlink on the inherited PYTHONPATH and time it against itself
+    out = _run(ROOT / "scripts" / f"{script}.py", *SCRIPTS[script], "--against", tmp_path)
+    assert out.returncode != 0
+    assert str(tmp_path) in out.stderr
+    assert not out.stdout
+
+
+# runs a script as __main__, then prints the names of the modules whose file
+# is a polarlink package's __init__.py
+_PACKAGES_AFTER = """
+import json, os, runpy, sys
+script = sys.argv.pop(1)
+sys.path.insert(0, os.path.dirname(script))
+runpy.run_path(script, run_name="__main__")
+init = os.path.join("polarlink", "__init__.py")
+print(json.dumps([name for name, module in sys.modules.items()
+                  if (getattr(module, "__file__", None) or "").endswith(init)]))
+"""
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_script_imports_one_polarlink(script):
+    # both trees are timed in interpreters of their own, so the script's own
+    # process never imports the --against tree beside this one
+    out = _run("-c", _PACKAGES_AFTER, ROOT / "scripts" / f"{script}.py", *SCRIPTS[script],
+               "--against", "src")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == ["polarlink"]
+
+
+def test_bench_decoder_refuses_rows_that_differ():
+    # two trees that draw different rows for a case are not timed against
+    # each other
+    def tree(digest):
+        return lambda request, *args: {"llrs": digest, "zero_share": 0.0, "iterations": [1]}
+
+    with pytest.raises(SystemExit, match="different rows"):
+        _script("bench_decoder").run([tree("this"), tree("other")], iters=1, repeats=1)
+
+
+def test_harness_refuses_a_tree_served_from_elsewhere(tmp_path, monkeypatch):
+    # DIR holds a polarlink package, but its interpreter reports this tree's
+    (tmp_path / "polarlink").mkdir()
+    (tmp_path / "polarlink" / "__init__.py").write_text("")
+    served = tmp_path / "serve.py"
+    served.write_text(f"import json\nprint(json.dumps({str(ROOT / 'src' / 'polarlink')!r}))\n")
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import harness
+
+    with pytest.raises(SystemExit, match=re.escape(f"serving {tmp_path} imported polarlink from")):
+        harness.Interpreter(served, tmp_path)
