@@ -93,14 +93,16 @@ class Cases:
         return time.perf_counter() - start
 
     def messages(self):
-        """Box-plus outputs and copies per row that an iteration of the case
-        writes, per direction, read off its gather plan: that of the rows'
-        common zero pattern, or of the empty set under min-sum."""
+        """Box-plus outputs (T + 2F + B) and copies (C) per row that an
+        iteration of the case writes, per direction, from the butterfly
+        counts (T, F, B, C) of each stage half's span in its gather plan:
+        that of the rows' common zero pattern, or of the empty set under
+        min-sum."""
         zero = (self.llrs == 0).all(axis=0) if self.rule == "exact" else np.zeros(self.spec.n, bool)
         plan = decoding._gather_plan(self.spec.n_log2, zero.tobytes())
-        return {d: {"boxplus": sum(k.bottom.size + 2 * k.both.size + k.top.size for k in kinds),
-                    "copies": sum(k.copy.size for k in kinds)}
-                for d, kinds in (("leftward", plan.leftward), ("rightward", plan.rightward))}
+        return {d: {"boxplus": sum(t + 2 * f + b for *_, (t, f, b, c) in spans),
+                    "copies": sum(c for *_, (t, f, b, c) in spans)}
+                for d, (_, spans) in plan.one_row.items()}
 
 
 def timed(trees, max_iters, repeats):

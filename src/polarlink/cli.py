@@ -141,7 +141,12 @@ def _cmd_llr(args) -> int:
     leak = LeakageModel(tuple(float(v) for v in args.leak.split(",")))
     power = snr_to_power(args.snr, args.sigma2)
     noise = NoiseModel(sigma2=args.sigma2, signal_power=power)
-    p_hat = power if args.baseline is None else float(args.baseline.split("=", 1)[1])
+    p_hat = power
+    if args.baseline is not None:
+        key, sep, value = args.baseline.partition("=")
+        if (key, sep) != ("phat", "="):
+            raise ValueError(f"--baseline must be phat=<v>, got {args.baseline!r}")
+        p_hat = float(value)  # llr_conventional_many rules on its range
     rng = np.random.default_rng(args.seed)
     bits = rng.integers(0, 2, size=args.samples)
     peaks = rng.integers(0, args.nfft, size=args.samples)

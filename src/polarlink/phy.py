@@ -209,8 +209,8 @@ def llr_conventional_many(bins, peaks, sigma2: float, p_hat: float) -> np.ndarra
     from scipy.special import i0e  # imported here: no other path needs scipy
 
     bins, rows, s_bar, ms = _candidates(bins, peaks, sigma2)
-    if p_hat < 0:
-        raise ValueError("p_hat must be >= 0")
+    if not 0 <= p_hat < np.inf:
+        raise ValueError(f"p_hat must be finite and >= 0, got {p_hat}")
     nu = np.sqrt(p_hat)
     xs = ms * nu / sigma2
     xb = _mags(bins[rows, s_bar]) * nu / sigma2

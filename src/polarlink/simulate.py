@@ -12,6 +12,7 @@ do not depend on worker count or execution order.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, asdict
 from fractions import Fraction
 from pathlib import Path
@@ -89,8 +90,10 @@ class SimConfig:
             value = getattr(self, name)
             if type(value) is not int or value < lo:  # bool and numpy ints are not int
                 raise ValueError(f"{name} must be an int >= {lo}, got {value!r}")
-        if not self.snr_db:
-            raise ValueError("snr_db sweep must be non-empty")
+        for name in ("snr_db", "schemes"):
+            value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Sequence) or not value:
+                raise ValueError(f"{name} must be a non-empty sequence, got {value!r}")
         if not np.all(np.isfinite(np.asarray(self.snr_db, dtype=np.float64))):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if self.metric not in ("basic", "leakage"):

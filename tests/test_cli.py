@@ -170,6 +170,15 @@ class TestLlr:
         rows = out.strip().splitlines()[2:]
         assert all(float(r.split(",")[3]) == 0.0 for r in rows)
 
+    @pytest.mark.parametrize("baseline", ["3", "phat=nan", "phat=inf", "x=1", "phat=-1",
+                                          "phat=", "phat"])
+    def test_baseline_is_phat_finite_and_non_negative(self, capsys, baseline):
+        code, out, err = run_cli(capsys, "llr", "--nfft", "64", "--sigma2", "1.0",
+                                 "--samples", "5", "--seed", "1", "--snr", "6",
+                                 "--baseline", baseline)
+        assert (code, out) == (2, "")
+        assert "config error" in err
+
 
 class TestSession:
     def test_trace_json(self, capsys):

@@ -1,5 +1,6 @@
 """Decoding: BP behavior, FBER statistics, combining, ML oracle checks."""
 
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -556,17 +557,16 @@ def _stage_outputs(zero, n_log2):
 @pytest.fixture
 def half_widths(monkeypatch):
     """(direction, (box-plus outputs, copies) per row of each stage) of
-    every stage half run, in order, read off the gather plan of the batch
-    that runs it."""
+    every direction's stage halves run, in order, read off the butterfly
+    counts (T, F, B, C) in the spans of the gather plan of the batch that
+    runs them: T + 2F + B box-plus outputs and C copies."""
     calls = []
     run = decoding._Lockstep.run
 
-    def counted(core, half):
-        direction = half[0].direction
-        if direction != "pilot":
-            calls.append((direction, [(k.bottom.size + 2 * k.both.size + k.top.size, k.copy.size)
-                                      for k in getattr(core.plan, direction)]))
-        return run(core, half)
+    def counted(core, direction):
+        _, spans = core.plan.one_row[direction]
+        calls.append((direction, [(t + 2 * f + b, c) for *_, (t, f, b, c) in spans]))
+        return run(core, direction)
 
     monkeypatch.setattr(decoding._Lockstep, "run", counted)
     return calls
@@ -703,9 +703,9 @@ class TestPunctured:
         lefts = []
         run = decoding._Lockstep.run
 
-        def recorded(core, half):
-            run(core, half)
-            if half[0].direction == "leftward":
+        def recorded(core, direction):
+            run(core, direction)
+            if direction == "leftward":
                 lefts.append(core.left.copy())
 
         monkeypatch.setattr(decoding._Lockstep, "run", recorded)
@@ -813,16 +813,37 @@ class TestPlanCache:
             if b > 1:
                 assert {d: stride for d, (stride, _) in plan._batch.items()} == {
                     "leftward": b, "rightward": b}
-        assert set(plan._index) == {"leftward", "rightward"}
+        assert set(plan.one_row) == {"leftward", "rightward"}
         for direction, stages in (("leftward", spec.n_log2), ("rightward", spec.n_log2 - 1)):
             # one gather and one scatter per stage half, tiling one array
-            index, spans = plan._index[direction]
+            index, spans = plan.one_row[direction]
             assert len(spans) == stages
             bounds = [bound for lo, mid, hi, _ in spans for bound in (lo, mid, hi)]
             assert bounds[0] == 0 and bounds[-1] == index.size
             assert bounds == sorted(bounds)
             assert all(hi == lo for (*_, hi, _), (lo, *_) in zip(spans, spans[1:]))
             assert plan._batch[direction][1].size == 8 * index.size
+
+    def test_plan_is_complete_when_built(self):
+        # a plan fresh from _gather_plan holds both directions' one-row
+        # (index, spans), and decodes of its pattern at B = 1-8 move only
+        # the kept batch index
+        llrs, spec, _ = _session_rows(96, ["3/4"] * 8, np.linspace(-2.0, 1.5, 8), seed=24)
+        decoding._gather_plan.cache_clear()
+        plan = decoding._gather_plan(spec.n_log2, (llrs == 0).all(axis=0).tobytes())
+        assert [len(plan.one_row[d][1]) for d in ("leftward", "rightward")] == [
+            spec.n_log2, spec.n_log2 - 1]
+
+        def built():
+            return {name: pickle.dumps(value) for name, value in vars(plan).items()
+                    if name != "_batch"}
+
+        before = built()
+        for b in range(1, 9):
+            bp_decode_many(llrs[:b], spec, BpConfig(max_iters=3, early_stop="none"))
+            assert built() == before
+        assert {d: stride for d, (stride, _) in plan._batch.items()} == {
+            "leftward": 8, "rightward": 8}
 
     @pytest.mark.parametrize("rate", ["3/4", "1/8"])
     def test_batch_index_offsets_every_entry_to_each_row(self, rate):
@@ -848,7 +869,7 @@ class TestPlanCache:
             for rows in range(stride, 0, -1):
                 for plan in (kept, decoding._GatherPlan(n_log2, zero)):
                     for direction in ("leftward", "rightward"):
-                        one, _ = plan.index(direction)
+                        one, _ = plan.one_row[direction]
                         index, spans = plan.batch_index(direction, stride, rows)
                         assert index.flags.c_contiguous
                         for s, (lo, mid, hi, _) in enumerate(spans):
@@ -880,9 +901,9 @@ class TestFrozenStopCheck:
         spec = design_code(4, 8)
         run = decoding._Lockstep.run
 
-        def pinned(core, half):
-            run(core, half)
-            if half[0].direction == "leftward":
+        def pinned(core, direction):
+            run(core, direction)
+            if direction == "leftward":
                 core.left[0][:, spec.frozen_set] = value
 
         monkeypatch.setattr(decoding._Lockstep, "run", pinned)
@@ -916,16 +937,21 @@ class TestSkippedWork:
 
     @pytest.fixture
     def boxplus_calls(self, monkeypatch):
-        """The direction of every schedule step run, the pilot's included:
-        each step runs one box-plus."""
+        """The direction of every stage half run, and 'pilot' for the
+        pilot's stage-0 box-plus: each runs one box-plus."""
         calls = []
-        run = decoding._Lockstep.run
+        run, pilot = decoding._Lockstep.run, decoding._Lockstep.pilot
 
-        def counted(core, half):
-            calls.extend(step.direction for step in half)
-            return run(core, half)
+        def counted(core, direction):
+            run(core, direction)
+            calls.extend([direction] * len(core._halves[direction]))
+
+        def counted_pilot(core):
+            calls.append("pilot")
+            return pilot(core)
 
         monkeypatch.setattr(decoding._Lockstep, "run", counted)
+        monkeypatch.setattr(decoding._Lockstep, "pilot", counted_pilot)
         return calls
 
     @pytest.mark.parametrize("n_log2, k", [(10, 96), (5, 16)])

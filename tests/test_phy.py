@@ -419,6 +419,11 @@ class TestLlrConventional:
         bins = rng.standard_normal((1, 64)) + 1j * rng.standard_normal((1, 64))
         assert llr_conventional_many(bins, [7], 1.0, 0.0) == pytest.approx([0.0])
 
+    @pytest.mark.parametrize("p_hat", [-1.0, float("nan"), float("inf")])
+    def test_power_must_be_finite_and_non_negative(self, p_hat):
+        with pytest.raises(ValueError, match="p_hat"):
+            llr_conventional_many(np.ones((1, 64)), [7], 1.0, p_hat)
+
     def test_matched_power_high_snr_agrees_with_basic(self):
         noise = NoiseModel(sigma2=1.0, signal_power=snr_to_power(10.0, 1.0))
         rng = np.random.default_rng(7)

@@ -94,13 +94,17 @@ class TestConfig:
         dict(trials=2.5),
         dict(trials="5"),
         dict(workers=1.5),
+        dict(snr_db=5.0),
+        dict(snr_db=0.0),
+        dict(schemes="sozu"),
+        dict(schemes=()),
     ], ids=["fb_loss_1.5", "fb_loss_1", "fb_loss_negative", "workers_0", "workers_negative",
             "n_fft_6", "n_fft_2", "leak_off_center", "leak_sum", "sigma2_0", "sigma2_nan",
             "sigma2_inf", "leak_nan", "signal_power_inf", "k_7",
             "k_513_fixed", "fixed_beyond_mother", "fixed_k9_beyond_mother", "snr_nan",
             "snr_inf", "snr_4000", "n_fft_float", "k_0_hamming", "k_negative_hamming", "k_float",
             "k_bool", "k_numpy", "seed_negative", "seed_float", "trials_float", "trials_str",
-            "workers_float"])
+            "workers_float", "snr_float", "snr_zero", "schemes_str", "schemes_empty"])
     def test_rejects_bad_values_when_built(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
