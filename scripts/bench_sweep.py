@@ -3,7 +3,8 @@
 Each round runs one batch of each shape through this tree's ``run_sweep``
 and through that of the ``polarlink`` package under DIR (a source tree's
 ``src``, say a checkout of an earlier commit), which one leads switching
-every round, and checks that both write the same ``metrics.csv``.  Each
+every round, and checks that both write the same ``metrics.csv``,
+``trials.jsonl`` and ``summary.json``.  Each
 tree runs in an interpreter of its own (``harness.py``), so no import,
 cache, allocator state or pre-fork plan of one reaches the other's batches.
 A shape is a sweep workload of ``perfbench/workloads.py`` (``deep_fail``,
@@ -38,10 +39,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WARMUP_BATCH, WORKLOADS, batch_seed  # noqa: E402
 
 SHAPES = ("deep_fail", "waterfall")
+OUTPUTS = ("metrics.csv", "trials.jsonl", "summary.json")
 
 
 def batch(workers, name, seed, index, trials):
-    """One run_sweep batch of shape ``name``: (seconds, metrics.csv)."""
+    """One run_sweep batch of shape ``name``: (seconds, {output file: text})."""
     simulate, wl = polarlink.simulate, WORKLOADS[name]
     cfg = simulate.SimConfig(k=wl.k, snr_db=wl.snr_db, schemes=wl.schemes, fb_loss=wl.fb_loss,
                              trials=trials, master_seed=batch_seed(seed, index), workers=workers)
@@ -50,7 +52,7 @@ def batch(workers, name, seed, index, trials):
     seconds = time.perf_counter() - start
     with tempfile.TemporaryDirectory() as tmp:
         simulate.write_outputs(cfg, metrics, results, tmp)
-        return seconds, (Path(tmp) / "metrics.csv").read_text()
+        return seconds, {f: (Path(tmp) / f).read_text() for f in OUTPUTS}
 
 
 def quartiles(values):
@@ -67,12 +69,13 @@ def run(rounds, seed, trees):
             tree(name, seed, WARMUP_BATCH, 1)  # fills lazy caches, untimed
         seconds = [[], []]
         for r in range(rounds):
-            csv = {}
+            written = {}
             for i, tree in harness.in_turn(trees, r):
-                took, csv[i] = tree(name, seed, r, wl.batch_trials)
+                took, written[i] = tree(name, seed, r, wl.batch_trials)
                 seconds[i].append(took)
-            if csv[0] != csv[1]:
-                raise SystemExit(f"{name} round {r}: the two trees wrote different metrics.csv")
+            for f in OUTPUTS:
+                if written[0][f] != written[1][f]:
+                    raise SystemExit(f"{name} round {r}: the two trees wrote different {f}")
             ratio = seconds[1][-1] / seconds[0][-1]
             print(f"{name} round {r}: this {seconds[0][-1]:.3f} s, other {seconds[1][-1]:.3f} s, "
                   f"x{ratio:.3f}", file=sys.stderr)

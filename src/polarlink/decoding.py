@@ -485,12 +485,12 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     The batch's messages take 2 (n_log2 + 1) B N floats, and (n_log2 - 1) B N
     more keep left[1..n_log2 - 1] from before each leftward half for the
     fixed-point stop; they grow the work per row once they leave the cache,
-    so a caller with many codewords decodes them in groups (run_point sizes
-    its groups from N).  Under the exact rule the positions zero in every
-    row decide which output messages need a box-plus (_GatherPlan), so a
-    batch of punctured frames decodes faster when its rows share their
-    zeros, and a row that carries a position the others puncture makes
-    every row box-plus it.
+    so a caller with many codewords decodes them in groups (a sweep's
+    lockstep sessions size theirs from N).  Under the exact rule the
+    positions zero in every row decide which output messages need a
+    box-plus (_GatherPlan), so a batch of punctured frames decodes faster
+    when its rows share their zeros, and a row that carries a position the
+    others puncture makes every row box-plus it.
 
     Parameters
     ----------

@@ -263,7 +263,7 @@ class SessionRecord:
 
 
 def trial_rngs(master_seed: int, point: int, trial: int):
-    """The (info, channel, feedback) generators of one trial; run_point uses
+    """The (info, channel, feedback) generators of one trial; a sweep uses
     the same three for every scheme at (master_seed, point, trial)."""
     ss = np.random.SeedSequence([int(master_seed), int(point), int(trial)])
     return [np.random.default_rng(c) for c in ss.spawn(3)]  # info, channel, feedback
@@ -277,42 +277,54 @@ def _transmit(bits, cfg: SimConfig, noise: NoiseModel, channel_rng) -> np.ndarra
     return metric(bins, peaks, cfg.sigma2)
 
 
-def _lockstep_sessions(cfg: SimConfig, snr_db: float, rate, lanes, records) -> list:
+def _lockstep_sessions(cfg: SimConfig, lanes) -> list:
     """Run sessions side by side; returns one (success, decoded, aux) per lane.
 
-    ``rate`` None runs two-stage adaptive sessions, a Fraction one-frame
-    sessions at that fixed rate.  ``lanes`` holds each session's (info,
-    channel, feedback) generators and ``records`` a SessionRecord or None
-    per lane.  The first frames of every lane go to the gateway in one call,
-    so they decode as one batch, and so do the adaptive lanes' second
-    frames.  Each lane draws from its own generators only, in the order a
-    lone session does, so its outcome does not depend on the lanes beside it.
+    Each lane is (snr_db, rate, rngs, record): the SNR of its channel; rate
+    None for a two-stage adaptive session, a Fraction for a one-frame
+    session at that fixed rate; its (info, channel, feedback) generators;
+    and a SessionRecord or None.  The frames go to the gateway in two
+    waves, every lane's first frame and then the adaptive lanes' second
+    frames.  Within a wave they are stably sorted by payload length and cut
+    into groups of _GROUP_ELEMENTS // N, one gateway call and so one decode
+    batch each; the positions of any two rates nest, so a group's zeros are
+    those of its densest row.  Each lane draws from its own generators
+    only, in the order a lone session does, and a row's decode does not
+    depend on the rows beside it, so no lane's outcome depends on the lanes
+    beside it.
     """
-    noise = cfg.noise(snr_db)
     plan = plan_session(cfg.k)
-    infos = [info_rng.integers(0, 2, size=cfg.k).astype(np.uint8) for info_rng, _, _ in lanes]
+    group = _group_rows(plan)
+    noises = {snr_db: cfg.noise(snr_db) for snr_db, _, _, _ in lanes}
+    infos = [rngs[0].integers(0, 2, size=cfg.k).astype(np.uint8) for _, _, rngs, _ in lanes]
     codewords = [encode_transform_pair(info, plan.spec) for info in infos]  # both stages slice it
     gws = [GatewaySession(plan) for _ in lanes]
 
     def send(idx, frames):
         llrs = []
         for i, frame in zip(idx, frames):
-            _, channel_rng, _ = lanes[i]
-            llrs.append(_transmit(frame.payload_bits, cfg, noise, channel_rng))
-            if records[i] is not None:
-                records[i].frames.append(frame_to_wire(frame))
-                records[i].frame_llrs.append(llrs[-1].tolist())
-        return gateway_on_frames(frames, llrs, [gws[i] for i in idx])
+            snr_db, _, (_, channel_rng, _), record = lanes[i]
+            llrs.append(_transmit(frame.payload_bits, cfg, noises[snr_db], channel_rng))
+            if record is not None:
+                record.frames.append(frame_to_wire(frame))
+                record.frame_llrs.append(llrs[-1].tolist())
+        order = sorted(range(len(frames)), key=lambda j: len(frames[j].payload_positions))
+        for lo in range(0, len(order), group):
+            part = order[lo:lo + group]
+            gateway_on_frames([frames[j] for j in part], [llrs[j] for j in part],
+                              [gws[idx[j]] for j in part])
 
     first = [tag_stage1(codeword, plan, STAGE1_RATE if rate is None else rate)
-             for codeword in codewords]
+             for codeword, (_, rate, _, _) in zip(codewords, lanes)]
+    send(range(len(lanes)), first)
     aux = [{"bits_sent": len(frame.payload_positions), "frames_used": 1,
-            "fber_first": decision["fber"], "requested_rate": "", "info": info}
-           for frame, decision, info in zip(first, send(range(len(lanes)), first), infos)]
+            "fber_first": gw.decisions[0]["fber"], "requested_rate": "", "info": info}
+           for frame, gw, info in zip(first, gws, infos)]
 
     second_idx, second = [], []
-    # a fixed-rate session has no feedback
-    for i, (_, _, feedback_rng) in enumerate(lanes if rate is None else ()):
+    for i, (_, rate, (_, _, feedback_rng), record) in enumerate(lanes):
+        if rate is not None:
+            continue  # a fixed-rate session has no feedback
         d1 = gws[i].decisions[0]
         if d1["action"] == "ack":
             msg = FeedbackMsg(kind="ack")
@@ -321,24 +333,23 @@ def _lockstep_sessions(cfg: SimConfig, snr_db: float, rate, lanes, records) -> l
         fb = feedback_channel(msg, cfg.fb_loss, feedback_rng)
         requested = "" if msg.rate is None else str(msg.rate)
         aux[i]["requested_rate"] = requested
-        if records[i] is not None:
+        if record is not None:
             entry = {"kind": fb.kind, "delivered": fb.delivered}
             if msg.rate is not None:
                 entry["rate"] = requested
-            records[i].feedback.append(entry)
+            record.feedback.append(entry)
         # after a timeout the tag cannot tell a lost ACK from a lost request,
         # so it sends the fallback stage 2 (wasted if the ACK was what got lost)
         stage2_rate = fb.rate if fb.delivered else TIMEOUT_FALLBACK_RATE
         if stage2_rate is not None:
             second_idx.append(i)
             second.append(tag_stage2(codewords[i], plan, stage2_rate))
-    if second:
-        send(second_idx, second)
+    send(second_idx, second)
     for i, frame in zip(second_idx, second):
         aux[i]["bits_sent"] += len(frame.payload_positions)
         aux[i]["frames_used"] = 2
 
-    for record, gw, a in zip(records, gws, aux):
+    for (_, _, _, record), gw, a in zip(lanes, gws, aux):
         if record is not None:
             record.decisions = list(gw.decisions)
             record.fber_first = a["fber_first"]
@@ -355,9 +366,9 @@ def run_session(cfg: SimConfig, snr_db: float, rngs, *, record: SessionRecord = 
     The tag retransmits parity after a feedback timeout at the fallback rate,
     since it cannot know whether an ACK or a rate request was lost; the
     session is scored by the gateway's final decode outcome.  It is the
-    one-lane call of the lockstep sessions run_point runs.
+    one-lane call of the lockstep sessions every sweep task runs.
     """
-    return _lockstep_sessions(cfg, snr_db, None, [rngs], [record])[0]
+    return _lockstep_sessions(cfg, [(snr_db, None, rngs, record)])[0]
 
 
 def replay_session(record_dict: dict, k: int) -> list:
@@ -405,55 +416,83 @@ def _hamming_trial(cfg: SimConfig, snr_db: float, rngs):
 
 # Rows x N of one lockstep group.  The group's message layers, (n_log2 + 1)
 # x 2 x 8 bytes per element (1.4 MB at N = 1024), then stay within a core's
-# L2 cache, where a decode's cost per row is lowest, and a point's memory
-# does not grow with its trial count.
+# L2 cache, where a decode's cost per row is lowest.
 _GROUP_ELEMENTS = 1 << 13
+
+
+def _group_rows(plan) -> int:
+    """The rows of one lockstep group of the plan's mother code."""
+    return max(1, _GROUP_ELEMENTS // plan.n_mother)
+
+
+def _run_task(cfg: SimConfig, pairs, trials) -> list:
+    """The trials ``trials`` of each (scheme, point) of ``pairs``: one list
+    of TrialResults per pair, in trial order.
+
+    Every sozu and fixed-rate trial of the task runs as one lane of the same
+    lockstep sessions, whatever its scheme and point, so their frames fill
+    shared decode groups; Hamming(7,4) trials run one by one.  Trial t at
+    point p draws from its own fresh trial_rngs(master_seed, p, t), so the
+    channel stream is shared across schemes, identical (cfg, p, t) always
+    give the identical result, and a trial's result does not depend on the
+    trials run beside it.
+    """
+    outcomes, lanes, at = [], [], []
+    for scheme, point in pairs:
+        kind, rate = parse_scheme(scheme)
+        snr_db = float(cfg.snr_db[point])
+        for t in trials:
+            rngs = trial_rngs(cfg.master_seed, point, t)
+            if kind == "hamming74":
+                info, decoded, bits_sent = _hamming_trial(cfg, snr_db, rngs)
+                outcomes.append((None, decoded, {"bits_sent": bits_sent, "frames_used": 1,
+                                                 "fber_first": 0.0, "requested_rate": "",
+                                                 "info": info}))
+            else:
+                at.append(len(outcomes))
+                outcomes.append(None)
+                lanes.append((snr_db, rate, rngs, None))
+    if lanes:
+        for n, outcome in zip(at, _lockstep_sessions(cfg, lanes)):
+            outcomes[n] = outcome
+
+    per_pair = []
+    for n, (scheme, point) in enumerate(pairs):
+        results = []
+        for t, (success, decoded, aux) in zip(trials, outcomes[n * len(trials):]):
+            info = aux["info"]
+            if scheme != "sozu":
+                # judged against the true bits, not the CRC gate
+                success = bool(np.array_equal(decoded, info))
+            bit_errors, byte_errors, n_bytes = _bit_and_byte_errors(decoded, info)
+            results.append(TrialResult(
+                scheme=scheme, snr_db=float(cfg.snr_db[point]), trial=t, success=success,
+                bits_sent=aux["bits_sent"], clean_bits=cfg.k if success else 0,
+                bit_errors=bit_errors, byte_errors=byte_errors, n_bytes=n_bytes,
+                k=cfg.k, frames_used=aux["frames_used"], fber_first=aux["fber_first"],
+                requested_rate=aux["requested_rate"],
+            ))
+        per_pair.append(results)
+    return per_pair
 
 
 def run_point(cfg: SimConfig, scheme: str, point: int, trials=None) -> list:
     """The trials of ``scheme`` at sweep point ``point``, in trial order.
 
-    ``trials`` defaults to range(cfg.trials).  Sozu and fixed-rate trials
-    run as lockstep sessions in groups of _GROUP_ELEMENTS // N trials: a
-    group's first frames decode as one batch, then its sozu second frames
-    as another.  Hamming(7,4) trials run one by one.  Trial t draws from its
-    own fresh trial_rngs(master_seed, point, t), so the channel stream is
-    shared across schemes, identical (cfg, point, t) always give the
-    identical result, and a trial's result does not depend on the trials
-    run beside it: run_point(cfg, scheme, point, (t,))[0] equals its row.
+    ``trials`` defaults to range(cfg.trials); otherwise it holds distinct
+    non-negative ints.  This is the one-(scheme, point) task of run_sweep,
+    so run_point(cfg, scheme, point, (t,))[0] equals trial t's row of a
+    sweep.  A ``point`` outside [0, len(cfg.snr_db)) or ``trials`` that are
+    not distinct non-negative ints (bool and float refused) raise ValueError.
     """
-    trials = range(cfg.trials) if trials is None else trials
-    snr_db = float(cfg.snr_db[point])
-    kind, rate = parse_scheme(scheme)
-    outcomes = []
-    if kind == "hamming74":
-        for t in trials:
-            info, decoded, bits_sent = _hamming_trial(
-                cfg, snr_db, trial_rngs(cfg.master_seed, point, t))
-            outcomes.append((None, decoded, {"bits_sent": bits_sent, "frames_used": 1,
-                                             "fber_first": 0.0, "requested_rate": "",
-                                             "info": info}))
-    else:
-        group = max(1, _GROUP_ELEMENTS // plan_session(cfg.k).n_mother)
-        for lo in range(0, len(trials), group):
-            lanes = [trial_rngs(cfg.master_seed, point, t) for t in trials[lo:lo + group]]
-            outcomes += _lockstep_sessions(cfg, snr_db, rate, lanes, [None] * len(lanes))
-
-    results = []
-    for t, (success, decoded, aux) in zip(trials, outcomes):
-        info = aux["info"]
-        if kind != "sozu":
-            # judged against the true bits, not the CRC gate
-            success = bool(np.array_equal(decoded, info))
-        bit_errors, byte_errors, n_bytes = _bit_and_byte_errors(decoded, info)
-        results.append(TrialResult(
-            scheme=scheme, snr_db=snr_db, trial=t, success=success,
-            bits_sent=aux["bits_sent"], clean_bits=cfg.k if success else 0,
-            bit_errors=bit_errors, byte_errors=byte_errors, n_bytes=n_bytes,
-            k=cfg.k, frames_used=aux["frames_used"], fber_first=aux["fber_first"],
-            requested_rate=aux["requested_rate"],
-        ))
-    return results
+    if type(point) is not int or not 0 <= point < len(cfg.snr_db):  # bool is not int
+        raise ValueError(f"point must be an int in [0, {len(cfg.snr_db)}), got {point!r}")
+    trials = range(cfg.trials) if trials is None else tuple(trials)
+    if not all(type(t) is int and t >= 0 for t in trials):
+        raise ValueError(f"trials must be non-negative ints, got {trials!r}")
+    if len(set(trials)) != len(trials):
+        raise ValueError(f"trials must not repeat, got {trials!r}")
+    return _run_task(cfg, [(scheme, point)], trials)[0]
 
 
 def _prepare_workers(cfg: SimConfig) -> None:
@@ -462,8 +501,9 @@ def _prepare_workers(cfg: SimConfig) -> None:
     Forked workers start with a copy of this process, so they then begin
     warm: numpy.random, which numpy imports on first use, is loaded, and so
     is the decoder's gather plan of each position set the sweep's sessions
-    send (SessionPlan.sent_rates), which covers the positions every batch
-    of their frames sends, also after rows drop.
+    send (SessionPlan.sent_rates).  Those sets nest, so the rows of any
+    decode group, of one scheme and point or of several, send together
+    one of them, also after rows drop.
     """
     np.random  # noqa: B018 (the attribute access imports it)
     sessions = [rate for kind, rate in map(parse_scheme, cfg.schemes) if kind != "hamming74"]
@@ -476,14 +516,20 @@ def _prepare_workers(cfg: SimConfig) -> None:
 def run_sweep(cfg: SimConfig):
     """Run all (scheme, snr, trial) combinations; returns (metrics, trials).
 
-    Each (scheme, point) is one run_point task, and tasks may execute in
-    parallel processes; outputs are ordered by (scheme, point, trial)
-    regardless of worker count.  With several workers, when the pool's
-    processes fork (multiprocessing's default start method on Linux before
-    Python 3.14), _prepare_workers runs first, so no worker builds a decoder
-    plan or imports a module in its first trial.
+    A task is one chunk of trials over every (scheme, point), of
+    min(_GROUP_ELEMENTS // N, ceil(trials / workers)) trials, so its first
+    frames fill whole decode groups and the workers get even shares.  Tasks
+    may execute in parallel processes; outputs are ordered by (scheme,
+    point, trial) regardless of worker count.  With several workers, when
+    the pool's processes fork (multiprocessing's default start method on
+    Linux before Python 3.14), _prepare_workers runs first, so no worker
+    builds a decoder plan or imports a module in its first trial.
     """
-    tasks = [(scheme, p) for scheme in cfg.schemes for p in range(len(cfg.snr_db))]
+    pairs = [(scheme, p) for scheme in cfg.schemes for p in range(len(cfg.snr_db))]
+    size = -(-cfg.trials // cfg.workers)
+    if any(parse_scheme(s)[0] != "hamming74" for s in cfg.schemes):
+        size = min(size, _group_rows(plan_session(cfg.k)))
+    chunks = [range(lo, min(lo + size, cfg.trials)) for lo in range(0, cfg.trials, size)]
     if cfg.workers > 1:
         # imported here, off the import path of every 1-worker caller
         import multiprocessing
@@ -494,13 +540,15 @@ def run_sweep(cfg: SimConfig):
         if context.get_start_method() == "fork":
             _prepare_workers(cfg)
         with ProcessPoolExecutor(max_workers=cfg.workers, mp_context=context) as pool:
-            per_task = list(pool.map(run_point, [cfg] * len(tasks), *zip(*tasks)))
+            per_task = list(pool.map(_run_task, [cfg] * len(chunks), [pairs] * len(chunks),
+                                     chunks))
     else:
-        per_task = [run_point(cfg, scheme, p) for scheme, p in tasks]
+        per_task = [_run_task(cfg, pairs, chunk) for chunk in chunks]
 
     all_trials = []
     metrics = []
-    for (scheme, point), results in zip(tasks, per_task):
+    for (scheme, point), parts in zip(pairs, zip(*per_task)):
+        results = [r for part in parts for r in part]
         all_trials.extend(results)
         metrics.append(_metrics(scheme, float(cfg.snr_db[point]), results))
     return metrics, all_trials

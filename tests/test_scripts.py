@@ -159,6 +159,18 @@ def test_bench_decoder_refuses_rows_that_differ():
         _script("bench_decoder").run([tree("this"), tree("other")], iters=1, repeats=1)
 
 
+def test_bench_sweep_refuses_trials_that_differ(monkeypatch):
+    # equal metrics.csv is not enough: rows regrouped into other trials can
+    # leave every aggregate as it was
+    def tree(trials):
+        outputs = {"metrics.csv": "m", "trials.jsonl": trials, "summary.json": "s"}
+        return lambda *request: (0.1, outputs)
+
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    with pytest.raises(SystemExit, match="deep_fail round 0: .* different trials.jsonl"):
+        _script("bench_sweep").run(1, 1, [tree("this"), tree("other")])
+
+
 def test_harness_refuses_a_tree_served_from_elsewhere(tmp_path, monkeypatch):
     # DIR holds a polarlink package, but its interpreter reports this tree's
     (tmp_path / "polarlink").mkdir()

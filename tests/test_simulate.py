@@ -424,6 +424,69 @@ class TestRunPoint:
         run_point(cfg, "fixed:1/2", 0)
         assert batches == [8, 8, 4]
 
+    @pytest.mark.parametrize("point, trials", [
+        (3, None), (True, None), (-1, None), (1.0, None),
+        (0, (-1,)), (0, (1.5,)), (0, (True,)), (0, (1, 1)), (0, (np.int64(1),)),
+    ], ids=["point_3", "point_bool", "point_negative", "point_float", "trial_negative",
+            "trial_float", "trial_bool", "trial_repeated", "trial_numpy"])
+    def test_rejects_bad_point_or_trials(self, point, trials):
+        # at the boundary, naming the argument, not deep in numpy or as a
+        # row that misreports its trial; a numpy int would not serialize
+        cfg = SimConfig(snr_db=(3.0, 6.0, 9.0), trials=2, k=16, master_seed=36)
+        name = "point" if trials is None else "trials"
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            run_point(cfg, "sozu", point, trials)
+
+
+class TestSweepGroups:
+    """A sweep task decodes the frames of every (scheme, point) it holds in
+    shared lockstep groups, and each row stays the row of its trial alone."""
+
+    SCHEMES = ("sozu", "fixed:2/5", "fixed:1/2", "hamming74")
+
+    @pytest.mark.parametrize("k", [9, 96])
+    def test_rows_equal_run_point(self, monkeypatch, k):
+        cfg = SimConfig(snr_db=(4.0, 7.0, 10.0), trials=4, k=k, master_seed=37,
+                        schemes=self.SCHEMES, fb_loss=0.3)
+        alone = [run_point(cfg, scheme, point, (t,))[0] for scheme in self.SCHEMES
+                 for point in range(3) for t in range(cfg.trials)]
+        calls = []  # each gateway call's packet id and payload lengths
+        real = simulate.gateway_on_frames
+        monkeypatch.setattr(simulate, "gateway_on_frames", lambda frames, *a: calls.append(
+            (frames[0].header.packet_id, [len(f.payload_positions) for f in frames]))
+            or real(frames, *a))
+        # the whole sweep is one task; then 3 N cuts groups of 3, across
+        # points and stage-2 rates, in two tasks
+        for group, tasks in ((simulate._GROUP_ELEMENTS, 1), (3 * plan_session(k).n_mother, 2)):
+            monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", group)
+            for workers in (2, 1):  # in process last, for the calls
+                calls.clear()
+                _, rows = run_sweep(dataclasses.replace(cfg, workers=workers))
+                assert rows == alone, (group, workers)
+            assert max(len(set(lengths)) for _, lengths in calls) > 1  # some group mixes rates
+            if tasks == 1:
+                # each wave goes out sorted by payload length
+                for wave in (0, 1):
+                    sent = [n for pid, lengths in calls if pid == wave for n in lengths]
+                    assert sent == sorted(sent)
+
+    def test_decode_calls_fill_groups(self, monkeypatch):
+        rows = []
+        real = protocol.bp_decode_many
+        monkeypatch.setattr(protocol, "bp_decode_many",
+                            lambda llrs, *a, **kw: rows.append(len(llrs)) or real(llrs, *a, **kw))
+        # deep_fail's shape: both schemes' first frames in one call, then
+        # the sozu second frames
+        run_sweep(SimConfig(k=96, snr_db=(-2.93,), schemes=("sozu", "fixed:1/2"), trials=2))
+        assert rows == [4, 2]
+        # three points' first frames in groups of 8 at K=96
+        first = []
+        real_gateway = simulate.gateway_on_frames
+        monkeypatch.setattr(simulate, "gateway_on_frames", lambda frames, *a: first.extend(
+            [len(frames)] * (frames[0].header.packet_id == 0)) or real_gateway(frames, *a))
+        run_sweep(SimConfig(k=96, snr_db=(-3.0, 3.0, 9.0), trials=4, master_seed=38))
+        assert first == [8, 4]
+
 
 class TestSessionReplay:
     def _record(self, snr_db, seed):
@@ -579,33 +642,39 @@ class TestWarmWorkers:
     worker's first trial would otherwise build: no module import and no
     gather plan is left to the worker."""
 
+    # the task a pool worker runs, on one trial of every (scheme, point):
+    # its first frames decode as one group of two rates and two points
     TRIAL = """
 import json, sys
-from polarlink import simulate
-cfg = simulate.SimConfig(k=96, snr_db=(-3.0,), schemes=("sozu", "fixed:1/2", "hamming74"),
+from polarlink import decoding, simulate
+cfg = simulate.SimConfig(k=96, snr_db=(-3.0, 1.0), schemes=("sozu", "fixed:1/2", "hamming74"),
                          trials=1)
 if sys.argv[1] == "prepared":
     simulate._prepare_workers(cfg)
-before = set(sys.modules)
-for scheme in cfg.schemes:
-    simulate.run_point(cfg, scheme, 0, (0,))
-print(json.dumps(sorted(set(sys.modules) - before)))
+before, built = set(sys.modules), decoding._gather_plan.cache_info().misses
+pairs = [(scheme, p) for scheme in cfg.schemes for p in range(len(cfg.snr_db))]
+simulate._run_task(cfg, pairs, range(1))
+print(json.dumps([sorted(set(sys.modules) - before),
+                  decoding._gather_plan.cache_info().misses - built]))
 """
 
-    def added_modules(self, mode):
+    def first_task(self, mode):
+        """The modules the first task imports and the gather plans it builds."""
         root = Path(__file__).resolve().parents[1]
         path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
         out = subprocess.run([sys.executable, "-c", self.TRIAL, mode], capture_output=True,
                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
         assert out.returncode == 0, out.stderr
-        return set(json.loads(out.stdout))
+        modules, plans = json.loads(out.stdout)
+        return set(modules), plans
 
     def test_first_trials_import_nothing(self):
-        # in a fresh interpreter, one trial of each scheme after the
-        # pre-fork step imports no module; without the step numpy.random
-        # comes in with the first trial
-        assert self.added_modules("prepared") == set()
-        assert "numpy.random" in self.added_modules("cold")
+        # in a fresh interpreter, the first task after the pre-fork step
+        # imports no module and builds no plan; without the step numpy.random
+        # comes in with it, and it builds its plans
+        assert self.first_task("prepared") == (set(), 0)
+        modules, plans = self.first_task("cold")
+        assert "numpy.random" in modules and plans > 0
 
     def test_prepared_plans_cover_every_decoded_pattern(self, monkeypatch):
         real = decoding._gather_plan
