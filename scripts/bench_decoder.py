@@ -8,9 +8,12 @@ it reaches a fixed point, where it drops out of the batch.  ms_per_row_iter
 is the median call time over --repeats calls divided by the row-iterations
 run (the sum of the rows' iterations_used), and ms_per_iter B times it.  A
 case also reports the median one-iteration call, and the output messages
-per row an iteration box-plusses and copies in each direction, read off the
-batch's gather plan.  Rate 1/4 is the cumulative stage-2 pattern a
-deep-failure session decodes; "all" sends every position.
+per row an iteration box-plusses and copies in each direction, the mean
+over the rows of their own gather plans' counts.  Rate 1/4 is the
+cumulative stage-2 pattern a deep-failure session decodes; "all" sends
+every position.  A case of rates joined by "+" gives its rows those rates
+in turn: "3/4+1/2" is the first wave of the benchmark's deep_fail batches,
+"2/3+1/2+1/4+1/8" a second wave of its waterfall ones.
 
 Each tree decodes in an interpreter of its own (``harness.py``): this one,
 and with --against DIR the ``polarlink`` package under DIR (a source tree's
@@ -46,7 +49,7 @@ from polarlink.protocol import plan_session
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import harness  # noqa: E402
 
-RATES = ("3/4", "1/2", "1/4", "1/8", "all")
+RATES = ("3/4", "1/2", "1/4", "1/8", "all", "3/4+1/2", "2/3+1/2+1/4+1/8")
 BATCHES = (1, 2, 4, 8)
 RULES = ("exact", "minsum")
 SNR_DB = -3.0
@@ -54,12 +57,15 @@ SNR_DB = -3.0
 
 def batch_llrs(k, rate, batch, rng):
     """(B, N) channel LLRs: AWGN-equivalent at SNR_DB on the positions sent
-    at ``rate`` (mean +-4g, variance 8g), 0 elsewhere."""
+    at ``rate`` (mean +-4g, variance 8g), 0 elsewhere; row i of a case
+    "a+b+..." sends at its i-th rate, cycling."""
     plan = plan_session(k)
-    positions = np.arange(plan.n_mother) if rate == "all" else plan.positions(Fraction(rate))
+    rates = rate.split("+")
     g = 10.0 ** (SNR_DB / 10.0)
     llrs = np.zeros((batch, plan.n_mother))
-    for row in llrs:
+    for i, row in enumerate(llrs):
+        rate = rates[i % len(rates)]
+        positions = np.arange(plan.n_mother) if rate == "all" else plan.positions(Fraction(rate))
         codeword = encode_systematic(rng.integers(0, 2, k).astype(np.uint8), plan.spec)
         signs = 1.0 - 2.0 * codeword[positions]
         row[positions] = 4.0 * g * signs + np.sqrt(8.0 * g) * rng.standard_normal(positions.size)
@@ -94,15 +100,18 @@ class Cases:
 
     def messages(self):
         """Box-plus outputs (T + 2F + B) and copies (C) per row that an
-        iteration of the case writes, per direction, from the butterfly
-        counts (T, F, B, C) of each stage half's span in its gather plan:
-        that of the rows' common zero pattern, or of the empty set under
-        min-sum."""
-        zero = (self.llrs == 0).all(axis=0) if self.rule == "exact" else np.zeros(self.spec.n, bool)
-        plan = decoding._gather_plan(self.spec.n_log2, zero.tobytes())
-        return {d: {"boxplus": sum(t + 2 * f + b for *_, (t, f, b, c) in spans),
-                    "copies": sum(c for *_, (t, f, b, c) in spans)}
-                for d, (_, spans) in plan.one_row.items()}
+        iteration of the case writes, per direction: the mean over the rows
+        of the butterfly counts (T, F, B, C) of each stage half's span in
+        the row's own gather plan, that of its zero pattern, or of the
+        empty set under min-sum."""
+        zeros = self.llrs == 0 if self.rule == "exact" else np.zeros(self.llrs.shape, bool)
+        plans = [decoding._gather_plan(self.spec.n_log2, zero.tobytes()) for zero in zeros]
+        return {d: {"boxplus": statistics.fmean(
+                        sum(t + 2 * f + b for *_, (t, f, b, c) in plan.one_row[d][1])
+                        for plan in plans),
+                    "copies": statistics.fmean(
+                        sum(c for *_, (t, f, b, c) in plan.one_row[d][1]) for plan in plans)}
+                for d in ("leftward", "rightward")}
 
 
 def timed(trees, max_iters, repeats):

@@ -10,8 +10,9 @@ bp_decode_many runs a batch of codewords of one code in lockstep
 (_Lockstep): each stage half is one gather, one box-plus and one scatter
 over every running row, so a batch pays the per-call cost of each numpy
 kernel once, which at a sweep's batch sizes (B = 1 to 8) is most of an
-iteration's cost.  The decoder skips the outputs that are known or that
-nothing reads (_GatherPlan), yet keeps a bit-identity contract: every
+iteration's cost.  Each row skips the outputs that are known or that
+nothing reads for its own zero pattern (_GatherPlan), yet the decoder
+keeps a bit-identity contract: every
 message it reads, and so every result field and stop, equals that of the
 plain per-butterfly update rules, signed zeros included, since the
 fixed-point stop compares messages as bits.  The test suite checks this
@@ -52,7 +53,10 @@ class BpConfig:
     approximation.  early_stop 'frozen' stops once every frozen position's
     extrinsic decision agrees with the known zero (and, for a row that
     bp_decode_many is given a CRC check for, once that passes too); 'none'
-    applies no decision rule, so its decodes never report converged.  In
+    applies no decision rule, so its decodes never report converged.  The
+    frozen rule needs evidence to agree with: a row with no nonzero channel
+    LLR, whose frozen decisions are all the +0 of silence, and a code with
+    no frozen position, which would pass it vacuously, never stop on it.  In
     every mode the decoder also stops at an exact fixed point, an iteration
     after the first that leaves its messages bit-identical, because every
     later iteration would repeat it; results equal those of running on to
@@ -178,7 +182,7 @@ def _stage_zeros(n_log2, zero):
     each butterfly's top input, and both its inputs, are in the zero set of
     layer s + 1, as (N / 2^(s+1), 2^s) arrays valid until the next stage.
 
-    zero is the channel layer's: the positions zero in every row, as bool
+    zero is the channel layer's: the positions zero in a row, as bool
     bytes.  Puncturing pins most channel LLRs at exactly 0 (Niu, Chen & Lin,
     ICC 2013), and under the exact rule f(+-0, y) = +0, so a butterfly whose
     top input lp is zero outputs +0 at the top and +0 + lq at the bottom: a
@@ -205,10 +209,12 @@ def _outputs(s, n, top, bottom, copy):
 
 
 def _one_row_index(halves, n_log2, leftward):
-    """The one-row (index, spans) of one direction, from each stage's (T, F,
-    B, C) of _outputs: one array, and per stage s spans[s] = (lo, mid, hi,
-    counts), stage s's gather index being index[lo:mid], its scatter index
-    index[mid:hi] and counts its butterfly counts (T, F, B, C).
+    """The one-row (index, spans, slices) of one direction, from each
+    stage's (T, F, B, C) of _outputs: one array, per stage s spans[s] =
+    (lo, mid, hi, counts), stage s's gather index being index[lo:mid], its
+    scatter index index[mid:hi] and counts its butterfly counts (T, F, B,
+    C), and the length of each slice of the index that lists one kind of
+    one operand or output.
 
     The gather index lists [yq(T|F|B|C) | xq(T|F) xp(F|B) | yp(T|F) yp(F|B)
     | +0(C)] (see _gathered) as offsets from the start of left[s + 1] in
@@ -217,10 +223,10 @@ def _one_row_index(halves, n_log2, leftward):
     writes.  The scatter index lists the positions [p(T|F) | q(F|B|C)] of
     the outputs, offset as their yq and yp are, so from the start of the
     layer written one layer down (leftward) or up (rightward).  So every
-    entry is layer * N + position, and each kind is one slice.
+    entry is layer * N + position.
     """
     n = 1 << n_log2
-    parts, spans, lo = [np.empty(0, dtype=np.intp)], [], 0  # n_log2 = 1 has no rightward
+    parts, spans, slices, lo = [np.empty(0, dtype=np.intp)], [], [], 0  # n_log2 = 1 has no rightward
     for s, kinds in enumerate(halves):
         nt, nf, nb, nc = counts = tuple(p.size for p in kinds)
         tops = np.concatenate(kinds)  # [T | F | B | C]
@@ -231,16 +237,19 @@ def _one_row_index(halves, n_log2, leftward):
                                  np.full(nc, (2 * n_log2 - s) * n)])
         scatter = np.concatenate([tf + y, gather[nt:nt + nf + nb + nc]])
         parts += gather, scatter
+        # yq(T|F|B|C) xq(T|F) xp(F|B) yp(T|F) yp(F|B) +0(C), then p(T|F) q(F|B|C)
+        slices += [nt, nf, nb, nc, nt, nf, nf, nb, nt, nf, nf, nb, nc, nt, nf, nf, nb, nc]
         mid = lo + gather.size
         spans.append((lo, mid, mid + scatter.size, counts))
         lo = mid + scatter.size
-    return np.concatenate(parts), spans
+    return np.concatenate(parts), spans, np.array(slices, dtype=np.intp)
 
 
 class _GatherPlan:
     """Which output messages each stage half writes, for one zero pattern:
     one_row maps 'leftward' and 'rightward' to their one-row (index, spans)
-    (_one_row_index), built with the plan.
+    and slices to the lengths of that index's slices (_one_row_index), all
+    built with the plan.
 
     A stage half's outputs are of three kinds.  A box-plus output is f(yp,
     xp) + yq at the bottom q or f(yp, xq + yq) at the top p, where y is the
@@ -277,68 +286,92 @@ class _GatherPlan:
                 out = read[s + 1].reshape(-1, 2, 1 << s)
                 rightward[s] = _outputs(s, n, out[:, 0], out[:, 1] & ~top, out[:, 1] & top)
                 r[:, 1] |= out[:, 1]
-        self.one_row = {"leftward": _one_row_index(leftward, n_log2, True),
-                        "rightward": _one_row_index(rightward, n_log2, False)}
-        self._batch = {}
-
-    def batch_index(self, direction, stride, rows):
-        """The (index, spans) of direction for the first rows rows of a batch
-        whose messages are (2, n_log2 + 1, stride, N); the spans count one
-        row.
-
-        The plan keeps the index of all rows of the last stride a decode
-        started with, so a decode of a known pattern and batch size derives
-        nothing.  Once more than half its rows are left after a drop (their
-        stride stays), it copies their entries from the kept index, which is
-        faster than deriving them; fewer rows, and rows that drop into this
-        pattern from a batch of another pattern or stride, derive theirs.
-        """
-        index, spans = self.one_row[direction]
-        if stride == 1:
-            return index, spans
-        kept = self._batch.get(direction)
-        if rows == stride:
-            if kept is None or kept[0] != stride:
-                kept = self._batch[direction] = stride, _batch_index(index, self.n_log2, stride, rows)
-            return kept[1], spans
-        if kept is not None and kept[0] == stride and 2 * rows > stride:
-            return np.ascontiguousarray(kept[1].reshape(-1, stride)[:, :rows]).reshape(-1), spans
-        return _batch_index(index, self.n_log2, stride, rows), spans
+        self.one_row, self.slices = {}, {}
+        for direction, halves in (("leftward", leftward), ("rightward", rightward)):
+            index, spans, slices = _one_row_index(halves, n_log2, direction == "leftward")
+            self.one_row[direction], self.slices[direction] = (index, spans), slices
 
 
-def _batch_index(index, n_log2, stride, rows):
-    """The one-row index (_one_row_index) offset for rows rows of a batch
-    whose messages are (2, n_log2 + 1, stride, N).
+def _derive_batch_index(plans, direction, stride):
+    """The (index, spans) of direction for a batch whose row r runs
+    plans[r] and whose messages are (2, n_log2 + 1, stride, N).
 
-    There a layer spans stride rows, so the one-row entry e = layer * N + p
-    of row r lies at e + layer * (stride - 1) * N + r * N.  The entries are
-    listed position by position, the rows of each innermost, so each slice
-    of the one-row index is one slice rows times as long here.  The +0
-    entries of the copies land on row r of right[n_log2], which holds +0 in
-    every row.  Each row is one strided add over the whole index; the
-    alternatives run numpy's inner loop over the rows.
+    Each slice of a one-row index lists one kind of one operand or output
+    of a stage half (_one_row_index); here it lists that of every row, so
+    each stage half is still one gather, one box-plus and one scatter, and
+    its span sums the rows' spans.  Within a slice the rows of one plan
+    come together, entry by entry with their rows innermost, and the plans
+    in the order they first run, so every slice of one kind lists its
+    butterflies in one order, as _gathered pairs them.  A layer here spans
+    stride rows, so row r's one-row entry e = layer * N + p lies at e +
+    layer * (stride - 1) * N + r * N, and the +0 entries of its copies land
+    on row r of right[n_log2], which holds +0 in every row.  Each row takes
+    one strided add, and a batch of several plans one permutation more,
+    which interleaves their slices.
     """
+    n_log2 = plans[0].n_log2
     n = 1 << n_log2
-    base = index >> n_log2
-    base *= (stride - 1) * n
-    base += index
-    out = np.empty((index.size, rows), dtype=index.dtype)
-    for r in range(rows):
-        np.add(base, r * n, out[:, r])
-    return out.reshape(-1)
+    rows = {}  # each plan's rows, the plans in the order they first run
+    for r, plan in enumerate(plans):
+        rows.setdefault(plan, []).append(r)
+    parts = []
+    for plan, at in rows.items():
+        index = plan.one_row[direction][0]
+        base = index >> n_log2
+        base *= (stride - 1) * n
+        base += index
+        # a broadcast over so few rows would run numpy's inner loop over them
+        part = np.empty((index.size, len(at)), dtype=index.dtype)
+        for k, r in enumerate(at):
+            np.add(base, r * n, part[:, k])
+        parts.append(part.reshape(-1))
+    index = parts[0]
+    if len(parts) > 1:
+        lengths = np.array([plan.slices[direction] * len(at) for plan, at in rows.items()])
+        # slice j of plan g starts at place in index, and moves to after
+        # slice j of the plans before it, all of slice j - 1 before that
+        place = lengths.cumsum().reshape(lengths.shape) - lengths
+        moved = lengths.T.ravel()
+        perm = np.repeat(place.T.ravel() - (moved.cumsum() - moved), moved)
+        perm += np.arange(perm.size)
+        index = np.concatenate(parts)[perm]
+    spans = []
+    for stage in zip(*(plan.one_row[direction][1] for plan in plans)):
+        lo, mid, hi, counts = zip(*stage)
+        spans.append((sum(lo), sum(mid), sum(hi), tuple(map(sum, zip(*counts)))))
+    return index, spans
+
+
+# The batch index of the composition of plans and stride each direction ran
+# last, so a decode that repeats it derives nothing, and no more than that
+# one index per direction is kept.
+_last_batch = {}
+
+
+def _batch_index(plans, direction, stride):
+    """The (index, spans) of direction for the rows running plans, in
+    messages of stride rows (_derive_batch_index); a one-row batch's is its
+    plan's own."""
+    if stride == 1:
+        return plans[0].one_row[direction]
+    key = stride, plans
+    last = _last_batch.get(direction)
+    if last is None or last[0] != key:
+        last = _last_batch[direction] = key, _derive_batch_index(plans, direction, stride)
+    return last[1]
 
 
 @lru_cache(maxsize=16)
 def _gather_plan(n_log2, zero):
-    """The _GatherPlan of the positions zero in every row's channel LLRs
-    (zero, a bool mask as bytes), kept for the next decodes of the pattern
-    (the 16 most recent)."""
+    """The _GatherPlan of the positions zero in a row's channel LLRs (zero,
+    a bool mask as bytes), kept for the next decodes of the pattern (the 16
+    most recent)."""
     return _GatherPlan(n_log2, zero)
 
 
 def prepare_decoder(spec: CodeSpec, sent) -> None:
-    """Build and keep the gather plan that the first exact-rule decode of
-    rows whose nonzero channel LLRs lie at the positions sent would build.
+    """Build and keep the gather plan that the first exact-rule decode of a
+    row whose nonzero channel LLRs lie at the positions sent would build.
     A process that forks workers calls it before the fork, so that each
     worker starts with the plans its decodes use."""
     zero = np.ones(spec.n, dtype=bool)
@@ -368,31 +401,28 @@ class _Lockstep:
       right[s+1] = [f(rp, rq + lq); f(rp, lp) + rq]
     at [p; q], so both box-plusses share an operand.
 
-    Under the exact rule the plan is that of the positions zero in every
-    row.  A top output the plan skips stays at the +0 the full update would
-    write, since f(+-0, y) = +0 and msgs starts at +0, and a row's zeros
-    include the batch's, so an earlier plan of a larger batch wrote +0
-    there too.  A skipped rightward output goes stale but stays finite, and
-    no stage half takes one in: every operand gathered is one its plan
-    reads, and dropping rows only grows the zero set, which shrinks what
-    the plan reads.  Under min-sum, whose f(0, y) can be -0, the plan is
-    the empty zero set's.
+    Row r runs plans[r]: under the exact rule that of its own channel
+    zeros, under min-sum, whose f(0, y) can be -0, that of the empty zero
+    set.  A row's pattern holds for its whole decode, and its messages move
+    with it when rows drop, so each row writes and reads exactly what its
+    one-row decode would: a top output its plan skips stays at the +0 the
+    full update would write, since f(+-0, y) = +0 and msgs starts at +0,
+    and a skipped rightward output goes stale but stays finite, and no
+    stage half takes one in.
     """
 
-    def __init__(self, msgs, rows, exact, scratch=None):
-        self.msgs, self.rows, self.exact = msgs, rows, exact
+    def __init__(self, msgs, rows, plans, exact, scratch=None):
+        self.msgs, self.rows, self.plans, self.exact = msgs, rows, plans, exact
         self.left, self.right = msgs[:, :, :rows.size]
         _, layers, stride, n = msgs.shape
         self.n_log2 = n_log2 = layers - 1
         self.state = self.left[1:n_log2]  # every other message follows from these (repeated)
         self.prev_state = np.empty_like(self.state)
-        # a stage half gathers at most 5 operands of each of its stride * n / 2
-        # butterflies into g, and its box-plus takes at most 2 * stride * n of
-        # them through each scratch buffer
+        # a stage half gathers at most 5 operands of each of a row's n / 2
+        # butterflies into g, and its box-plus takes at most 2 * n of them per
+        # row through each scratch buffer
         self.g, self.t, self.d = scratch or (np.empty(5 * stride * n // 2),
                                              np.empty(2 * stride * n), np.empty(2 * stride * n))
-        zero = ~self.left[n_log2].any(axis=0) if exact else np.zeros(n, dtype=bool)
-        self.plan = _gather_plan(n_log2, zero.tobytes())
         self._halves = {}
 
     def run(self, direction):
@@ -409,26 +439,24 @@ class _Lockstep:
         """_gathered's arguments for each stage half of direction, in the
         order they run, over views of the plan's indices for these rows."""
         leftward = direction == "leftward"
-        b = self.rows.size
-        index, spans = self.plan.batch_index(direction, self.msgs.shape[2], b)
+        index, spans = _batch_index(self.plans, direction, self.msgs.shape[2])
         layer = self.msgs[0, 0].size
         flat = self.msgs.reshape(-1)
         half = []
         # rightward stops at stage n_log2 - 2, as right[n_log2] is unused
         for s in reversed(range(self.n_log2)) if leftward else range(self.n_log2 - 1):
-            lo, mid, hi, counts = spans[s]
-            nt, nf, nb, nc = (b * c for c in counts)
+            lo, mid, hi, (nt, nf, nb, nc) = spans[s]
             tails, m = nt + nf + nb + nc, nt + 2 * nf + nb
-            g = self.g[:b * (mid - lo)]
+            g = self.g[:mid - lo]
             x = g[tails:tails + 2 * m].reshape(2, m)  # [b; a], the box-plus operands
             t, d = (buf[:2 * m].reshape(2, m) for buf in (self.t, self.d))
             # the outputs land one layer down from left[s + 1] in left[s], or
             # one layer up from right[s] in right[s + 1]
             dst = s if leftward else s + 2
-            half.append((flat[(s + 1) * layer:], index[b * lo:b * mid], g, x[0, :nt + nf],
+            half.append((flat[(s + 1) * layer:], index[lo:mid], g, x[0, :nt + nf],
                          g[:nt + nf], _box_views(x, x[1], x[0], t, d, x[1], self.exact),
                          g[tails + m + nt + nf:], g[nt:tails], flat[dst * layer:],
-                         index[b * mid:b * hi], g[tails + m:]))
+                         index[mid:hi], g[tails + m:]))
         return half
 
     def pilot(self):
@@ -475,7 +503,8 @@ class _Lockstep:
         for i, row in enumerate(keep):
             if i != row:
                 self.msgs[:, :, i] = self.msgs[:, :, row]
-        return _Lockstep(self.msgs, self.rows[keep], self.exact, (self.g, self.t, self.d))
+        return _Lockstep(self.msgs, self.rows[keep], tuple(self.plans[i] for i in keep),
+                         self.exact, (self.g, self.t, self.d))
 
 
 def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
@@ -486,11 +515,10 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     more keep left[1..n_log2 - 1] from before each leftward half for the
     fixed-point stop; they grow the work per row once they leave the cache,
     so a caller with many codewords decodes them in groups (a sweep's
-    lockstep sessions size theirs from N).  Under the exact rule the
-    positions zero in every row decide which output messages need a
-    box-plus (_GatherPlan), so a batch of punctured frames decodes faster
-    when its rows share their zeros, and a row that carries a position the
-    others puncture makes every row box-plus it.
+    lockstep sessions size theirs from N).  Under the exact rule each row's
+    own zero positions decide which of its output messages need a box-plus
+    (_GatherPlan), so a punctured row costs its own pattern's work, whatever
+    the rows beside it send.
 
     Parameters
     ----------
@@ -534,10 +562,16 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     left, right = msgs
     right[0][:, spec.frozen_set] = FROZEN_PRIOR_LLR
     left[n_log2] = llrs
-    core = _Lockstep(msgs, np.arange(batch), cfg.update_rule == "exact")
+    exact = cfg.update_rule == "exact"
+    plans = (tuple(_gather_plan(n_log2, zero.tobytes()) for zero in llrs == 0) if exact
+             else (_gather_plan(n_log2, bytes(n)),) * batch)
+    core = _Lockstep(msgs, np.arange(batch), plans, exact)
     results = [None] * batch
     frozen = np.zeros(n, dtype=bool)
     frozen[spec.frozen_set] = True
+    # the rows without evidence for the frozen rule to agree with (BpConfig)
+    silent = ~llrs.any(axis=1) if spec.frozen_set.size else np.ones(batch, dtype=bool)
+    silent = silent if silent.any() else None
 
     def info_from(u_post):
         # systematic read-out: hard-decide u at the info positions (frozen
@@ -571,7 +605,10 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
         # skips the rightward half
         stopped = []
         if cfg.early_stop != "none":
-            for i in _frozen_pass(core.left[0], frozen).nonzero()[0]:
+            passed = _frozen_pass(core.left[0], frozen)
+            if silent is not None:
+                passed &= ~silent[core.rows]
+            for i in passed.nonzero()[0]:
                 check = checks[core.rows[i]]
                 if check is None:
                     read_out(i, iterations, "frozen")

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .construction import CodeSpec, design_code
-from .decoding import bp_decode_many, combine_llrs
+from .decoding import BpConfig, DecodeResult, bp_decode_many, combine_llrs
 
 __all__ = [
     "RATE_TABLE",
@@ -229,8 +229,8 @@ class SessionPlan:
         adaptive session's, the stage-1 rate and each stage-2 one (the
         timeout fallback among them); with a rate, a fixed-rate session's,
         that rate.  positions of any two rates nest, so the positions a
-        batch of such frames sends, its rows together, are one of these
-        rates' positions."""
+        session's frames send together, one decode row, are those of one of
+        these rates."""
         return (STAGE1_RATE, *RATE_TABLE) if rate is None else (rate,)
 
     def stage2_positions(self, rate: Fraction) -> np.ndarray:
@@ -299,7 +299,12 @@ def tag_stage2(codeword, plan: SessionPlan, requested_rate: Fraction) -> Frame:
 
 
 class GatewaySession:
-    """Gateway-side decode state across the frames of one session."""
+    """Gateway-side decode state across the frames of one session.
+
+    ahead holds a decode gateway_on_frames ran early, or None: the second
+    frame and LLRs it was told the tag would send after this session's
+    first frame, and the combined LLRs and DecodeResult they give.  It
+    serves only that frame arriving next with equal LLRs."""
 
     def __init__(self, plan: SessionPlan):
         self.plan = plan
@@ -310,20 +315,24 @@ class GatewaySession:
         self.last_fber = 0.0
         self.last_info: Optional[np.ndarray] = None
         self.succeeded = False
+        self.ahead = None
 
 
-def _checked_frame(frame: Frame, llrs, session: GatewaySession):
+def _checked_frame(frame: Frame, llrs, plan: SessionPlan):
     """The frame's positions and LLRs as arrays; ValueError if either is
-    malformed for the session, which is left unchanged."""
+    malformed for a session of the plan."""
     positions = np.asarray(frame.payload_positions)
-    llrs = np.asarray(llrs, dtype=np.float64)
+    try:
+        llrs = np.asarray(llrs, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError("llrs must be numbers") from None
     if positions.ndim != 1 or positions.dtype.kind not in "iu":
         raise ValueError("payload positions must be a 1-D integer array")
     if llrs.shape != positions.shape:
         raise ValueError("llrs must align with frame positions")
     if not np.all(np.isfinite(llrs)):
         raise ValueError("llrs must be finite")
-    n_mother = session.plan.n_mother
+    n_mother = plan.n_mother
     if positions.size and not (positions.min() >= 0 and positions.max() < n_mother):
         raise ValueError(f"payload positions must lie in [0, {n_mother})")
     # a mask, not np.unique, which imports numpy.ma on its first call
@@ -331,15 +340,42 @@ def _checked_frame(frame: Frame, llrs, session: GatewaySession):
     seen[positions] = True
     if np.count_nonzero(seen) != positions.size:
         raise ValueError("payload positions must not repeat")
-    if frame.header.length_code != _length_code(session.plan.k):
+    if frame.header.length_code != _length_code(plan.k):
         raise ValueError(f"header length_code {frame.header.length_code} does not match "
-                         f"the K={session.plan.k} plan's {_length_code(session.plan.k)}")
-    if frame.header.packet_id == 1 and 0 not in session.seen_ids:
-        raise ValueError("second frame received before first")
+                         f"the K={plan.k} plan's {_length_code(plan.k)}")
     return positions, llrs
 
 
-def gateway_on_frames(frames, llrs, sessions) -> list:
+def _combined(before, positions, llrs):
+    """The LLRs before with a frame's LLRs added at its positions."""
+    full = np.zeros(before.size)
+    full[positions] = llrs
+    return combine_llrs([before, full])  # bp_decode_many refuses inf
+
+
+@dataclass(frozen=True)
+class _Ahead:
+    """A second frame decoded before it arrived (GatewaySession.ahead)."""
+
+    frame: Frame
+    llrs: bytes
+    combined: np.ndarray
+    result: DecodeResult
+
+    def serves(self, frame: Frame, positions, llrs) -> bool:
+        return (frame.header == self.frame.header and llrs.tobytes() == self.llrs
+                and np.array_equal(positions, self.frame.payload_positions))
+
+
+def _crc_check(crc):
+    return lambda bits: crc16(bits) == crc
+
+
+# The gateway's decode settings: its first iteration, then the whole budget.
+_FIRST_ITERATION, _WHOLE = BpConfig(max_iters=1), BpConfig()
+
+
+def gateway_on_frames(frames, llrs, sessions, then=None) -> list:
     """Fold one received frame into each session and decide what each does next.
 
     ``frames[i]`` goes to ``sessions[i]`` with ``llrs[i]``, its demodulated
@@ -349,26 +385,43 @@ def gateway_on_frames(frames, llrs, sessions) -> list:
     has seen (the combine stays idempotent per position set).  A session may
     appear once per call, and a row's decision does not depend on the rows
     beside it.  The sessions whose frame needs a decode (not a duplicate, not
-    already acknowledged) must share one code, and are decoded in one
-    lockstep batch.
+    already acknowledged) must share one code.
+
+    They decode in lockstep along one path: one batch runs every row's first
+    iteration, which fixes each row's FBER and ends the decode of each row
+    whose CRC passes there; one more decodes the rows left, from the start.
+    ``then``, if given, looks one frame ahead: for each first frame still
+    running, then(i, rate) returns the second frame and LLRs that session's
+    tag would send if the decode failed and requested ``rate``,
+    estimate_rate of its FBER, or None.  Each such frame's LLRs are
+    combined onto that session's after frame i and decoded in the same
+    batch, waiting for frame i's CRC, and the result is kept on the session
+    (GatewaySession.ahead).  It decides that frame if it arrives next with
+    equal LLRs at a session that has not succeeded, and is dropped at the
+    session's next frame otherwise, so decisions and session state equal
+    those of calls without ``then``.
 
     Frames must arrive in id order: a second frame before a first is an
-    error.  Every frame is checked, and every decode run, before any session
-    changes, so malformed input (positions outside [0, n_mother) or
-    repeated, LLRs that are misaligned or not finite, a header length other
-    than the plan's, a combine that overflows) or sessions of two codes
-    raise ValueError and leave every session as it was.
+    error.  Every frame, those of ``then`` too, is checked, and every
+    decode run, before any session changes, so malformed input (positions
+    outside [0, n_mother) or repeated, LLRs that are misaligned or not
+    finite, a header length other than the plan's, a combine that
+    overflows) or sessions of two codes raise ValueError and leave every
+    session as it was.
     """
     frames, llrs, sessions = list(frames), list(llrs), list(sessions)
     if not len(frames) == len(llrs) == len(sessions):
         raise ValueError("need one frame, one LLR array and one session per entry")
     if len({id(s) for s in sessions}) != len(sessions):
         raise ValueError("a session may receive one frame per call")
-    checked = [_checked_frame(f, l, s) for f, l, s in zip(frames, llrs, sessions)]
+    checked = [_checked_frame(f, l, s.plan) for f, l, s in zip(frames, llrs, sessions)]
+    for frame, session in zip(frames, sessions):
+        if frame.header.packet_id == 1 and 0 not in session.seen_ids:
+            raise ValueError("second frame received before first")
 
     decisions = [None] * len(frames)
-    fresh, rows = [], []  # entries with a new packet id; those of them to decode
-    combined, crcs = [], []  # each decode's LLRs and the CRC it waits for
+    fresh, rows = [], []  # entries with a new packet id; those of them to decide
+    combined, crcs, results = [], [], {}  # each row's LLRs, the CRC it waits for, its decode
     for i, (frame, (positions, frame_llrs), session) in enumerate(zip(frames, checked, sessions)):
         pid = frame.header.packet_id
         if pid in session.seen_ids:
@@ -380,36 +433,75 @@ def gateway_on_frames(frames, llrs, sessions) -> list:
             # retransmission) changes nothing
             decisions[i] = {"action": "ack", "packet_id": pid, "fber": session.last_fber}
             continue
-        full = np.zeros(session.plan.n_mother)
-        full[positions] = frame_llrs
         rows.append(i)
-        combined.append(combine_llrs([session.combined, full]))  # bp_decode_many refuses inf
         crcs.append(frame.crc if pid == 0 else session.expected_crc)
-    results = []
-    if rows:
-        spec = sessions[rows[0]].plan.spec
-        for i in rows[1:]:
-            other = sessions[i].plan.spec
-            if other is not spec and (other.n != spec.n
-                                      or not np.array_equal(other.frozen_set, spec.frozen_set)):
-                raise ValueError("the sessions decoded in one call must share one code")
-        # frozen consistency alone fires too early on a heavily punctured
-        # graph, before the info positions settle, so each decode also waits
-        # for its session's CRC
-        results = bp_decode_many(
-            combined, spec,
-            crc_checks=[lambda bits, crc=crc: crc16(bits) == crc for crc in crcs])
+        if session.ahead is not None and session.ahead.serves(frame, positions, frame_llrs):
+            combined.append(session.ahead.combined)
+            results[i] = session.ahead.result
+        else:
+            combined.append(_combined(session.combined, positions, frame_llrs))
+    ahead = _decode(rows, combined, crcs, results, frames, sessions, then) if rows else []
 
     # every check has passed: only now do the sessions change
     for i in fresh:
         sessions[i].seen_ids.add(frames[i].header.packet_id)
-    for i, session_llrs, crc, result in zip(rows, combined, crcs, results):
+    for session in sessions:
+        session.ahead = None
+    for i, session_llrs, crc in zip(rows, combined, crcs):
         sessions[i].combined = session_llrs
         sessions[i].expected_crc = crc
-        decisions[i] = _decide(sessions[i], frames[i].header.packet_id, result)
+        decisions[i] = _decide(sessions[i], frames[i].header.packet_id, results[i])
+    for i, kept in ahead:
+        sessions[i].ahead = kept
     for session, decision in zip(sessions, decisions):
         session.decisions.append(decision)
     return decisions
+
+
+def _decode(rows, combined, crcs, results, frames, sessions, then) -> list:
+    """Decode each entry of rows that results lacks, into results, and the
+    follow-ups then gives (gateway_on_frames); returns (entry, _Ahead) per
+    follow-up."""
+    spec = sessions[rows[0]].plan.spec
+    for i in rows[1:]:
+        other = sessions[i].plan.spec
+        if other is not spec and (other.n != spec.n
+                                  or not np.array_equal(other.frozen_set, spec.frozen_set)):
+            raise ValueError("the sessions decoded in one call must share one code")
+    # frozen consistency alone fires too early on a heavily punctured graph,
+    # before the info positions settle, so each decode also waits for its
+    # session's CRC
+    todo = [n for n, i in enumerate(rows) if i not in results]
+    if not todo:
+        return []
+    first = bp_decode_many([combined[n] for n in todo], spec, _FIRST_ITERATION,
+                           [_crc_check(crcs[n]) for n in todo])
+    running, follow_ups = [], []  # row numbers left; (entry, frame, llrs, combined, crc)
+    for n, result in zip(todo, first):
+        i = rows[n]
+        if result.converged:
+            results[i] = result
+            continue
+        running.append(n)
+        follow = None
+        if then is not None and frames[i].header.packet_id == 0:
+            follow = then(i, estimate_rate(result.fber))
+        if follow is not None:
+            frame, frame_llrs = follow
+            positions, frame_llrs = _checked_frame(frame, frame_llrs, sessions[i].plan)
+            if frame.header.packet_id != 1:
+                raise ValueError("then must give a second frame")
+            follow_ups.append((i, frame, frame_llrs,
+                               _combined(combined[n], positions, frame_llrs), crcs[n]))
+    if not running:
+        return []
+    queued = [(combined[n], crcs[n]) for n in running] + [f[3:] for f in follow_ups]
+    rest = bp_decode_many([row for row, _ in queued], spec, _WHOLE,
+                          [_crc_check(crc) for _, crc in queued])
+    for n, result in zip(running, rest):
+        results[rows[n]] = result
+    return [(i, _Ahead(frame, frame_llrs.tobytes(), both, result))
+            for (i, frame, frame_llrs, both, _), result in zip(follow_ups, rest[len(running):])]
 
 
 def _decide(session: GatewaySession, pid: int, result) -> dict:
@@ -481,7 +573,10 @@ def frame_to_wire(frame: Frame) -> str:
 
 
 def frame_from_wire(line: str) -> Frame:
-    """Parse a frame_to_wire line; any other spelling raises ValueError."""
+    """Parse a frame_to_wire line; any other spelling, or a line that is not
+    a str, raises ValueError."""
+    if not isinstance(line, str):
+        raise ValueError(f"frame line must be a str, got {type(line).__name__}")
     parts = line.split(" ")
     if len(parts) not in (3, 4):
         raise ValueError(f"malformed frame line: {line!r}")

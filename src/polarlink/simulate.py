@@ -286,12 +286,16 @@ def _lockstep_sessions(cfg: SimConfig, lanes) -> list:
     and a SessionRecord or None.  The frames go to the gateway in two
     waves, every lane's first frame and then the adaptive lanes' second
     frames.  Within a wave they are stably sorted by payload length and cut
-    into groups of _GROUP_ELEMENTS // N, one gateway call and so one decode
-    batch each; the positions of any two rates nest, so a group's zeros are
-    those of its densest row.  Each lane draws from its own generators
-    only, in the order a lone session does, and a row's decode does not
-    depend on the rows beside it, so no lane's outcome depends on the lanes
-    beside it.
+    into groups of _GROUP_ELEMENTS // N, one gateway call each.  In wave 1
+    the gateway looks ahead (gateway_on_frames' then): for an adaptive
+    lane whose first decode runs past iteration 1, the tag's side takes the
+    lane's feedback draw and transmits the second frame that draw and the
+    requested rate lead to, so it decodes beside the first, and wave 2
+    finds it decided.  The frame enters the record and bits_sent only once
+    the real decision sends it.  Each lane draws from its own generators
+    only, each once and in the order a lone session does, and a row's
+    decode does not depend on the rows beside it, so no lane's outcome
+    depends on the lanes beside it.
     """
     plan = plan_session(cfg.k)
     group = _group_rows(plan)
@@ -299,30 +303,62 @@ def _lockstep_sessions(cfg: SimConfig, lanes) -> list:
     infos = [rngs[0].integers(0, 2, size=cfg.k).astype(np.uint8) for _, _, rngs, _ in lanes]
     codewords = [encode_transform_pair(info, plan.spec) for info in infos]  # both stages slice it
     gws = [GatewaySession(plan) for _ in lanes]
+    delivered, second = {}, {}  # per adaptive lane: its feedback draw; its second frame, sent or foreseen
 
-    def send(idx, frames):
-        llrs = []
-        for i, frame in zip(idx, frames):
-            snr_db, _, (_, channel_rng, _), record = lanes[i]
-            llrs.append(_transmit(frame.payload_bits, cfg, noises[snr_db], channel_rng))
+    def transmit(i, frame):
+        snr_db, _, (_, channel_rng, _), _ = lanes[i]
+        return _transmit(frame.payload_bits, cfg, noises[snr_db], channel_rng)
+
+    def feedback(i, msg):
+        """msg through lane i's feedback channel, whose one draw is taken
+        the first time the lane asks."""
+        if i not in delivered:
+            delivered[i] = feedback_channel(msg, cfg.fb_loss, lanes[i][2][2]).delivered
+        return FeedbackMsg(kind=msg.kind, rate=msg.rate, delivered=delivered[i])
+
+    def stage2(i, fb):
+        """Lane i's second frame and its LLRs once its tag gets the feedback
+        fb, or None if it sends none; transmitted once."""
+        # after a timeout the tag cannot tell a lost ACK from a lost request,
+        # so it sends the fallback stage 2 (wasted if the ACK was what got lost)
+        rate = fb.rate if fb.delivered else TIMEOUT_FALLBACK_RATE
+        if rate is None:
+            return None
+        if i not in second:
+            frame = tag_stage2(codewords[i], plan, rate)
+            second[i] = rate, frame, transmit(i, frame)
+        foreseen, frame, llrs = second[i]
+        assert foreseen == rate, "the second frame sent is the one the gateway decoded ahead"
+        return frame, llrs
+
+    def ahead(i, rate):
+        """What lane i's tag sends if the gateway requests rate (then)."""
+        if lanes[i][1] is not None:
+            return None  # a fixed-rate session has no feedback
+        return stage2(i, feedback(i, FeedbackMsg(kind="request_rate", rate=rate)))
+
+    def send(idx, frames, llrs, then=None):
+        for i, frame, frame_llrs in zip(idx, frames, llrs):
+            record = lanes[i][3]
             if record is not None:
                 record.frames.append(frame_to_wire(frame))
-                record.frame_llrs.append(llrs[-1].tolist())
+                record.frame_llrs.append(frame_llrs.tolist())
         order = sorted(range(len(frames)), key=lambda j: len(frames[j].payload_positions))
         for lo in range(0, len(order), group):
             part = order[lo:lo + group]
+            ahead = None if then is None else (lambda j, rate, part=part: then(idx[part[j]], rate))
             gateway_on_frames([frames[j] for j in part], [llrs[j] for j in part],
-                              [gws[idx[j]] for j in part])
+                              [gws[idx[j]] for j in part], ahead)
 
     first = [tag_stage1(codeword, plan, STAGE1_RATE if rate is None else rate)
              for codeword, (_, rate, _, _) in zip(codewords, lanes)]
-    send(range(len(lanes)), first)
+    send(range(len(lanes)), first, [transmit(i, frame) for i, frame in enumerate(first)], ahead)
     aux = [{"bits_sent": len(frame.payload_positions), "frames_used": 1,
             "fber_first": gw.decisions[0]["fber"], "requested_rate": "", "info": info}
            for frame, gw, info in zip(first, gws, infos)]
 
-    second_idx, second = [], []
-    for i, (_, rate, (_, _, feedback_rng), record) in enumerate(lanes):
+    second_idx, second_frames, second_llrs = [], [], []
+    for i, (_, rate, _, record) in enumerate(lanes):
         if rate is not None:
             continue  # a fixed-rate session has no feedback
         d1 = gws[i].decisions[0]
@@ -330,7 +366,7 @@ def _lockstep_sessions(cfg: SimConfig, lanes) -> list:
             msg = FeedbackMsg(kind="ack")
         else:
             msg = FeedbackMsg(kind="request_rate", rate=Fraction(d1["rate"]))
-        fb = feedback_channel(msg, cfg.fb_loss, feedback_rng)
+        fb = feedback(i, msg)
         requested = "" if msg.rate is None else str(msg.rate)
         aux[i]["requested_rate"] = requested
         if record is not None:
@@ -338,14 +374,13 @@ def _lockstep_sessions(cfg: SimConfig, lanes) -> list:
             if msg.rate is not None:
                 entry["rate"] = requested
             record.feedback.append(entry)
-        # after a timeout the tag cannot tell a lost ACK from a lost request,
-        # so it sends the fallback stage 2 (wasted if the ACK was what got lost)
-        stage2_rate = fb.rate if fb.delivered else TIMEOUT_FALLBACK_RATE
-        if stage2_rate is not None:
+        sent = stage2(i, fb)
+        if sent is not None:
             second_idx.append(i)
-            second.append(tag_stage2(codewords[i], plan, stage2_rate))
-    send(second_idx, second)
-    for i, frame in zip(second_idx, second):
+            second_frames.append(sent[0])
+            second_llrs.append(sent[1])
+    send(second_idx, second_frames, second_llrs)
+    for i, frame in zip(second_idx, second_frames):
         aux[i]["bits_sent"] += len(frame.payload_positions)
         aux[i]["frames_used"] = 2
 
@@ -374,22 +409,35 @@ def run_session(cfg: SimConfig, snr_db: float, rngs, *, record: SessionRecord = 
 def replay_session(record_dict: dict, k: int) -> list:
     """Re-run the gateway over a recorded trace; returns its decision list.
 
-    Raises ValueError when the record's K or mother-code length does not
-    match the plan for ``k``, when it holds a different number of frames
-    and LLR lists, or when a recorded frame is malformed.
+    Raises ValueError, naming the field or the frame, when the record is not
+    a dict, lacks k, n_mother, frames or frame_llrs, has a K or mother-code
+    length that does not match the plan for ``k``, holds frames and LLR
+    lists that are not lists or differ in number, or holds a frame that is
+    malformed.
     """
+    if not isinstance(record_dict, dict):
+        raise ValueError(f"record must be a dict, got {type(record_dict).__name__}")
+    missing = [name for name in ("k", "n_mother", "frames", "frame_llrs") if name not in record_dict]
+    if missing:
+        raise ValueError(f"record lacks {', '.join(missing)}")
     plan = plan_session(k)
     if record_dict["k"] != k:
         raise ValueError(f"record k {record_dict['k']!r} does not match k={k}")
     if record_dict["n_mother"] != plan.n_mother:
-        raise ValueError(f"record n_mother {record_dict['n_mother']} does not match "
+        raise ValueError(f"record n_mother {record_dict['n_mother']!r} does not match "
                          f"the K={k} plan's {plan.n_mother}")
     frames, frame_llrs = record_dict["frames"], record_dict["frame_llrs"]
+    for name, value in (("frames", frames), ("frame_llrs", frame_llrs)):
+        if not isinstance(value, list):
+            raise ValueError(f"record {name} must be a list, got {type(value).__name__}")
     if len(frames) != len(frame_llrs):
         raise ValueError(f"record has {len(frames)} frames but {len(frame_llrs)} LLR lists")
     gw = GatewaySession(plan)
-    for wire, llrs in zip(frames, frame_llrs):
-        gateway_on_frames([frame_from_wire(wire)], [llrs], [gw])
+    for n, (wire, llrs) in enumerate(zip(frames, frame_llrs)):
+        try:
+            gateway_on_frames([frame_from_wire(wire)], [llrs], [gw])
+        except ValueError as exc:
+            raise ValueError(f"record frame {n}: {exc}") from None
     return gw.decisions
 
 
@@ -414,9 +462,11 @@ def _hamming_trial(cfg: SimConfig, snr_db: float, rngs):
     return info, hamming74_decode(llrs)[:cfg.k], len(coded)
 
 
-# Rows x N of one lockstep group.  The group's message layers, (n_log2 + 1)
-# x 2 x 8 bytes per element (1.4 MB at N = 1024), then stay within a core's
-# L2 cache, where a decode's cost per row is lowest.
+# Rows x N of one lockstep group, the frames of one gateway call.  The
+# group's message layers, (n_log2 + 1) x 2 x 8 bytes per element (1.4 MB at
+# N = 1024), then stay within a core's L2 cache, where a decode's cost per
+# row is lowest; the look-ahead second frames of wave 1 can double a call's
+# decode rows.
 _GROUP_ELEMENTS = 1 << 13
 
 
@@ -501,9 +551,9 @@ def _prepare_workers(cfg: SimConfig) -> None:
     Forked workers start with a copy of this process, so they then begin
     warm: numpy.random, which numpy imports on first use, is loaded, and so
     is the decoder's gather plan of each position set the sweep's sessions
-    send (SessionPlan.sent_rates).  Those sets nest, so the rows of any
-    decode group, of one scheme and point or of several, send together
-    one of them, also after rows drop.
+    send (SessionPlan.sent_rates).  Each decode row runs the plan of its own
+    position set, the one its session's frames send together, a look-ahead
+    row's among them, so these are the plans every row of a task runs.
     """
     np.random  # noqa: B018 (the attribute access imports it)
     sessions = [rate for kind, rate in map(parse_scheme, cfg.schemes) if kind != "hamming74"]

@@ -131,13 +131,16 @@ class TestDecode:
         assert code == 0 and json.loads(out)["iterations"] >= 1
 
     @pytest.mark.parametrize("spec, llrs, stop", [
-        # silent: every left[0] message is +0, which passes the frozen check
-        ({"n_log2": 4, "k": 8}, ["0"] * 16, (1, "frozen", True)),
+        # silent: every left[0] message is +0, which the frozen check would
+        # pass with no evidence; it runs to the fixed point of iteration 2
+        ({"n_log2": 4, "k": 8}, ["0"] * 16, (2, "fixed_point", False)),
+        # no frozen position: the check would pass vacuously in iteration 1
+        ({"n_log2": 4, "k": 16}, ["1.0"] * 16, (2, "fixed_point", False)),
         # a length-2 repetition code whose two LLRs contradict: the frozen
         # check never passes, and with no inner message layer iteration 2
         # repeats iteration 1
         ({"n_log2": 1, "k": 1}, ["1.0", "-1.0"], (2, "fixed_point", False)),
-    ], ids=["silent", "contradicting"])
+    ], ids=["silent", "no_frozen", "contradicting"])
     def test_stop_reason(self, capsys, tmp_path, spec, llrs, stop):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(spec))

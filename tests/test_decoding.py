@@ -75,7 +75,8 @@ def bp_decode_reference(llrs, spec, cfg, crc_check=None, fixed_point_stop=True):
 
     It runs until the early-stop rule fires, max_iters is spent or, with
     fixed_point_stop, an iteration after the first leaves left[1:n_log2]
-    bit-identical: every other message follows from those.
+    bit-identical: every other message follows from those.  The rule needs
+    a frozen position and a nonzero channel LLR to agree with.
     Returns (info_bits, u_posterior, frozen_hard, fber, fber_over_observed,
     converged, iterations_used, stop_reason).
     """
@@ -96,6 +97,7 @@ def bp_decode_reference(llrs, spec, cfg, crc_check=None, fixed_point_stop=True):
     converged = False
     iterations = 0
     stop_reason = "max_iters"
+    evidence = spec.frozen_set.size > 0 and bool(np.any(llrs))
     for _ in range(cfg.max_iters):
         iterations += 1
         before = left[1:n_log2].copy()
@@ -112,7 +114,7 @@ def bp_decode_reference(llrs, spec, cfg, crc_check=None, fixed_point_stop=True):
             right[s + 1, p] = f(rp, rq + lq)
             right[s + 1, q] = rq + f(rp, lp)
         if cfg.early_stop != "none":
-            frozen_ok = bool(np.all(left[0, spec.frozen_set] >= 0.0))
+            frozen_ok = evidence and bool(np.all(left[0, spec.frozen_set] >= 0.0))
             if frozen_ok and crc_check is not None:
                 frozen_ok = bool(crc_check(info_from(left[0] + right[0])))
             if frozen_ok:
@@ -556,16 +558,17 @@ def _stage_outputs(zero, n_log2):
 
 @pytest.fixture
 def half_widths(monkeypatch):
-    """(direction, (box-plus outputs, copies) per row of each stage) of
-    every direction's stage halves run, in order, read off the butterfly
-    counts (T, F, B, C) in the spans of the gather plan of the batch that
-    runs them: T + 2F + B box-plus outputs and C copies."""
+    """(direction, (box-plus outputs, copies) of each stage) of every
+    direction's stage halves run, in order, one entry per running row, read
+    off the butterfly counts (T, F, B, C) in the spans of the row's own
+    gather plan: T + 2F + B box-plus outputs and C copies."""
     calls = []
     run = decoding._Lockstep.run
 
     def counted(core, direction):
-        _, spans = core.plan.one_row[direction]
-        calls.append((direction, [(t + 2 * f + b, c) for *_, (t, f, b, c) in spans]))
+        for plan in core.plans:
+            _, spans = plan.one_row[direction]
+            calls.append((direction, [(t + 2 * f + b, c) for *_, (t, f, b, c) in spans]))
         return run(core, direction)
 
     monkeypatch.setattr(decoding._Lockstep, "run", counted)
@@ -614,9 +617,9 @@ class TestPunctured:
         half_widths.clear()
         got = bp_decode_many(llrs, spec, BpConfig(max_iters=2, early_stop="none"))
         assert [r.stop_reason for r in got] == ["max_iters"] * 2
-        work = dict(zip(("leftward", "rightward"),
-                        _stage_outputs((llrs == 0).all(axis=0), spec.n_log2)))
-        assert half_widths == [(d, work[d]) for d in ("leftward", "rightward", "leftward")]
+        work = dict(zip(("leftward", "rightward"), _stage_outputs(llrs[0] == 0, spec.n_log2)))
+        assert half_widths == [(d, work[d]) for d in ("leftward", "rightward", "leftward")
+                               for _ in range(2)]
         # at K=32 and 512, rate 1/8 sends every position, so every leftward
         # output is box-plussed
         assert (work["leftward"] == [(spec.n, 0)] * spec.n_log2) == \
@@ -662,15 +665,52 @@ class TestPunctured:
         assert _skipped_some(half_widths, spec.n)
 
     def test_mixed_rate_batch(self, half_widths):
-        # the batch's zero set is the intersection of its rows'
+        # each row box-plusses and copies what its own zero set needs, not
+        # the intersection of the rows' zero sets
         llrs, spec, crcs = _session_rows(96, ["3/4", "2/3", "1/2", "1/4"], [0.0, 1.0, -1.0, -4.0],
                                          seed=12)
         common = (llrs == 0).all(axis=0)
         assert common.any() and not np.array_equal(common, llrs[0] == 0)
         for early_stop in ("none", "frozen"):
             cfg = BpConfig(max_iters=10, early_stop=early_stop)
+            half_widths.clear()
             assert_rows_match_reference(llrs, spec, cfg, _row_checks(crcs, [True] * 4))
+            work = [dict(zip(("leftward", "rightward"), _stage_outputs(row == 0, spec.n_log2)))
+                    for row in llrs]
+            assert half_widths[:8] == [(d, w[d]) for d in ("leftward", "rightward") for w in work]
         assert _skipped_some(half_widths, spec.n)
+
+    @pytest.mark.parametrize("rule", ["exact", "minsum"])
+    @pytest.mark.parametrize("k", [9, 96, 512])
+    def test_rows_of_other_sent_sets(self, monkeypatch, k, rule):
+        # rows of five sent sets that stop apart each equal their one-row
+        # decode field for field, and every stage half box-plusses and
+        # copies the sum of what the running rows' own plans list
+        rates = ["3/4", "2/3", "1/2", "1/4", "1/8"]
+        llrs, spec, crcs = _session_rows(k, rates * 2, [9.0, 4.0, 1.0, -2.0, -6.0] * 2, seed=k)
+        checks = _row_checks(crcs, [True] * 5 + [False] * 5)
+        cfg = BpConfig(max_iters=12, update_rule=rule)
+        runs = []
+        run = decoding._Lockstep.run
+
+        def counted(core, direction):
+            zero = (lambda r: llrs[r] == 0) if rule == "exact" else (lambda r: np.zeros(spec.n, bool))
+            assert core.plans == tuple(decoding._gather_plan(spec.n_log2, zero(r).tobytes())
+                                       for r in core.rows)
+            _, spans = decoding._batch_index(core.plans, direction, core.msgs.shape[2])
+            per_row = [[counts for *_, counts in plan.one_row[direction][1]] for plan in core.plans]
+            assert [counts for *_, counts in spans] == [tuple(map(sum, zip(*stage)))
+                                                        for stage in zip(*per_row)]
+            runs.append(core.rows.size)
+            return run(core, direction)
+
+        monkeypatch.setattr(decoding._Lockstep, "run", counted)
+        got = bp_decode_many(llrs, spec, cfg, checks)
+        monkeypatch.setattr(decoding._Lockstep, "run", run)
+        for row, check, res in zip(llrs, checks, got):
+            assert_results_bitwise_equal(res, bp_decode_many(row[None], spec, cfg, [check])[0])
+        assert len({r.iterations_used for r in got}) >= 2
+        assert runs[0] == 10 and min(runs) < 10  # some rows left the batch early
 
     @settings(max_examples=150, deadline=None)
     @given(case=_punctured_batches(), rule=st.sampled_from(["exact", "minsum"]),
@@ -727,16 +767,16 @@ class TestPunctured:
                             & (llrs[:, q] != 0).any(axis=0)).any())
         assert copied
 
-    def test_rows_stopping_apart_switch_plans(self, half_widths):
-        # rows stop in different iterations; dropping the rate-1/2 and 1/4
-        # rows grows the common zero set, so the rows left run another plan
+    def test_rows_stopping_apart_keep_their_plans(self, half_widths):
+        # rows stop in different iterations; each runs the plan of its own
+        # sent set throughout, so the three sets build three plans
         llrs, spec, crcs = _session_rows(96, ["1/4", "1/2", "3/4", "3/4", "3/4"],
                                          [8.0, 6.0, 3.0, 1.0, -3.0], seed=14)
         decoding._gather_plan.cache_clear()
         got = assert_rows_match_reference(llrs, spec, BpConfig(max_iters=20),
                                           _row_checks(crcs, [True] * 5))
         assert len({r.iterations_used for r in got}) >= 3
-        assert decoding._gather_plan.cache_info().currsize >= 2
+        assert decoding._gather_plan.cache_info().currsize == 3
         assert _skipped_some(half_widths, spec.n)
 
     @staticmethod
@@ -800,19 +840,19 @@ class TestPlanCache:
 
     def test_one_index_per_stage_half(self):
         # every row sends the rate-3/4 positions, so all batches share one
-        # plan, and it keeps one index per stage half whatever their sizes,
-        # beside the array derived for the batch size the last decode
-        # started with
+        # plan, which holds one index per direction whatever the batch
+        # size; the batch index of the last composition and stride each
+        # direction ran is kept beside it
         llrs, spec, _ = _session_rows(96, ["3/4"] * 8, np.linspace(-2.0, 1.5, 8), seed=24)
         cfg = BpConfig(max_iters=3, early_stop="none")
         decoding._gather_plan.cache_clear()
-        plan = decoding._gather_plan(spec.n_log2, (llrs == 0).all(axis=0).tobytes())
+        plan = decoding._gather_plan(spec.n_log2, (llrs[0] == 0).tobytes())
         for b in range(1, 9):
             assert_rows_match_reference(llrs[:b], spec, cfg)
             assert decoding._gather_plan.cache_info().currsize == 1
             if b > 1:
-                assert {d: stride for d, (stride, _) in plan._batch.items()} == {
-                    "leftward": b, "rightward": b}
+                assert {d: key for d, (key, _) in decoding._last_batch.items()} == {
+                    d: (b, (plan,) * b) for d in ("leftward", "rightward")}
         assert set(plan.one_row) == {"leftward", "rightward"}
         for direction, stages in (("leftward", spec.n_log2), ("rightward", spec.n_log2 - 1)):
             # one gather and one scatter per stage half, tiling one array
@@ -822,42 +862,46 @@ class TestPlanCache:
             assert bounds[0] == 0 and bounds[-1] == index.size
             assert bounds == sorted(bounds)
             assert all(hi == lo for (*_, hi, _), (lo, *_) in zip(spans, spans[1:]))
-            assert plan._batch[direction][1].size == 8 * index.size
+            assert plan.slices[direction].sum() == index.size
+            _, (kept, _) = decoding._last_batch[direction]
+            assert kept.size == 8 * index.size
 
     def test_plan_is_complete_when_built(self):
         # a plan fresh from _gather_plan holds both directions' one-row
-        # (index, spans), and decodes of its pattern at B = 1-8 move only
-        # the kept batch index
+        # (index, spans) and slice lengths, and decodes of its
+        # pattern at B = 1-8 change none of it
         llrs, spec, _ = _session_rows(96, ["3/4"] * 8, np.linspace(-2.0, 1.5, 8), seed=24)
         decoding._gather_plan.cache_clear()
-        plan = decoding._gather_plan(spec.n_log2, (llrs == 0).all(axis=0).tobytes())
+        plan = decoding._gather_plan(spec.n_log2, (llrs[0] == 0).tobytes())
         assert [len(plan.one_row[d][1]) for d in ("leftward", "rightward")] == [
             spec.n_log2, spec.n_log2 - 1]
+        assert [plan.slices[d].size for d in ("leftward", "rightward")] == [
+            18 * spec.n_log2, 18 * (spec.n_log2 - 1)]
 
         def built():
-            return {name: pickle.dumps(value) for name, value in vars(plan).items()
-                    if name != "_batch"}
+            return {name: pickle.dumps(value) for name, value in vars(plan).items()}
 
         before = built()
         for b in range(1, 9):
             bp_decode_many(llrs[:b], spec, BpConfig(max_iters=3, early_stop="none"))
             assert built() == before
-        assert {d: stride for d, (stride, _) in plan._batch.items()} == {
-            "leftward": 8, "rightward": 8}
+        assert {d: key for d, (key, _) in decoding._last_batch.items()} == {
+            d: (8, (plan,) * 8) for d in ("leftward", "rightward")}
 
     @pytest.mark.parametrize("rate", ["3/4", "1/8"])
     def test_batch_index_offsets_every_entry_to_each_row(self, rate):
         # each message of real (2, n_log2 + 1, stride, N) arrays holds the
         # code of its (layer, row, position), layers counted across both
-        # sides; read through the index of a batch's first rows, each
-        # one-row entry e = layer * N + p reaches its message once per row,
-        # the rows innermost, whether the plan keeps it (rows = stride),
-        # copies it from the one it keeps (more than half the rows) or
-        # derives it (fewer, or a plan that kept no index at this stride)
-        llrs, spec, _ = _session_rows(16, [rate], [0.0], seed=25)
+        # sides; read through the batch index of a batch's first rows, the
+        # rows mixing the plan of rate with that of rate 1/2, each slice of
+        # a stage half lists that slice of every row's own one-row index,
+        # the rows of a plan together, entry by entry with the rows
+        # innermost, and the plans in the order they first run; each entry
+        # e = layer * N + p reaches its row's message, and each span counts
+        # the rows' butterflies together
+        llrs, spec, _ = _session_rows(16, [rate, "1/2"], [0.0, 0.0], seed=25)
         n_log2, n = spec.n_log2, spec.n
-        zero = (llrs[0] == 0).tobytes()
-        kept = decoding._GatherPlan(n_log2, zero)
+        own = [decoding._GatherPlan(n_log2, (row == 0).tobytes()) for row in llrs]
 
         def code(layer, row, pos):
             return (layer * 100 + row) * 10_000 + pos
@@ -867,23 +911,52 @@ class TestPlanCache:
                                      np.arange(n), indexing="ij"))
             flat = msgs.reshape(-1)
             for rows in range(stride, 0, -1):
-                for plan in (kept, decoding._GatherPlan(n_log2, zero)):
-                    for direction in ("leftward", "rightward"):
-                        one, _ = plan.one_row[direction]
-                        index, spans = plan.batch_index(direction, stride, rows)
-                        assert index.flags.c_contiguous
-                        for s, (lo, mid, hi, _) in enumerate(spans):
-                            # offsets run from left[s + 1], and from the layer written
-                            for origin, a, z in ((s + 1, lo, mid),
-                                                 (s if direction == "leftward" else s + 2, mid, hi)):
-                                got = flat[origin * stride * n:][index[rows * a:rows * z]]
-                                e = one[a:z, None]
-                                want = code(origin + e // n, np.arange(rows), e % n)
-                                assert np.array_equal(got, want.reshape(-1))
-                if stride > 1:
-                    # the plan that started at this stride keeps it; the fresh
-                    # one derived fewer rows without keeping any
-                    assert all(kept._batch[d][0] == stride for d in ("leftward", "rightward"))
+                plans = tuple(own[(r * 5 + stride) % 3 % 2] for r in range(rows))
+                groups = {}
+                for r, plan in enumerate(plans):
+                    groups.setdefault(plan, []).append(r)
+                for direction in ("leftward", "rightward"):
+                    index, spans = decoding._batch_index(plans, direction, stride)
+                    assert index.flags.c_contiguous
+                    for s, (lo, mid, hi, counts) in enumerate(spans):
+                        assert counts == tuple(map(sum, zip(*(
+                            plan.one_row[direction][1][s][3] for plan in plans))))
+                        # offsets run from left[s + 1], and from the layer written
+                        for origin, a, z, slices in (
+                                (s + 1, lo, mid, range(18 * s, 18 * s + 13)),
+                                (s if direction == "leftward" else s + 2, mid, hi,
+                                 range(18 * s + 13, 18 * s + 18))):
+                            got = flat[origin * stride * n:][index[a:z]]
+                            want = []
+                            for j in slices:
+                                for plan, at in groups.items():
+                                    cut = np.cumsum(np.r_[0, plan.slices[direction]])
+                                    e = plan.one_row[direction][0][cut[j]:cut[j + 1], None]
+                                    want.append(code(origin + e // n, np.array(at), e % n).ravel())
+                            assert np.array_equal(got, np.concatenate(want))
+                    # the kept index is the one derived afresh
+                    if stride > 1:
+                        fresh, fresh_spans = decoding._derive_batch_index(plans, direction, stride)
+                        assert np.array_equal(index, fresh) and spans == fresh_spans
+
+    def test_keeps_the_last_composition_per_direction(self, monkeypatch):
+        # a decode that repeats the last composition and stride derives
+        # nothing; any other derives its own, which replaces the kept one,
+        # so one index per direction is kept
+        llrs, spec, _ = _session_rows(96, ["3/4", "1/2", "1/4", "1/8"] * 2, [0.0] * 8, seed=26)
+        derived = []
+        derive = decoding._derive_batch_index
+        monkeypatch.setattr(decoding, "_derive_batch_index", lambda plans, direction, stride: (
+            derived.append((direction, len(plans))) or derive(plans, direction, stride)))
+        cfg = BpConfig(max_iters=2, early_stop="none")
+        both = [("leftward", 2), ("rightward", 2)]
+        for rows, want in (([0, 1], None), ([0, 1], []), ([2, 3, 4], [("leftward", 3), ("rightward", 3)]),
+                           ([0, 1], both), ([1, 0], both)):
+            derived.clear()
+            bp_decode_many(llrs[rows], spec, cfg)
+            if want is not None:
+                assert derived == want
+            assert len(decoding._last_batch) == 2
 
 
 class TestFrozenStopCheck:
@@ -895,9 +968,9 @@ class TestFrozenStopCheck:
     @pytest.mark.parametrize("gated", [False, True])
     @pytest.mark.parametrize("value, stops", [(0.0, True), (-0.0, True), (-5e-324, False)])
     def test_signed_zero_passes_a_negative_blocks(self, monkeypatch, rule, gated, value, stops):
-        # a silent channel decides every info bit 0, and its frozen
-        # messages are pinned to value after each leftward half; the stop
-        # rule is the only reader of left[0]
+        # a channel silent but at one position decides every info bit 0,
+        # and its frozen messages are pinned to value after each leftward
+        # half; the stop rule is the only reader of left[0]
         spec = design_code(4, 8)
         run = decoding._Lockstep.run
 
@@ -908,7 +981,7 @@ class TestFrozenStopCheck:
 
         monkeypatch.setattr(decoding._Lockstep, "run", pinned)
         check = (lambda b: crc16(b) == crc16(np.zeros(8, dtype=np.uint8))) if gated else None
-        res = bp_decode_many(np.zeros((1, spec.n)), spec, BpConfig(update_rule=rule), [check])[0]
+        res = bp_decode_many(np.eye(1, spec.n), spec, BpConfig(update_rule=rule), [check])[0]
         if stops:
             assert (res.stop_reason, res.iterations_used) == ("crc" if gated else "frozen", 1)
         else:
@@ -1036,6 +1109,33 @@ class TestBpDecode:
         assert np.all(res.info_bits == 0)
         assert np.all(res.frozen_hard == 0)
         assert res.fber == 0.0
+
+    @pytest.mark.parametrize("rule", ["exact", "minsum"])
+    def test_silent_row_never_stops_on_the_frozen_rule(self, rule):
+        # every left[0] message of a silent row is +0, which would pass the
+        # frozen check with nothing to support it; the row runs on to its
+        # fixed point instead, also gated by a CRC its all-zero info bits
+        # pass, and beside a row with evidence, which still stops on it
+        spec = design_code(4, 8)
+        zeros = crc16(np.zeros(8, dtype=np.uint8))
+        llrs = np.array([np.zeros(spec.n), noiseless_llrs(np.zeros(spec.n))])
+        for check in (None, lambda b: crc16(b) == zeros):
+            got = bp_decode_many(llrs, spec, BpConfig(update_rule=rule), [check, check])
+            assert [(r.stop_reason, r.iterations_used, r.converged) for r in got] == [
+                ("fixed_point", 2, False), ("frozen" if check is None else "crc", 1, True)]
+            assert not got[0].info_bits.any()
+
+    def test_code_without_frozen_positions_never_stops_on_the_frozen_rule(self):
+        # K = N leaves the frozen check nothing to test, so it would pass on
+        # any input in iteration 1
+        spec = design_code(4, 16)
+        rng = np.random.default_rng(62)
+        info = rng.integers(0, 2, 16).astype(np.uint8)
+        llrs = awgn_llrs(encode_systematic(info, spec), 0.0, rng)
+        res = bp_decode(llrs, spec)
+        assert (res.stop_reason, res.converged) == ("fixed_point", False)
+        assert res.iterations_used == 2  # no prior: iteration 2 repeats iteration 1
+        assert_rows_match_reference(llrs[None], spec, BpConfig())
 
     def test_rejects_bad_input(self):
         spec = design_code(3, 4)

@@ -37,6 +37,8 @@ from polarlink.protocol import (
 )
 from polarlink.simulate import wilson_interval
 
+from decode_calls import decode_calls
+
 
 def crc16_longdivision_oracle(bits):
     """Independent CRC oracle: GF(2) long division of the augmented message.
@@ -335,6 +337,7 @@ class TestGateway:
         assert gw.combined.shape == (1024,) and not gw.combined.any()
         assert (gw.seen_ids, gw.expected_crc, gw.decisions) == (set(), None, [])
         assert (gw.last_fber, gw.last_info, gw.succeeded) == (0.0, None, False)
+        assert gw.ahead is None
 
     def test_clean_stage1_acks(self):
         plan = plan_session(96)
@@ -510,18 +513,18 @@ class TestGatewayBatch:
     def test_decodes_only_what_needs_a_decode(self, monkeypatch):
         import polarlink.protocol as protocol
 
-        batches = []
-        real = protocol.bp_decode_many
-        monkeypatch.setattr(protocol, "bp_decode_many",
-                            lambda llrs, *a, **kw: batches.append(len(llrs)) or real(llrs, *a, **kw))
+        batches = decode_calls(monkeypatch)
         rng = np.random.default_rng(7)
         scenarios = ["first", "duplicate", "second", "acked", "first", "second"]
         prepared = [_prepared_session(16, s, rng) for s in scenarios]
         batches.clear()
         decisions = gateway_on_frames([f for _, f, _ in prepared], [l for _, _, l in prepared],
                                       [gw for gw, _, _ in prepared])
-        # one batch holds the two first and the two second frames
-        assert batches == [4]
+        # one batch runs the first iteration of the two first and the two
+        # second frames, and one more the rows it did not stop
+        (rows, iters, stopped), *rest = batches
+        assert (rows, iters) == (4, 1)
+        assert [(rows, iters) for rows, iters, _ in rest] == [(4 - stopped, 60)] * (stopped < 4)
         assert decisions[1]["action"] == "duplicate_ignored"
         assert decisions[3]["action"] == "ack"
 
@@ -598,6 +601,128 @@ class TestGatewayBatch:
 
     def test_empty_batch(self):
         assert gateway_on_frames([], [], []) == []
+
+
+def _lookahead_sessions(k, scales, seed):
+    """One fresh session per LLR scale, its first frame with LLRs at that
+    scale, and per stage-2 rate the second frame its tag would send, with
+    LLRs at the same scale."""
+    plan = plan_session(k)
+    rng = np.random.default_rng(seed)
+
+    def noisy(frame, scale):
+        signs = 1.0 - 2.0 * frame.payload_bits.astype(np.float64)
+        return scale * signs + rng.standard_normal(len(signs))
+
+    sessions, firsts, seconds = [], [], []
+    for scale in scales:
+        cw = encode_systematic(rng.integers(0, 2, k).astype(np.uint8), plan.spec)
+        f1 = tag_stage1(cw, plan)
+        sessions.append(GatewaySession(plan))
+        firsts.append((f1, noisy(f1, scale)))
+        seconds.append({rate: (f2, noisy(f2, scale))
+                        for rate, f2 in ((r, tag_stage2(cw, plan, r)) for r in RATE_TABLE)})
+    return sessions, firsts, seconds
+
+
+class TestGatewayLookahead:
+    """then decodes a session's second frame beside its first; decisions and
+    session state equal those of frame-at-a-time calls without it."""
+
+    SCALES = (0.3, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.4, 12.0)
+
+    @pytest.mark.parametrize("k", [16, 96])
+    def test_equals_frame_at_a_time(self, monkeypatch, k):
+        sessions, firsts, seconds = _lookahead_sessions(k, self.SCALES, seed=k)
+        alone = copy.deepcopy(sessions)
+        batches = decode_calls(monkeypatch)
+        asked = []
+
+        def then(i, rate):
+            asked.append((i, rate))
+            return seconds[i][rate]
+
+        got = gateway_on_frames([f for f, _ in firsts], [l for _, l in firsts], sessions, then)
+        calls = list(batches)
+        want = [gateway_on_frames([f], [l], [gw])[0] for gw, (f, l) in zip(alone, firsts)]
+        assert got == want
+        for a, b in zip(sessions, alone):
+            assert session_state(a) == session_state(b)
+        # then is asked for each first frame whose decode iteration 1 did
+        # not end, at the rate its FBER maps to, and each answer decodes
+        # beside the rows still running
+        stopped = [i for i, d in enumerate(want) if d["action"] == "ack"
+                   and i not in dict(asked)]
+        assert [i for i, _ in asked] == [i for i in range(len(firsts)) if i not in stopped]
+        assert all(rate == estimate_rate(want[i]["fber"]) for i, rate in asked)
+        assert calls == [(len(firsts), 1, len(stopped)), (2 * len(asked), 60, calls[1][2])]
+        # a success after iteration 1 and a request among them
+        actions = {want[i]["action"] for i, _ in asked}
+        assert actions == {"ack", "request_rate"}
+
+        # the second frames: the one requested, or the fallback after a lost
+        # ACK; none needs a decode, and every kept decode is dropped
+        nxt = [seconds[i][Fraction(d["rate"]) if d["action"] == "request_rate"
+                          else TIMEOUT_FALLBACK_RATE] for i, d in enumerate(want)]
+        batches.clear()
+        got = gateway_on_frames([f for f, _ in nxt], [l for _, l in nxt], sessions)
+        assert batches == []
+        want = [gateway_on_frames([f], [l], [gw])[0] for gw, (f, l) in zip(alone, nxt)]
+        assert got == want
+        for a, b in zip(sessions, alone):
+            assert session_state(a) == session_state(b)
+            assert a.ahead is None
+
+    def test_other_llrs_decode_afresh(self, monkeypatch):
+        # a second frame whose LLRs differ from those then gave by one ulp,
+        # or that follows another frame, decodes as it would have without then
+        sessions, firsts, seconds = _lookahead_sessions(96, (0.8, 1.0, 0.3), seed=5)
+        alone = copy.deepcopy(sessions)
+        gateway_on_frames([f for f, _ in firsts], [l for _, l in firsts], sessions,
+                          lambda i, rate: seconds[i][rate])
+        want = [gateway_on_frames([f], [l], [gw])[0] for gw, (f, l) in zip(alone, firsts)]
+        assert [d["action"] for d in want] == ["request_rate"] * 3
+        assert all(gw.ahead is not None for gw in sessions)
+        nxt = [seconds[i][Fraction(d["rate"])] for i, d in enumerate(want)]
+        moved = nxt[0][1].copy()
+        moved[0] = np.nextafter(moved[0], np.inf)
+        # session 2 first sees its first frame again, which drops the kept decode
+        dup = [(sessions[2], *firsts[2]), (alone[2], *firsts[2])]
+        for gw, f, l in dup:
+            assert gateway_on_frames([f], [l], [gw])[0]["action"] == "duplicate_ignored"
+        assert sessions[2].ahead is None and sessions[1].ahead is not None
+        batches = decode_calls(monkeypatch)
+        frames = [nxt[0][0], nxt[1][0], nxt[2][0]]
+        llrs = [moved, nxt[1][1], nxt[2][1]]
+        got = gateway_on_frames(frames, llrs, sessions)
+        # sessions 0 and 2 decode, session 1 takes its kept decode
+        assert [(rows, iters) for rows, iters, _ in batches] == [(2, 1), (2 - batches[0][2], 60)][
+            :1 + (batches[0][2] < 2)]
+        want = [gateway_on_frames([f], [l], [gw])[0] for gw, f, l in zip(alone, frames, llrs)]
+        assert got == want
+        for a, b in zip(sessions, alone):
+            assert session_state(a) == session_state(b)
+
+    @pytest.mark.parametrize("fault", ["position", "first_frame", "nonfinite"])
+    def test_malformed_follow_up_changes_no_session(self, fault):
+        sessions, firsts, seconds = _lookahead_sessions(16, (0.3, 0.5), seed=6)
+        before = [session_state(gw) for gw in sessions]
+
+        def then(i, rate):
+            frame, llrs = seconds[i][rate]
+            if fault == "position":
+                frame = dataclasses.replace(frame, payload_positions=frame.payload_positions + 10**6)
+            elif fault == "first_frame":
+                frame = firsts[i][0]
+                llrs = firsts[i][1]
+            else:
+                llrs = np.full(len(llrs), np.nan)
+            return frame, llrs
+
+        with pytest.raises(ValueError):
+            gateway_on_frames([f for f, _ in firsts], [l for _, l in firsts], sessions, then)
+        assert [session_state(gw) for gw in sessions] == before
+        assert all(gw.ahead is None for gw in sessions)
 
 
 _HEX = "0123456789abcdefABCDEF"
@@ -775,6 +900,26 @@ class TestWireFormat:
         assert frame_from_wire("00 1,2 0 abcd").crc == 0xABCD
         with pytest.raises(ValueError):
             frame_from_wire(line)
+
+    @pytest.mark.parametrize("line", [None, 5, b"00 1,2 0 abcd", ["00", "1,2", "0", "abcd"]],
+                             ids=["none", "int", "bytes", "list"])
+    def test_line_that_is_not_a_str_rejected(self, line):
+        # at the boundary, naming the type, not as an AttributeError from
+        # the split
+        with pytest.raises(ValueError, match="frame line must be a str"):
+            frame_from_wire(line)
+
+    @pytest.mark.parametrize("llrs", [[{"a": 1}, 0.0], ["x", "y"], [[1.0, 2.0], [3.0]]],
+                             ids=["dict", "text", "ragged"])
+    def test_gateway_rejects_llrs_that_are_not_numbers(self, llrs):
+        plan = plan_session(8)
+        gw = GatewaySession(plan)
+        frame = tag_stage1(np.zeros(plan.n_mother, dtype=np.uint8), plan)
+        frame = dataclasses.replace(frame, payload_positions=frame.payload_positions[:2],
+                                    payload_bits=frame.payload_bits[:2])
+        with pytest.raises(ValueError, match="llrs must"):
+            gateway_on_frames([frame], [llrs], [gw])
+        assert session_state(gw) == session_state(GatewaySession(plan))
 
     def test_hex_rejects_nonascii_digits(self):
         with pytest.raises(ValueError):

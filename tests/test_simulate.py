@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from fractions import Fraction
 import os
 import subprocess
 import sys
@@ -34,6 +35,8 @@ from polarlink.simulate import (
     wilson_interval,
     write_outputs,
 )
+
+from decode_calls import decode_calls
 
 
 class TestConfig:
@@ -288,12 +291,15 @@ class TestRunTrial:
 
         batches = []
         real = protocol.bp_decode_many
-        monkeypatch.setattr(protocol, "bp_decode_many",
-                            lambda *a, **kw: batches.append(real(*a, **kw)) or batches[-1])
+        monkeypatch.setattr(protocol, "bp_decode_many", lambda llrs, spec, cfg, checks: batches.append(
+            (cfg.max_iters, real(llrs, spec, cfg, checks))) or batches[-1][1])
         cfg = SimConfig(snr_db=(3.0,), trials=1, k=96, master_seed=6)
         r = run_point(cfg, "fixed:1/2", 0, (0,))[0]
-        assert [len(b) for b in batches] == [1]
-        result = batches[0][0]
+        # iteration 1 does not end the decode, so the row runs on in a
+        # second batch, with the pilot of the first
+        assert [(iters, len(b)) for iters, b in batches] == [(1, 1), (60, 1)]
+        assert batches[0][1][0].fber == batches[1][1][0].fber
+        result = batches[1][1][0]
         assert r.fber_first == result.fber
         frozen_hard = result.frozen_hard
         assert result.fber > np.count_nonzero(frozen_hard) / frozen_hard.size
@@ -382,19 +388,17 @@ class TestRunPoint:
             assert run_point(cfg, scheme, 0, (3, 1)) == [full[3], full[1]]
 
     def test_point_decodes_in_two_batches(self, monkeypatch):
-        # every first frame of a polar scheme at the point in one batch, then
-        # the sozu second frames in another
-        batches = []
-        real = protocol.bp_decode_many
-        monkeypatch.setattr(protocol, "bp_decode_many",
-                            lambda llrs, *a, **kw: batches.append(len(llrs)) or real(llrs, *a, **kw))
+        # every first frame of a polar scheme at the point runs iteration 1
+        # in one batch; the rows it does not stop run on in another, beside
+        # the sozu second frames they lead to, which so need no third
+        batches = decode_calls(monkeypatch)
         cfg = SimConfig(snr_db=(-3.0,), trials=3, k=16, master_seed=33, schemes=self.SCHEMES)
         rows = run_point(cfg, "sozu", 0)
         assert [r.frames_used for r in rows] == [2, 2, 2]
-        assert batches == [3, 3]
+        assert batches == [(3, 1, 0), (6, 60, 0)]
         batches.clear()
         run_point(cfg, "fixed:2/5", 0)
-        assert batches == [3]
+        assert batches == [(3, 1, 0), (3, 60, 0)]
         batches.clear()
         run_point(cfg, "hamming74", 0)
         assert batches == []
@@ -406,23 +410,25 @@ class TestRunPoint:
         cfg = SimConfig(snr_db=(3.0,), trials=7, k=16, master_seed=34, fb_loss=0.3)
         assert plan_session(16).n_mother * cfg.trials <= simulate._GROUP_ELEMENTS
         whole = run_point(cfg, scheme, 0)
-        batches = []
-        real = protocol.bp_decode_many
-        monkeypatch.setattr(protocol, "bp_decode_many",
-                            lambda llrs, *a, **kw: batches.append(len(llrs)) or real(llrs, *a, **kw))
+        batches = decode_calls(monkeypatch)
         monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", 3 * plan_session(16).n_mother)
         assert run_point(cfg, scheme, 0) == whole
-        assert max(batches) == 3
-        assert sum(batches) == sum(r.frames_used for r in whole)
+        # each group of first frames runs iteration 1 in one batch, and the
+        # rows it does not stop run on with a sozu row's second frame beside
+        # each: at most twice the group; no second frame decodes again
+        firsts = batches[::2]
+        assert [rows for rows, iters, _ in firsts] == [3, 3, 1]
+        assert {iters for _, iters, _ in firsts} == {1} and {b[1] for b in batches[1::2]} == {60}
+        running = sum(rows - stopped for rows, _, stopped in firsts)
+        assert sum(rows for rows, _, _ in batches[1::2]) == running * (2 if scheme == "sozu" else 1)
+        assert max(rows for rows, _, _ in batches) <= 6
 
     def test_k96_decodes_eight_rows_at_a_time(self, monkeypatch):
-        batches = []
-        real = protocol.bp_decode_many
-        monkeypatch.setattr(protocol, "bp_decode_many",
-                            lambda llrs, *a, **kw: batches.append(len(llrs)) or real(llrs, *a, **kw))
+        # each group of eight runs iteration 1, then the rows it left
+        batches = decode_calls(monkeypatch)
         cfg = SimConfig(snr_db=(12.0,), trials=20, k=96, master_seed=35)
         run_point(cfg, "fixed:1/2", 0)
-        assert batches == [8, 8, 4]
+        assert batches == [(8, 1, 5), (3, 60, 2), (8, 1, 6), (2, 60, 1), (4, 1, 3), (1, 60, 1)]
 
     @pytest.mark.parametrize("point, trials", [
         (3, None), (True, None), (-1, None), (1.0, None),
@@ -471,14 +477,11 @@ class TestSweepGroups:
                     assert sent == sorted(sent)
 
     def test_decode_calls_fill_groups(self, monkeypatch):
-        rows = []
-        real = protocol.bp_decode_many
-        monkeypatch.setattr(protocol, "bp_decode_many",
-                            lambda llrs, *a, **kw: rows.append(len(llrs)) or real(llrs, *a, **kw))
-        # deep_fail's shape: both schemes' first frames in one call, then
-        # the sozu second frames
+        rows = decode_calls(monkeypatch)
+        # deep_fail's shape: both schemes' first frames run iteration 1 in
+        # one call, then on beside the sozu second frames in another
         run_sweep(SimConfig(k=96, snr_db=(-2.93,), schemes=("sozu", "fixed:1/2"), trials=2))
-        assert rows == [4, 2]
+        assert rows == [(4, 1, 0), (6, 60, 0)]
         # three points' first frames in groups of 8 at K=96
         first = []
         real_gateway = simulate.gateway_on_frames
@@ -486,6 +489,94 @@ class TestSweepGroups:
             [len(frames)] * (frames[0].header.packet_id == 0)) or real_gateway(frames, *a))
         run_sweep(SimConfig(k=96, snr_db=(-3.0, 3.0, 9.0), trials=4, master_seed=38))
         assert first == [8, 4]
+
+
+def session_frame_at_a_time(cfg, snr_db, rngs, record):
+    """A lone adaptive session with no look-ahead: one gateway call per
+    frame, the feedback drawn once the first decision is known and the
+    second frame sent after it.  Fills record and returns the gateway
+    session."""
+    plan = plan_session(cfg.k)
+    info_rng, channel_rng, feedback_rng = rngs
+    info = info_rng.integers(0, 2, size=cfg.k).astype(np.uint8)
+    codeword = encode_systematic(info, plan.spec)
+    gw = protocol.GatewaySession(plan)
+
+    def send(frame):
+        llrs = simulate._transmit(frame.payload_bits, cfg, cfg.noise(snr_db), channel_rng)
+        record.frames.append(protocol.frame_to_wire(frame))
+        record.frame_llrs.append(llrs.tolist())
+        protocol.gateway_on_frames([frame], [llrs], [gw])
+        return len(frame.payload_positions)
+
+    record.bits_sent = send(protocol.tag_stage1(codeword, plan))
+    d1 = gw.decisions[0]
+    msg = (protocol.FeedbackMsg(kind="ack") if d1["action"] == "ack"
+           else protocol.FeedbackMsg(kind="request_rate", rate=Fraction(d1["rate"])))
+    fb = protocol.feedback_channel(msg, cfg.fb_loss, feedback_rng)
+    record.feedback.append({"kind": fb.kind, "delivered": fb.delivered,
+                            **({} if msg.rate is None else {"rate": str(msg.rate)})})
+    rate = fb.rate if fb.delivered else protocol.TIMEOUT_FALLBACK_RATE
+    if rate is not None:
+        record.bits_sent += send(protocol.tag_stage2(codeword, plan, rate))
+    record.decisions = list(gw.decisions)
+    record.fber_first = d1["fber"]
+    record.requested_rate = "" if msg.rate is None else str(msg.rate)
+    record.outcome = "success" if gw.succeeded else "fail"
+    record.info_hex = protocol.bits_to_hex(info)
+    return gw
+
+
+class TestLookahead:
+    """Wave 1 decodes each adaptive session's second frame beside its first;
+    every session plays out as it does one frame at a time."""
+
+    @pytest.mark.parametrize("fb_loss", [0.0, 0.3, 0.9])
+    def test_sessions_equal_frame_at_a_time(self, monkeypatch, fb_loss):
+        cfg = SimConfig(k=96, snr_db=(3.0, 7.0, 9.0, 11.0, 18.0), fb_loss=fb_loss, master_seed=41)
+        plan = plan_session(cfg.k)
+
+        def record(snr_db):
+            return SessionRecord(k=cfg.k, n_mother=plan.n_mother,
+                                 stage1_budget=plan.stage1_budget, snr_db=snr_db)
+
+        points = [(p, t) for p in range(len(cfg.snr_db)) for t in range(6)]
+        lanes = [(cfg.snr_db[p], None, trial_rngs(cfg.master_seed, p, t), record(cfg.snr_db[p]))
+                 for p, t in points]
+        # fixed-rate lanes share the groups and ask for no second frame
+        points[3:3] = [None] * 3
+        lanes[3:3] = [(7.0, Fraction(1, 2), trial_rngs(cfg.master_seed, 1, t), None)
+                      for t in range(3)]
+        asked = set()  # the first frames then was called for
+        real = simulate.gateway_on_frames
+
+        def gateway(frames, llrs, sessions, then=None):
+            ahead = then and (lambda j, rate: asked.add(protocol.frame_to_wire(frames[j]))
+                              or then(j, rate))
+            return real(frames, llrs, sessions, ahead)
+
+        monkeypatch.setattr(simulate, "gateway_on_frames", gateway)
+        got = simulate._lockstep_sessions(cfg, lanes)
+        seen = set()
+        for point, (snr_db, rate, _, rec), (success, decoded, aux) in zip(points, lanes, got):
+            if rate is not None:
+                continue
+            want = record(snr_db)
+            gw = session_frame_at_a_time(cfg, snr_db, trial_rngs(cfg.master_seed, *point), want)
+            assert rec.to_json() == want.to_json()
+            assert (success, decoded.tobytes()) == (gw.succeeded, gw.last_info.tobytes())
+            assert (aux["bits_sent"], aux["frames_used"]) == (want.bits_sent, len(want.frames))
+            seen.add((rec.frames[0] in asked, rec.decisions[0]["action"],
+                      rec.feedback[0]["delivered"], len(rec.frames)))
+        # decodes that iteration 1 ended and ones it did not; a success after
+        # iteration 1 and a request; at fb_loss 0.9 a success after
+        # iteration 1 whose ACK is lost, so the fallback frame is sent
+        assert {(False, "ack"), (True, "ack"), (True, "request_rate")} <= {s[:2] for s in seen}
+        if fb_loss == 0.9:
+            assert (True, "ack", False, 2) in seen
+        assert all(len(rec.frames) == 1 + (not rec.feedback[0]["delivered"]
+                                           or rec.decisions[0]["action"] != "ack")
+                   for _, rate, _, rec in lanes if rate is None)
 
 
 class TestSessionReplay:
@@ -532,6 +623,26 @@ class TestSessionReplay:
         assert plan_session(100).n_mother == record["n_mother"]
         with pytest.raises(ValueError, match="record k 96"):
             replay_session(record, k=100)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda r: {}, "lacks k, n_mother, frames, frame_llrs"),
+        (lambda r: [r], "record must be a dict"),
+        (lambda r: {**r, "frames": 5}, "record frames must be a list"),
+        (lambda r: {**r, "frame_llrs": {"0": []}}, "record frame_llrs must be a list"),
+        (lambda r: {**r, "frames": [None, r["frames"][1]]}, "record frame 0: frame line must"),
+        (lambda r: {**r, "frames": [r["frames"][0], "00 1"]}, "record frame 1: malformed"),
+        (lambda r: {**r, "frame_llrs": [r["frame_llrs"][0], ["x"] * 64]}, "record frame 1: llrs"),
+        (lambda r: {**r, "frame_llrs": [None, r["frame_llrs"][1]]}, "record frame 0: llrs"),
+        (lambda r: {k: v for k, v in r.items() if k != "n_mother"}, "lacks n_mother$"),
+    ], ids=["empty", "list_record", "frames_int", "llrs_dict", "frame_none", "frame_short",
+            "llrs_text", "llrs_none", "no_n_mother"])
+    def test_replay_fails_at_the_boundary(self, edit, field):
+        # a ValueError that names the field or the frame, not a KeyError,
+        # TypeError or AttributeError from deep inside
+        record = json.loads(self._record(4.0, 3).to_json())
+        assert len(record["frames"]) == 2
+        with pytest.raises(ValueError, match=field):
+            replay_session(edit(record), k=96)
 
     def test_to_json_equals_asdict_dump(self):
         record = self._record(4.0, 3)
