@@ -12,6 +12,7 @@ do not depend on worker count or execution order.
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, asdict
 from fractions import Fraction
@@ -546,14 +547,16 @@ def run_point(cfg: SimConfig, scheme: str, point: int, trials=None) -> list:
 
 
 def _prepare_workers(cfg: SimConfig) -> None:
-    """Build here what each pool worker's first trial would build for itself.
+    """Build what each pool worker's first trial would otherwise build itself.
 
-    Forked workers start with a copy of this process, so they then begin
-    warm: numpy.random, which numpy imports on first use, is loaded, and so
-    is the decoder's gather plan of each position set the sweep's sessions
-    send (SessionPlan.sent_rates).  Each decode row runs the plan of its own
-    position set, the one its session's frames send together, a look-ahead
-    row's among them, so these are the plans every row of a task runs.
+    It runs in the parent before the pool forks, and forked workers start
+    with a copy of it; a worker started another way runs it as the pool's
+    initializer.  Either way workers begin warm: numpy.random, which numpy
+    imports on first use, is loaded, and so is the decoder's gather plan of
+    each position set the sweep's sessions send (SessionPlan.sent_rates).
+    Each decode row runs the plan of its own position set, the one its
+    session's frames send together, a look-ahead row's among them, so these
+    are the plans every row of a task runs.
     """
     np.random  # noqa: B018 (the attribute access imports it)
     sessions = [rate for kind, rate in map(parse_scheme, cfg.schemes) if kind != "hamming74"]
@@ -563,6 +566,47 @@ def _prepare_workers(cfg: SimConfig) -> None:
             prepare_decoder(plan.spec, plan.positions(rate))
 
 
+# The pool of run_sweep's workers, kept for the life of the process while
+# its key holds: ((pid, workers, start method), executor), or None.
+_pool = None
+
+
+def _close_pool() -> None:
+    """Shut the kept pool down, cancelling what it has not started.  A forked
+    child only forgets the pool it inherited: that pool is its parent's."""
+    global _pool
+    kept, _pool = _pool, None
+    if kept is not None and kept[0][0] == os.getpid():
+        kept[1].shutdown(cancel_futures=True)
+
+
+def _sweep_pool(cfg: SimConfig):
+    """The kept pool of cfg.workers workers; started here, in place of any
+    other, when none is kept for this process, worker count and start method."""
+    global _pool
+    # imported here, off the import path of every 1-worker caller
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.util import Finalize
+
+    context = multiprocessing.get_context()
+    key = (os.getpid(), cfg.workers, context.get_start_method())
+    if _pool is None or _pool[0] != key:
+        _close_pool()
+        fork = key[2] == "fork"
+        if fork:
+            _prepare_workers(cfg)  # the workers fork from this process, warm
+        _pool = key, ProcessPoolExecutor(max_workers=cfg.workers, mp_context=context,
+                                         initializer=None if fork else _prepare_workers,
+                                         initargs=(cfg,))
+        # multiprocessing runs this at exit: from atexit in a main process,
+        # and before it joins its children in a multiprocessing child.  So no
+        # worker outlives the process and the pool is gone before modules
+        # tear down.  Its queues close at exit priority 10, so this goes first.
+        Finalize(None, _close_pool, exitpriority=20)
+    return _pool[1]
+
+
 def run_sweep(cfg: SimConfig):
     """Run all (scheme, snr, trial) combinations; returns (metrics, trials).
 
@@ -570,10 +614,20 @@ def run_sweep(cfg: SimConfig):
     min(_GROUP_ELEMENTS // N, ceil(trials / workers)) trials, so its first
     frames fill whole decode groups and the workers get even shares.  Tasks
     may execute in parallel processes; outputs are ordered by (scheme,
-    point, trial) regardless of worker count.  With several workers, when
-    the pool's processes fork (multiprocessing's default start method on
-    Linux before Python 3.14), _prepare_workers runs first, so no worker
-    builds a decoder plan or imports a module in its first trial.
+    point, trial) regardless of worker count.
+
+    With several workers the tasks go to a process pool that is kept for
+    the life of the process and reused by every later call with the same
+    worker count and start method; another count or method replaces it.
+    Workers keep the module state of their start, so a kept worker does
+    not see a module attribute changed after it forked.  Before the pool's
+    processes fork (multiprocessing's default start method on Linux before
+    Python 3.14), _prepare_workers runs here; under any other start method
+    each worker runs it as it starts.  Either way no worker builds a
+    decoder plan of the first sweep or imports a module in its first
+    trial.  A call whose tasks raise (a trial, a killed worker, an
+    interrupt) shuts the pool down, so the next call starts a fresh one;
+    the pool is shut down at exit.
     """
     pairs = [(scheme, p) for scheme in cfg.schemes for p in range(len(cfg.snr_db))]
     size = -(-cfg.trials // cfg.workers)
@@ -581,17 +635,13 @@ def run_sweep(cfg: SimConfig):
         size = min(size, _group_rows(plan_session(cfg.k)))
     chunks = [range(lo, min(lo + size, cfg.trials)) for lo in range(0, cfg.trials, size)]
     if cfg.workers > 1:
-        # imported here, off the import path of every 1-worker caller
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the context the pool would take, taken here to ask how it starts
-        context = multiprocessing.get_context()
-        if context.get_start_method() == "fork":
-            _prepare_workers(cfg)
-        with ProcessPoolExecutor(max_workers=cfg.workers, mp_context=context) as pool:
+        pool = _sweep_pool(cfg)
+        try:
             per_task = list(pool.map(_run_task, [cfg] * len(chunks), [pairs] * len(chunks),
                                      chunks))
+        except BaseException:
+            _close_pool()
+            raise
     else:
         per_task = [_run_task(cfg, pairs, chunk) for chunk in chunks]
 

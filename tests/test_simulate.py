@@ -3,7 +3,9 @@
 import dataclasses
 import json
 from fractions import Fraction
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +39,15 @@ from polarlink.simulate import (
 )
 
 from decode_calls import decode_calls
+
+
+@pytest.fixture
+def fresh_pool():
+    """No kept sweep pool before the test, and none left after it: a pool
+    forked under a test's patches must not serve later tests."""
+    simulate._close_pool()
+    yield
+    simulate._close_pool()
 
 
 class TestConfig:
@@ -451,7 +462,7 @@ class TestSweepGroups:
     SCHEMES = ("sozu", "fixed:2/5", "fixed:1/2", "hamming74")
 
     @pytest.mark.parametrize("k", [9, 96])
-    def test_rows_equal_run_point(self, monkeypatch, k):
+    def test_rows_equal_run_point(self, monkeypatch, fresh_pool, k):
         cfg = SimConfig(snr_db=(4.0, 7.0, 10.0), trials=4, k=k, master_seed=37,
                         schemes=self.SCHEMES, fb_loss=0.3)
         alone = [run_point(cfg, scheme, point, (t,))[0] for scheme in self.SCHEMES
@@ -465,6 +476,7 @@ class TestSweepGroups:
         # points and stage-2 rates, in two tasks
         for group, tasks in ((simulate._GROUP_ELEMENTS, 1), (3 * plan_session(k).n_mother, 2)):
             monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", group)
+            simulate._close_pool()  # kept workers forked before would keep the old group
             for workers in (2, 1):  # in process last, for the calls
                 calls.clear()
                 _, rows = run_sweep(dataclasses.replace(cfg, workers=workers))
@@ -748,6 +760,159 @@ class TestRunSweep:
         assert rows[0].split(",")[2] == "ber"
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code, *args):
+    """Run code in a fresh interpreter that imports polarlink from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+
+def _sweep_in_child(cfg, conn):
+    """A forked child's sweep: its metrics CSV, its pool's pid and workers."""
+    metrics, _ = run_sweep(cfg)
+    conn.send((metrics_csv(metrics), simulate._pool[0][0], _worker_pids()))
+
+
+def _worker_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def _raising_task(cfg, pairs, trials):
+    raise RuntimeError("injected")
+
+
+class TestKeptPool:
+    """run_sweep keeps one process pool per process, worker count and start
+    method; the pool never changes an output, and no worker outlives it."""
+
+    CFG = SimConfig(k=16, snr_db=(3.0, 9.0), trials=4, schemes=("sozu", "hamming74"),
+                    fb_loss=0.3, master_seed=41, workers=2)
+
+    # two 2-worker sweeps and a 1-worker one in one interpreter under the
+    # start method argv[1]; prints their CSVs and the child pids after each
+    TWICE = """
+import dataclasses, json, multiprocessing, sys
+from polarlink import simulate
+multiprocessing.set_start_method(sys.argv[1])
+cfg = simulate.SimConfig(k=16, snr_db=(3.0, 9.0), trials=4, schemes=("sozu", "hamming74"),
+                         fb_loss=0.3, master_seed=41, workers=2)
+csv, pids = [], []
+for c in (cfg, cfg, dataclasses.replace(cfg, workers=1)):
+    csv.append(simulate.metrics_csv(simulate.run_sweep(c)[0]))
+    pids.append(sorted(p.pid for p in multiprocessing.active_children()))
+print(json.dumps([csv, pids]))
+"""
+
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+    def test_workers_end_with_the_process(self, method):
+        out = run_python(self.TWICE, method)
+        assert out.returncode == 0 and out.stderr == "", out.stderr
+        (first, second, alone), pids = json.loads(out.stdout)
+        assert first == second == alone
+        # both sweeps ran on one pool, which the 1-worker sweep left alone
+        assert pids[0] == pids[1] == pids[2] and len(pids[0]) == 2
+        for pid in pids[0]:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_one_worker_imports_no_pool(self):
+        out = run_python("""
+import sys
+from polarlink import simulate
+simulate.run_sweep(simulate.SimConfig(k=16, snr_db=(3.0,), trials=2))
+print(sorted(m for m in sys.modules if m.startswith(("multiprocessing", "concurrent"))))
+""")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"
+
+    def test_killed_worker_breaks_one_call(self, fresh_pool):
+        from concurrent.futures.process import BrokenProcessPool
+        from multiprocessing.connection import wait
+
+        alone = run_sweep(dataclasses.replace(self.CFG, workers=1))
+        run_sweep(self.CFG)
+        victim = multiprocessing.active_children()[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        assert wait([victim.sentinel], timeout=60)
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(self.CFG)
+        assert simulate._pool is None
+        metrics, rows = run_sweep(self.CFG)  # on a fresh pool
+        assert metrics_csv(metrics) == metrics_csv(alone[0]) and rows == alone[1]
+
+    def test_raising_task_drops_the_pool(self, monkeypatch, fresh_pool):
+        run_sweep(self.CFG)
+        kept = simulate._pool[1]
+        monkeypatch.setattr(simulate, "_run_task", _raising_task)
+        with pytest.raises(RuntimeError, match="injected"):
+            run_sweep(self.CFG)
+        assert simulate._pool is None
+        monkeypatch.undo()
+        assert run_sweep(self.CFG)[1] == run_sweep(dataclasses.replace(self.CFG, workers=1))[1]
+        assert simulate._pool[1] is not kept
+
+    def test_forked_child_keeps_its_own_pool(self, fresh_pool):
+        csv = metrics_csv(run_sweep(self.CFG)[0])
+        kept = simulate._pool[1]
+        workers = _worker_pids()
+        context = multiprocessing.get_context("fork")
+        ours, theirs = context.Pipe()
+        child = context.Process(target=_sweep_in_child, args=(self.CFG, theirs))
+        child.start()
+        child_workers = []
+        try:
+            assert ours.poll(120), "the child's sweep did not answer"
+            child_csv, child_pid, child_workers = ours.recv()
+            child.join(timeout=60)
+            assert child.exitcode == 0  # its pool shut down as it exited
+        finally:
+            if child.is_alive():  # a failure here, not a hang or an orphan
+                for pid in child_workers:
+                    os.kill(pid, signal.SIGKILL)
+                child.kill()
+                child.join()
+        assert child_csv == csv and child_pid == child.pid
+        assert len(child_workers) == 2 and not set(child_workers) & set(workers)
+        # the parent's pool still serves the parent
+        assert metrics_csv(run_sweep(self.CFG)[0]) == csv
+        assert simulate._pool[1] is kept
+        assert _worker_pids() == workers
+
+    # each config's metrics CSV in this interpreter and the number of
+    # workers alive after it, one line per config
+    CSVS = """
+import json, multiprocessing, sys
+from polarlink import simulate
+for kw in json.loads(sys.argv[1]):
+    cfg = simulate.SimConfig(snr_db=(4.0, 8.0), trials=3, schemes=("sozu", "fixed:1/2"),
+                             master_seed=43, **kw)
+    csv = simulate.metrics_csv(simulate.run_sweep(cfg)[0])
+    print(json.dumps([csv, len(multiprocessing.active_children())]))
+"""
+
+    def test_changed_key_equals_fresh_interpreters(self):
+        # workers 2 -> 3 -> 2 and k 96 -> 512 -> 96 in one process, each
+        # config against a fresh interpreter of its own
+        steps = [{"workers": 2, "k": 96}, {"workers": 3, "k": 96}, {"workers": 2, "k": 96},
+                 {"workers": 2, "k": 512}, {"workers": 2, "k": 96}]
+        out = run_python(self.CSVS, json.dumps(steps))
+        assert out.returncode == 0 and out.stderr == "", out.stderr
+        together = [json.loads(line) for line in out.stdout.splitlines()]
+        # a new worker count replaces the pool; a new k keeps it
+        assert [alive for _, alive in together] == [2, 3, 2, 2, 2]
+        fresh = {}
+        for step, (csv, _) in zip(steps, together):
+            key = json.dumps(step, sort_keys=True)
+            if key not in fresh:
+                alone = run_python(self.CSVS, json.dumps([step]))
+                assert alone.returncode == 0, alone.stderr
+                fresh[key] = json.loads(alone.stdout)[0]
+            assert fresh[key] == csv, step
+
+
 class TestWarmWorkers:
     """run_sweep builds in the parent, before its pool forks, what a
     worker's first trial would otherwise build: no module import and no
@@ -771,10 +936,7 @@ print(json.dumps([sorted(set(sys.modules) - before),
 
     def first_task(self, mode):
         """The modules the first task imports and the gather plans it builds."""
-        root = Path(__file__).resolve().parents[1]
-        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-c", self.TRIAL, mode], capture_output=True,
-                             text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+        out = run_python(self.TRIAL, mode)
         assert out.returncode == 0, out.stderr
         modules, plans = json.loads(out.stdout)
         return set(modules), plans
@@ -807,35 +969,38 @@ print(json.dumps([sorted(set(sys.modules) - before),
         assert decoded <= prepared
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_prepared_only_for_a_forking_pool(self, monkeypatch, method):
-        # the pool gets the context the step was chosen by, and a pool
-        # whose workers do not fork gets no pre-fork step
+    def test_prepared_only_for_a_forking_pool(self, monkeypatch, fresh_pool, method):
+        # the pool gets the context the step was chosen by; two calls with
+        # one key share one pool, so the step runs once: in the parent
+        # before a forking pool, in each worker of any other as it starts
         import concurrent.futures
-        import multiprocessing
 
         context = multiprocessing.get_context(method)
         prepared, pools = [], []
 
         class InProcessPool:
-            def __init__(self, max_workers, mp_context):
-                pools.append(mp_context)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
+            def __init__(self, max_workers, mp_context, initializer=None, initargs=()):
+                pools.append((max_workers, mp_context, initializer, initargs))
 
             def map(self, fn, *args):
                 return map(fn, *args)
+
+            def shutdown(self, cancel_futures=False):
+                pass
 
         monkeypatch.setattr(multiprocessing, "get_context", lambda: context)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(simulate, "_prepare_workers", prepared.append)
         cfg = SimConfig(k=16, snr_db=(3.0,), trials=2, schemes=("sozu",), workers=2)
-        assert run_sweep(cfg)[0] == run_sweep(dataclasses.replace(cfg, workers=1))[0]
-        assert pools == [context]
-        assert prepared == ([cfg] if method == "fork" else [])
+        alone = run_sweep(dataclasses.replace(cfg, workers=1))[0]
+        assert run_sweep(cfg)[0] == alone
+        assert run_sweep(dataclasses.replace(cfg, master_seed=2))[0] != alone
+        if method == "fork":
+            assert pools == [(2, context, None, (cfg,))]
+            assert prepared == [cfg]
+        else:
+            assert pools == [(2, context, prepared.append, (cfg,))]
+            assert prepared == []
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16,
                                        np.int32, np.uint32, np.int64, np.uint64])
