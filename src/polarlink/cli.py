@@ -138,6 +138,9 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_llr(args) -> int:
+    for flag, value in (("--samples", args.samples), ("--seed", args.seed)):
+        if value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
     leak = LeakageModel(tuple(float(v) for v in args.leak.split(",")))
     power = snr_to_power(args.snr, args.sigma2)
     noise = NoiseModel(sigma2=args.sigma2, signal_power=power)

@@ -36,7 +36,6 @@ __all__ = [
     "bp_decode",
     "bp_decode_many",
     "combine_llrs",
-    "prepare_decoder",
 ]
 
 # Finite stand-in for the +inf frozen prior; e^40 dwarfs any simulated channel
@@ -364,19 +363,10 @@ def _batch_index(plans, direction, stride):
 @lru_cache(maxsize=16)
 def _gather_plan(n_log2, zero):
     """The _GatherPlan of the positions zero in a row's channel LLRs (zero,
-    a bool mask as bytes), kept for the next decodes of the pattern (the 16
-    most recent)."""
+    a bool mask as bytes).  A process builds it on its first decode of the
+    pattern and keeps it for the next (the 16 most recent patterns), so a
+    worker of run_sweep's kept pool builds each plan once, not once a sweep."""
     return _GatherPlan(n_log2, zero)
-
-
-def prepare_decoder(spec: CodeSpec, sent) -> None:
-    """Build and keep the gather plan that the first exact-rule decode of a
-    row whose nonzero channel LLRs lie at the positions sent would build.
-    A process that forks workers calls it before the fork, so that each
-    worker starts with the plans its decodes use."""
-    zero = np.ones(spec.n, dtype=bool)
-    zero[sent] = False
-    _gather_plan(spec.n_log2, zero.tobytes())
 
 
 def _frozen_pass(left0, frozen):

@@ -224,15 +224,6 @@ class SessionPlan:
                              f"[K={self.k}, N={self.n_mother}]")
         return np.concatenate([self.spec.info_set, self.spec.parity_schedule[:budget - self.k]])
 
-    def sent_rates(self, rate: Fraction | None = None) -> tuple:
-        """Every rate whose positions a session sends: with rate None an
-        adaptive session's, the stage-1 rate and each stage-2 one (the
-        timeout fallback among them); with a rate, a fixed-rate session's,
-        that rate.  positions of any two rates nest, so the positions a
-        session's frames send together, one decode row, are those of one of
-        these rates."""
-        return (STAGE1_RATE, *RATE_TABLE) if rate is None else (rate,)
-
     def stage2_positions(self, rate: Fraction) -> np.ndarray:
         """Parity positions stage 2 adds beyond stage 1, schedule order."""
         if rate not in RATE_TABLE:

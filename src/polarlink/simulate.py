@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .decoding import prepare_decoder
 from .encoding import encode_transform_pair
 from .phy import LeakageModel, NoiseModel, check_n_fft, llr_basic_many, llr_leakage_many, synthesize_symbols
 from .protocol import (
@@ -286,8 +285,8 @@ def _lockstep_sessions(cfg: SimConfig, lanes) -> list:
     session at that fixed rate; its (info, channel, feedback) generators;
     and a SessionRecord or None.  The frames go to the gateway in two
     waves, every lane's first frame and then the adaptive lanes' second
-    frames.  Within a wave they are stably sorted by payload length and cut
-    into groups of _GROUP_ELEMENTS // N, one gateway call each.  In wave 1
+    frames.  Each wave is cut, in lane order, into groups of
+    _GROUP_ELEMENTS // N frames, one gateway call each.  In wave 1
     the gateway looks ahead (gateway_on_frames' then): for an adaptive
     lane whose first decode runs past iteration 1, the tag's side takes the
     lane's feedback draw and transmits the second frame that draw and the
@@ -344,12 +343,11 @@ def _lockstep_sessions(cfg: SimConfig, lanes) -> list:
             if record is not None:
                 record.frames.append(frame_to_wire(frame))
                 record.frame_llrs.append(frame_llrs.tolist())
-        order = sorted(range(len(frames)), key=lambda j: len(frames[j].payload_positions))
-        for lo in range(0, len(order), group):
-            part = order[lo:lo + group]
-            ahead = None if then is None else (lambda j, rate, part=part: then(idx[part[j]], rate))
-            gateway_on_frames([frames[j] for j in part], [llrs[j] for j in part],
-                              [gws[idx[j]] for j in part], ahead)
+        for lo in range(0, len(frames), group):
+            part = idx[lo:lo + group]
+            ahead = None if then is None else (lambda j, rate, part=part: then(part[j], rate))
+            gateway_on_frames(frames[lo:lo + group], llrs[lo:lo + group],
+                              [gws[i] for i in part], ahead)
 
     first = [tag_stage1(codeword, plan, STAGE1_RATE if rate is None else rate)
              for codeword, (_, rate, _, _) in zip(codewords, lanes)]
@@ -546,26 +544,6 @@ def run_point(cfg: SimConfig, scheme: str, point: int, trials=None) -> list:
     return _run_task(cfg, [(scheme, point)], trials)[0]
 
 
-def _prepare_workers(cfg: SimConfig) -> None:
-    """Build what each pool worker's first trial would otherwise build itself.
-
-    It runs in the parent before the pool forks, and forked workers start
-    with a copy of it; a worker started another way runs it as the pool's
-    initializer.  Either way workers begin warm: numpy.random, which numpy
-    imports on first use, is loaded, and so is the decoder's gather plan of
-    each position set the sweep's sessions send (SessionPlan.sent_rates).
-    Each decode row runs the plan of its own position set, the one its
-    session's frames send together, a look-ahead row's among them, so these
-    are the plans every row of a task runs.
-    """
-    np.random  # noqa: B018 (the attribute access imports it)
-    sessions = [rate for kind, rate in map(parse_scheme, cfg.schemes) if kind != "hamming74"]
-    if sessions:
-        plan = plan_session(cfg.k)
-        for rate in set().union(*map(plan.sent_rates, sessions)):
-            prepare_decoder(plan.spec, plan.positions(rate))
-
-
 # The pool of run_sweep's workers, kept for the life of the process while
 # its key holds: ((pid, workers, start method), executor), or None.
 _pool = None
@@ -593,12 +571,7 @@ def _sweep_pool(cfg: SimConfig):
     key = (os.getpid(), cfg.workers, context.get_start_method())
     if _pool is None or _pool[0] != key:
         _close_pool()
-        fork = key[2] == "fork"
-        if fork:
-            _prepare_workers(cfg)  # the workers fork from this process, warm
-        _pool = key, ProcessPoolExecutor(max_workers=cfg.workers, mp_context=context,
-                                         initializer=None if fork else _prepare_workers,
-                                         initargs=(cfg,))
+        _pool = key, ProcessPoolExecutor(max_workers=cfg.workers, mp_context=context)
         # multiprocessing runs this at exit: from atexit in a main process,
         # and before it joins its children in a multiprocessing child.  So no
         # worker outlives the process and the pool is gone before modules
@@ -620,14 +593,11 @@ def run_sweep(cfg: SimConfig):
     the life of the process and reused by every later call with the same
     worker count and start method; another count or method replaces it.
     Workers keep the module state of their start, so a kept worker does
-    not see a module attribute changed after it forked.  Before the pool's
-    processes fork (multiprocessing's default start method on Linux before
-    Python 3.14), _prepare_workers runs here; under any other start method
-    each worker runs it as it starts.  Either way no worker builds a
-    decoder plan of the first sweep or imports a module in its first
-    trial.  A call whose tasks raise (a trial, a killed worker, an
-    interrupt) shuts the pool down, so the next call starts a fresh one;
-    the pool is shut down at exit.
+    not see a module attribute changed after it forked.  A worker builds
+    each decoder plan on its first decode of that plan's pattern and keeps
+    it for the sweeps after.  A call whose tasks raise (a trial, a killed
+    worker, an interrupt) shuts the pool down, so the next call starts a
+    fresh one; the pool is shut down at exit.
     """
     pairs = [(scheme, p) for scheme in cfg.schemes for p in range(len(cfg.snr_db))]
     size = -(-cfg.trials // cfg.workers)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polarlink.cli import main
+from polarlink.simulate import replay_session
 
 
 def run_cli(capsys, *argv):
@@ -182,19 +183,37 @@ class TestLlr:
         assert (code, out) == (2, "")
         assert "config error" in err
 
+    @pytest.mark.parametrize("flag, samples, seed", [("--samples", "-1", "1"),
+                                                     ("--seed", "5", "-1")],
+                             ids=["--samples", "--seed"])
+    def test_negative_count_is_config_error(self, capsys, flag, samples, seed):
+        # refused at the boundary with the CLI's message, not numpy's
+        code, out, err = run_cli(capsys, "llr", "--nfft", "64", "--sigma2", "1.0",
+                                 "--samples", samples, "--seed", seed, "--snr", "6")
+        assert (code, out) == (2, "")
+        assert err == f"config error: {flag} must be >= 0, got -1\n"
+
+    def test_zero_samples_is_a_header(self, capsys):
+        code, out, _ = run_cli(capsys, "llr", "--nfft", "64", "--sigma2", "1.0",
+                               "--samples", "0", "--seed", "0", "--snr", "6")
+        assert code == 0
+        assert out.splitlines()[1:] == ["true_bit,L_basic,L_leak,L_conv"]
+
 
 class TestSession:
     def test_trace_json(self, capsys):
-        code, out, _ = run_cli(capsys, "session", "--k", "96", "--snr", "12",
-                               "--seed", "5")
+        # a two-frame session: the printed trace replays to its decisions
+        code, out, _ = run_cli(capsys, "session", "--k", "96", "--snr", "3",
+                               "--seed", "1")
         assert code == 0
         trace = json.loads(out)
         assert trace["k"] == 96
         assert trace["n_mother"] == 1024
         assert trace["stage1_budget"] == 128
         assert trace["outcome"] in ("success", "fail")
-        assert len(trace["frames"]) == len(trace["frame_llrs"]) >= 1
-        assert trace["decisions"][0]["action"] in ("ack", "request_rate")
+        assert len(trace["frames"]) == len(trace["frame_llrs"]) == 2
+        assert trace["decisions"][0]["action"] == "request_rate"
+        assert replay_session(trace, 96) == trace["decisions"]
 
 
 CONFIG = """

@@ -215,19 +215,6 @@ class TestSessionPlan:
             stages = np.concatenate([plan.positions(STAGE1_RATE), plan.stage2_positions(rate)])
             assert np.array_equal(plan.positions(rate), stages)
 
-    def test_sent_rates_cover_every_batch(self):
-        # an adaptive session sends its stage-1 positions, then those of
-        # the rate asked for or of the timeout fallback; the positions any
-        # rows send together are those of one sent rate
-        plan = plan_session(96)
-        sent = plan.sent_rates()
-        assert set(sent) == {STAGE1_RATE, TIMEOUT_FALLBACK_RATE, *RATE_TABLE}
-        assert plan.sent_rates(Fraction(1, 3)) == (Fraction(1, 3),)
-        for a in sent:
-            for b in sent:
-                union = np.union1d(plan.positions(a), plan.positions(b))
-                assert np.array_equal(union, np.sort(plan.positions(min(a, b))))
-
     def test_fields_are_what_varies(self):
         # everything else is derived from K and the code
         assert [f.name for f in dataclasses.fields(plan_session(96))] == ["k", "spec"]

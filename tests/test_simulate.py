@@ -15,7 +15,6 @@ import pytest
 
 import polarlink.protocol as protocol
 import polarlink.simulate as simulate
-from polarlink import decoding
 from polarlink.decoding import BpConfig, bp_decode_many
 from polarlink.encoding import encode_systematic
 from polarlink.protocol import crc16, plan_session
@@ -474,7 +473,7 @@ class TestSweepGroups:
             or real(frames, *a))
         # the whole sweep is one task; then 3 N cuts groups of 3, across
         # points and stage-2 rates, in two tasks
-        for group, tasks in ((simulate._GROUP_ELEMENTS, 1), (3 * plan_session(k).n_mother, 2)):
+        for group in (simulate._GROUP_ELEMENTS, 3 * plan_session(k).n_mother):
             monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", group)
             simulate._close_pool()  # kept workers forked before would keep the old group
             for workers in (2, 1):  # in process last, for the calls
@@ -482,11 +481,6 @@ class TestSweepGroups:
                 _, rows = run_sweep(dataclasses.replace(cfg, workers=workers))
                 assert rows == alone, (group, workers)
             assert max(len(set(lengths)) for _, lengths in calls) > 1  # some group mixes rates
-            if tasks == 1:
-                # each wave goes out sorted by payload length
-                for wave in (0, 1):
-                    sent = [n for pid, lengths in calls if pid == wave for n in lengths]
-                    assert sent == sorted(sent)
 
     def test_decode_calls_fill_groups(self, monkeypatch):
         rows = decode_calls(monkeypatch)
@@ -854,6 +848,33 @@ print(sorted(m for m in sys.modules if m.startswith(("multiprocessing", "concurr
         assert run_sweep(self.CFG)[1] == run_sweep(dataclasses.replace(self.CFG, workers=1))[1]
         assert simulate._pool[1] is not kept
 
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_one_pool_per_key(self, monkeypatch, fresh_pool, method):
+        # two calls with one key share one pool, which every start method
+        # builds alike: the workers and the context, no initializer
+        import concurrent.futures
+
+        context = multiprocessing.get_context(method)
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, mp_context):
+                pools.append((max_workers, mp_context))
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda: context)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = SimConfig(k=16, snr_db=(3.0,), trials=2, schemes=("sozu",), workers=2)
+        alone = run_sweep(dataclasses.replace(cfg, workers=1))[0]
+        assert run_sweep(cfg)[0] == alone
+        assert run_sweep(dataclasses.replace(cfg, master_seed=2))[0] != alone
+        assert pools == [(2, context)]
+
     def test_forked_child_keeps_its_own_pool(self, fresh_pool):
         csv = metrics_csv(run_sweep(self.CFG)[0])
         kept = simulate._pool[1]
@@ -914,93 +935,34 @@ for kw in json.loads(sys.argv[1]):
 
 
 class TestWarmWorkers:
-    """run_sweep builds in the parent, before its pool forks, what a
-    worker's first trial would otherwise build: no module import and no
-    gather plan is left to the worker."""
+    """A kept pool worker warms itself in its first task: that task imports
+    the modules a trial uses and builds the gather plans it decodes with,
+    and a later task of the same patterns imports and builds nothing."""
 
-    # the task a pool worker runs, on one trial of every (scheme, point):
-    # its first frames decode as one group of two rates and two points
-    TRIAL = """
+    # two runs of the task a pool worker runs, on one trial of every
+    # (scheme, point): its first frames decode as one group of two rates
+    # and two points; prints each run's new modules and new plans
+    TASKS = """
 import json, sys
 from polarlink import decoding, simulate
 cfg = simulate.SimConfig(k=96, snr_db=(-3.0, 1.0), schemes=("sozu", "fixed:1/2", "hamming74"),
                          trials=1)
-if sys.argv[1] == "prepared":
-    simulate._prepare_workers(cfg)
-before, built = set(sys.modules), decoding._gather_plan.cache_info().misses
 pairs = [(scheme, p) for scheme in cfg.schemes for p in range(len(cfg.snr_db))]
-simulate._run_task(cfg, pairs, range(1))
-print(json.dumps([sorted(set(sys.modules) - before),
-                  decoding._gather_plan.cache_info().misses - built]))
+runs = []
+for _ in range(2):
+    before, built = set(sys.modules), decoding._gather_plan.cache_info().misses
+    simulate._run_task(cfg, pairs, range(1))
+    runs.append([sorted(set(sys.modules) - before),
+                 decoding._gather_plan.cache_info().misses - built])
+print(json.dumps(runs))
 """
 
-    def first_task(self, mode):
-        """The modules the first task imports and the gather plans it builds."""
-        out = run_python(self.TRIAL, mode)
+    def test_later_tasks_import_and_build_nothing(self):
+        out = run_python(self.TASKS)
         assert out.returncode == 0, out.stderr
-        modules, plans = json.loads(out.stdout)
-        return set(modules), plans
-
-    def test_first_trials_import_nothing(self):
-        # in a fresh interpreter, the first task after the pre-fork step
-        # imports no module and builds no plan; without the step numpy.random
-        # comes in with it, and it builds its plans
-        assert self.first_task("prepared") == (set(), 0)
-        modules, plans = self.first_task("cold")
+        (modules, plans), later = json.loads(out.stdout)
         assert "numpy.random" in modules and plans > 0
-
-    def test_prepared_plans_cover_every_decoded_pattern(self, monkeypatch):
-        real = decoding._gather_plan
-        patterns = []
-
-        def recorded(n_log2, zero):
-            patterns.append((n_log2, zero))
-            return real(n_log2, zero)
-
-        monkeypatch.setattr(decoding, "_gather_plan", recorded)
-        cfg = SimConfig(k=96, snr_db=(-3.0, 1.0, 5.0, 9.0, 13.0, 18.0), trials=4, fb_loss=0.5,
-                        master_seed=31, schemes=("sozu", "fixed:1/2", "fixed:1/3"))
-        simulate._prepare_workers(cfg)
-        prepared, patterns[:] = set(patterns), []
-        run_sweep(cfg)
-        decoded = set(patterns)
-        # the stage-1 set, at least one stage-2 set and the two fixed sets
-        assert len(decoded) >= 4
-        assert decoded <= prepared
-
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_prepared_only_for_a_forking_pool(self, monkeypatch, fresh_pool, method):
-        # the pool gets the context the step was chosen by; two calls with
-        # one key share one pool, so the step runs once: in the parent
-        # before a forking pool, in each worker of any other as it starts
-        import concurrent.futures
-
-        context = multiprocessing.get_context(method)
-        prepared, pools = [], []
-
-        class InProcessPool:
-            def __init__(self, max_workers, mp_context, initializer=None, initargs=()):
-                pools.append((max_workers, mp_context, initializer, initargs))
-
-            def map(self, fn, *args):
-                return map(fn, *args)
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(multiprocessing, "get_context", lambda: context)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(simulate, "_prepare_workers", prepared.append)
-        cfg = SimConfig(k=16, snr_db=(3.0,), trials=2, schemes=("sozu",), workers=2)
-        alone = run_sweep(dataclasses.replace(cfg, workers=1))[0]
-        assert run_sweep(cfg)[0] == alone
-        assert run_sweep(dataclasses.replace(cfg, master_seed=2))[0] != alone
-        if method == "fork":
-            assert pools == [(2, context, None, (cfg,))]
-            assert prepared == [cfg]
-        else:
-            assert pools == [(2, context, prepared.append, (cfg,))]
-            assert prepared == []
+        assert later == [[], 0]
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16,
                                        np.int32, np.uint32, np.int64, np.uint64])
