@@ -22,7 +22,9 @@ as 1-D bins and its peak.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -59,6 +61,11 @@ def _check_peaks(peaks, m: int, n_fft: int) -> np.ndarray:
     return peaks.astype(np.int64, copy=False)
 
 
+def _is_real(value) -> bool:
+    """A real number: a Python or numpy int or float, but not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-component Gaussian noise variance and true peak power.
@@ -71,6 +78,9 @@ class NoiseModel:
     signal_power: float = 0.0
 
     def __post_init__(self):
+        for name in ("sigma2", "signal_power"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
             raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
         if not (np.isfinite(self.signal_power) and self.signal_power >= 0):
@@ -84,6 +94,10 @@ class LeakageModel:
     fractions: tuple[float, float, float] = (0.25, 0.5, 0.25)
 
     def __post_init__(self):
+        if (isinstance(self.fractions, str) or not isinstance(self.fractions, Sequence)
+                or len(self.fractions) != 3 or not all(map(_is_real, self.fractions))):
+            raise ValueError("leakage fractions must be three real numbers (below, center, above), "
+                             f"got {self.fractions!r}")
         lo, mid, hi = self.fractions
         if not np.all(np.isfinite(self.fractions)):
             raise ValueError(f"leakage fractions must be finite, got {self.fractions!r}")
@@ -92,7 +106,7 @@ class LeakageModel:
         if abs(lo + mid + hi - 1.0) > 1e-12:
             raise ValueError("leakage fractions must sum to 1")
         if mid < max(lo, hi):
-            raise ValueError("center bin must keep the largest share")
+            raise ValueError("leakage fractions must give the center bin the largest share")
 
 
 NO_LEAKAGE = LeakageModel((0.0, 1.0, 0.0))

@@ -16,6 +16,7 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, asdict
 from fractions import Fraction
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -90,10 +91,14 @@ class SimConfig:
             value = getattr(self, name)
             if type(value) is not int or value < lo:  # bool and numpy ints are not int
                 raise ValueError(f"{name} must be an int >= {lo}, got {value!r}")
-        for name in ("snr_db", "schemes"):
+        for name in ("snr_db", "schemes", "leak"):
             value = getattr(self, name)
             if isinstance(value, str) or not isinstance(value, Sequence) or not value:
                 raise ValueError(f"{name} must be a non-empty sequence, got {value!r}")
+        for name, value in (("sigma2", self.sigma2), ("fb_loss", self.fb_loss),
+                            *(("snr_db", snr_db) for snr_db in self.snr_db)):
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not np.all(np.isfinite(np.asarray(self.snr_db, dtype=np.float64))):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if self.metric not in ("basic", "leakage"):
@@ -118,11 +123,15 @@ class SimConfig:
 
 
 def parse_scheme(s: str):
-    """Split a scheme string into ("sozu"|"hamming74"|"fixed", rate or None)."""
+    """Split a scheme string into ("sozu"|"hamming74"|"fixed", rate or None);
+    ValueError, naming the scheme, for anything else."""
     if s in ("sozu", "hamming74"):
         return s, None
-    if s.startswith("fixed:"):
-        rate = Fraction(s.split(":", 1)[1])
+    if isinstance(s, str) and s.startswith("fixed:"):
+        try:
+            rate = Fraction(s.split(":", 1)[1])
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"fixed rate must be a fraction, got scheme {s!r}") from None
         if not 0 < rate <= 1:
             raise ValueError(f"fixed rate must be in (0, 1], got {rate}")
         return "fixed", rate
@@ -286,16 +295,19 @@ def _lockstep_sessions(cfg: SimConfig, lanes) -> list:
     and a SessionRecord or None.  The frames go to the gateway in two
     waves, every lane's first frame and then the adaptive lanes' second
     frames.  Each wave is cut, in lane order, into groups of
-    _GROUP_ELEMENTS // N frames, one gateway call each.  In wave 1
-    the gateway looks ahead (gateway_on_frames' then): for an adaptive
-    lane whose first decode runs past iteration 1, the tag's side takes the
-    lane's feedback draw and transmits the second frame that draw and the
-    requested rate lead to, so it decodes beside the first, and wave 2
-    finds it decided.  The frame enters the record and bits_sent only once
-    the real decision sends it.  Each lane draws from its own generators
-    only, each once and in the order a lone session does, and a row's
-    decode does not depend on the rows beside it, so no lane's outcome
-    depends on the lanes beside it.
+    _GROUP_ELEMENTS // N frames, one gateway call each.  Each adaptive
+    lane takes its one feedback draw once, after the stage-1 transmits and
+    before wave 1: whether feedback gets through does not depend on the
+    message, and a lone session draws at this same point, so every
+    generator, even one passed for all three roles, sees a lone session's
+    draws in its order.  The tag's reply to the gateway is stage2 below.
+    In wave 1 the gateway looks ahead with it (gateway_on_frames' then):
+    for an adaptive lane whose first decode runs past iteration 1, the tag
+    transmits the second frame the requested rate leads to, so it decodes
+    beside the first, and wave 2 finds it decided.  The records and aux
+    dicts are built after wave 2 from the frames the real decisions sent.
+    A row's decode does not depend on the rows beside it, so no lane's
+    outcome depends on the lanes beside it.
     """
     plan = plan_session(cfg.k)
     group = _group_rows(plan)
@@ -303,25 +315,35 @@ def _lockstep_sessions(cfg: SimConfig, lanes) -> list:
     infos = [rngs[0].integers(0, 2, size=cfg.k).astype(np.uint8) for _, _, rngs, _ in lanes]
     codewords = [encode_transform_pair(info, plan.spec) for info in infos]  # both stages slice it
     gws = [GatewaySession(plan) for _ in lanes]
-    delivered, second = {}, {}  # per adaptive lane: its feedback draw; its second frame, sent or foreseen
 
     def transmit(i, frame):
         snr_db, _, (_, channel_rng, _), _ = lanes[i]
         return _transmit(frame.payload_bits, cfg, noises[snr_db], channel_rng)
 
-    def feedback(i, msg):
-        """msg through lane i's feedback channel, whose one draw is taken
-        the first time the lane asks."""
-        if i not in delivered:
-            delivered[i] = feedback_channel(msg, cfg.fb_loss, lanes[i][2][2]).delivered
-        return FeedbackMsg(kind=msg.kind, rate=msg.rate, delivered=delivered[i])
+    def send(idx, frames, llrs, then=None):
+        for lo in range(0, len(frames), group):
+            part = idx[lo:lo + group]
+            ahead = None if then is None else (lambda j, rate, part=part: then(part[j], rate))
+            gateway_on_frames(frames[lo:lo + group], llrs[lo:lo + group],
+                              [gws[i] for i in part], ahead)
 
-    def stage2(i, fb):
-        """Lane i's second frame and its LLRs once its tag gets the feedback
-        fb, or None if it sends none; transmitted once."""
+    first = [tag_stage1(codeword, plan, STAGE1_RATE if rate is None else rate)
+             for codeword, (_, rate, _, _) in zip(codewords, lanes)]
+    first_llrs = [transmit(i, frame) for i, frame in enumerate(first)]
+    # the message is a placeholder: the draw does not depend on it
+    delivered = {i: feedback_channel(FeedbackMsg(kind="ack"), cfg.fb_loss, rngs[2]).delivered
+                 for i, (_, rate, rngs, _) in enumerate(lanes) if rate is None}
+    second = {}  # per adaptive lane: the rate, frame and LLRs of its second frame, sent or foreseen
+
+    def stage2(i, requested):
+        """Lane i's second frame and its LLRs once the gateway requests the
+        rate ``requested`` (None: an ACK), or None if it sends none;
+        transmitted once."""
+        if i not in delivered:
+            return None  # a fixed-rate session has no feedback
         # after a timeout the tag cannot tell a lost ACK from a lost request,
         # so it sends the fallback stage 2 (wasted if the ACK was what got lost)
-        rate = fb.rate if fb.delivered else TIMEOUT_FALLBACK_RATE
+        rate = requested if delivered[i] else TIMEOUT_FALLBACK_RATE
         if rate is None:
             return None
         if i not in second:
@@ -331,67 +353,34 @@ def _lockstep_sessions(cfg: SimConfig, lanes) -> list:
         assert foreseen == rate, "the second frame sent is the one the gateway decoded ahead"
         return frame, llrs
 
-    def ahead(i, rate):
-        """What lane i's tag sends if the gateway requests rate (then)."""
-        if lanes[i][1] is not None:
-            return None  # a fixed-rate session has no feedback
-        return stage2(i, feedback(i, FeedbackMsg(kind="request_rate", rate=rate)))
+    send(range(len(lanes)), first, first_llrs, stage2)
+    requested = {i: gws[i].decisions[0].get("rate") for i in delivered}
+    replies = {i: stage2(i, None if rate is None else Fraction(rate)) for i, rate in requested.items()}
+    sent = [i for i, reply in replies.items() if reply is not None]
+    send(sent, [replies[i][0] for i in sent], [replies[i][1] for i in sent])
 
-    def send(idx, frames, llrs, then=None):
-        for i, frame, frame_llrs in zip(idx, frames, llrs):
-            record = lanes[i][3]
-            if record is not None:
-                record.frames.append(frame_to_wire(frame))
-                record.frame_llrs.append(frame_llrs.tolist())
-        for lo in range(0, len(frames), group):
-            part = idx[lo:lo + group]
-            ahead = None if then is None else (lambda j, rate, part=part: then(part[j], rate))
-            gateway_on_frames(frames[lo:lo + group], llrs[lo:lo + group],
-                              [gws[i] for i in part], ahead)
-
-    first = [tag_stage1(codeword, plan, STAGE1_RATE if rate is None else rate)
-             for codeword, (_, rate, _, _) in zip(codewords, lanes)]
-    send(range(len(lanes)), first, [transmit(i, frame) for i, frame in enumerate(first)], ahead)
-    aux = [{"bits_sent": len(frame.payload_positions), "frames_used": 1,
-            "fber_first": gw.decisions[0]["fber"], "requested_rate": "", "info": info}
-           for frame, gw, info in zip(first, gws, infos)]
-
-    second_idx, second_frames, second_llrs = [], [], []
-    for i, (_, rate, _, record) in enumerate(lanes):
-        if rate is not None:
-            continue  # a fixed-rate session has no feedback
-        d1 = gws[i].decisions[0]
-        if d1["action"] == "ack":
-            msg = FeedbackMsg(kind="ack")
-        else:
-            msg = FeedbackMsg(kind="request_rate", rate=Fraction(d1["rate"]))
-        fb = feedback(i, msg)
-        requested = "" if msg.rate is None else str(msg.rate)
-        aux[i]["requested_rate"] = requested
+    out = []
+    for i, ((_, _, _, record), gw, info) in enumerate(zip(lanes, gws, infos)):
+        reply = replies.get(i)
+        frames = [(first[i], first_llrs[i])] + ([] if reply is None else [reply])
+        aux = {"bits_sent": sum(len(frame.payload_positions) for frame, _ in frames),
+               "frames_used": len(frames), "fber_first": gw.decisions[0]["fber"],
+               "requested_rate": requested.get(i) or "", "info": info}
         if record is not None:
-            entry = {"kind": fb.kind, "delivered": fb.delivered}
-            if msg.rate is not None:
-                entry["rate"] = requested
-            record.feedback.append(entry)
-        sent = stage2(i, fb)
-        if sent is not None:
-            second_idx.append(i)
-            second_frames.append(sent[0])
-            second_llrs.append(sent[1])
-    send(second_idx, second_frames, second_llrs)
-    for i, frame in zip(second_idx, second_frames):
-        aux[i]["bits_sent"] += len(frame.payload_positions)
-        aux[i]["frames_used"] = 2
-
-    for (_, _, _, record), gw, a in zip(lanes, gws, aux):
-        if record is not None:
+            record.frames.extend(frame_to_wire(frame) for frame, _ in frames)
+            record.frame_llrs.extend(llrs.tolist() for _, llrs in frames)
+            if i in delivered:
+                rate = requested[i]
+                entry = {"kind": "ack"} if rate is None else {"kind": "request_rate", "rate": rate}
+                record.feedback.append({**entry, "delivered": delivered[i]})
             record.decisions = list(gw.decisions)
-            record.fber_first = a["fber_first"]
-            record.requested_rate = a["requested_rate"]
+            record.fber_first = aux["fber_first"]
+            record.requested_rate = aux["requested_rate"]
             record.outcome = "success" if gw.succeeded else "fail"
-            record.bits_sent = a["bits_sent"]
-            record.info_hex = bits_to_hex(a["info"])
-    return [(gw.succeeded, gw.last_info, a) for gw, a in zip(gws, aux)]
+            record.bits_sent = aux["bits_sent"]
+            record.info_hex = bits_to_hex(info)
+        out.append((gw.succeeded, gw.last_info, aux))
+    return out
 
 
 def run_session(cfg: SimConfig, snr_db: float, rngs, *, record: SessionRecord = None):
@@ -400,7 +389,9 @@ def run_session(cfg: SimConfig, snr_db: float, rngs, *, record: SessionRecord = 
     The tag retransmits parity after a feedback timeout at the fallback rate,
     since it cannot know whether an ACK or a rate request was lost; the
     session is scored by the gateway's final decode outcome.  It is the
-    one-lane call of the lockstep sessions every sweep task runs.
+    one-lane call of the lockstep sessions every sweep task runs: the
+    session takes its one feedback draw after the stage-1 transmit, so
+    ``rngs`` may hold one Generator three times.
     """
     return _lockstep_sessions(cfg, [(snr_db, None, rngs, record)])[0]
 

@@ -193,6 +193,12 @@ class TestLlr:
         assert (code, out) == (2, "")
         assert err == f"config error: {flag} must be >= 0, got -1\n"
 
+    def test_leak_of_two_values_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "llr", "--nfft", "64", "--sigma2", "1.0",
+                                 "--samples", "5", "--seed", "1", "--snr", "6", "--leak", "0.5,0.5")
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: leakage fractions must be three real numbers")
+
     def test_zero_samples_is_a_header(self, capsys):
         code, out, _ = run_cli(capsys, "llr", "--nfft", "64", "--sigma2", "1.0",
                                "--samples", "0", "--seed", "0", "--snr", "6")

@@ -80,6 +80,14 @@ class TestModels:
         with pytest.raises(ValueError, match="finite"):
             LeakageModel(fractions)
 
+    @pytest.mark.parametrize("model, args, match", [
+        (NoiseModel, ("1",), "sigma2"), (NoiseModel, (True,), "sigma2"),
+        (NoiseModel, (1.0, None), "signal_power"), (LeakageModel, ((0.5, 0.5),), "leakage"),
+        (LeakageModel, ("abc",), "leakage"), (LeakageModel, ((0.25, "0.5", 0.25),), "leakage")])
+    def test_models_refuse_non_numbers(self, model, args, match):
+        with pytest.raises(ValueError, match=match):
+            model(*args)
+
     def test_leakage_validation(self):
         LeakageModel((0.25, 0.5, 0.25))
         with pytest.raises(ValueError):

@@ -72,54 +72,68 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(metric="psychic")
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(fb_loss=1.5, schemes=("hamming74",)),
-        dict(fb_loss=1.0),
-        dict(fb_loss=-0.1),
-        dict(workers=0),
-        dict(workers=-3),
-        dict(n_fft=6, metric="basic"),
-        dict(n_fft=2),
-        dict(leak=(0.5, 0.25, 0.25)),
-        dict(leak=(0.2, 0.5, 0.2)),
-        dict(sigma2=0.0),
-        dict(sigma2=float("nan")),
-        dict(sigma2=float("inf")),
-        dict(leak=(float("nan"), 1.0, 0.0)),
-        dict(sigma2=1e308, snr_db=(10.0,)),
-        dict(k=7),
-        dict(k=513, schemes=("hamming74", "fixed:1/2")),
-        dict(schemes=("fixed:1/11",)),
-        dict(k=9, schemes=("fixed:1/15",)),
-        dict(snr_db=(float("nan"),)),
-        dict(snr_db=(3.0, float("inf"))),
-        dict(snr_db=(4000.0,)),
-        dict(n_fft=128.0),
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(fb_loss=1.5, schemes=("hamming74",)), "fb_loss"),
+        (dict(fb_loss=1.0), "fb_loss"),
+        (dict(fb_loss=-0.1), "fb_loss"),
+        (dict(workers=0), "workers"),
+        (dict(workers=-3), "workers"),
+        (dict(n_fft=6, metric="basic"), "n_fft"),
+        (dict(n_fft=2), "n_fft"),
+        (dict(leak=(0.5, 0.25, 0.25)), "leak"),
+        (dict(leak=(0.2, 0.5, 0.2)), "leak"),
+        (dict(sigma2=0.0), "sigma2"),
+        (dict(sigma2=float("nan")), "sigma2"),
+        (dict(sigma2=float("inf")), "sigma2"),
+        (dict(leak=(float("nan"), 1.0, 0.0)), "leak"),
+        (dict(sigma2=1e308, snr_db=(10.0,)), "signal_power"),
+        (dict(k=7), "k must"),
+        (dict(k=513, schemes=("hamming74", "fixed:1/2")), "k must"),
+        (dict(schemes=("fixed:1/11",)), "rate 1/11"),
+        (dict(k=9, schemes=("fixed:1/15",)), "rate 1/15"),
+        (dict(snr_db=(float("nan"),)), "snr_db"),
+        (dict(snr_db=(3.0, float("inf"))), "snr_db"),
+        (dict(snr_db=(4000.0,)), "snr_db"),
+        (dict(n_fft=128.0), "n_fft"),
         # counts and seeds must be Python ints: otherwise these fail only
         # later, inside run_sweep, numpy, plan_session or the summary's JSON
-        dict(k=0, schemes=("hamming74",)),
-        dict(k=-4, schemes=("hamming74",)),
-        dict(k=96.0),
-        dict(k=True, schemes=("hamming74",)),
-        dict(k=np.int64(16)),
-        dict(master_seed=-1),
-        dict(master_seed=1.0),
-        dict(trials=2.5),
-        dict(trials="5"),
-        dict(workers=1.5),
-        dict(snr_db=5.0),
-        dict(snr_db=0.0),
-        dict(schemes="sozu"),
-        dict(schemes=()),
+        (dict(k=0, schemes=("hamming74",)), "k must"),
+        (dict(k=-4, schemes=("hamming74",)), "k must"),
+        (dict(k=96.0), "k must"),
+        (dict(k=True, schemes=("hamming74",)), "k must"),
+        (dict(k=np.int64(16)), "k must"),
+        (dict(master_seed=-1), "master_seed"),
+        (dict(master_seed=1.0), "master_seed"),
+        (dict(trials=2.5), "trials"),
+        (dict(trials="5"), "trials"),
+        (dict(workers=1.5), "workers"),
+        (dict(snr_db=5.0), "snr_db"),
+        (dict(snr_db=0.0), "snr_db"),
+        (dict(schemes="sozu"), "schemes"),
+        (dict(schemes=()), "schemes"),
+        # malformed types are refused here too, naming the field, not deep
+        # in numpy, snr_to_power or parse_scheme
+        (dict(leak=(0.5, 0.5)), "leak"),
+        (dict(leak=(0.2, 0.2, 0.2, 0.4)), "leak"),
+        (dict(leak=("a", "b", "c")), "leak"),
+        (dict(leak=5), "leak"),
+        (dict(sigma2="1"), "sigma2"),
+        (dict(fb_loss="0"), "fb_loss"),
+        (dict(snr_db=("1",)), "snr_db"),
+        (dict(schemes=(5,)), "scheme"),
+        (dict(schemes=("fixed:1/0",)), "scheme"),
+        (dict(schemes=("fixed:x",)), "scheme"),
     ], ids=["fb_loss_1.5", "fb_loss_1", "fb_loss_negative", "workers_0", "workers_negative",
             "n_fft_6", "n_fft_2", "leak_off_center", "leak_sum", "sigma2_0", "sigma2_nan",
             "sigma2_inf", "leak_nan", "signal_power_inf", "k_7",
             "k_513_fixed", "fixed_beyond_mother", "fixed_k9_beyond_mother", "snr_nan",
             "snr_inf", "snr_4000", "n_fft_float", "k_0_hamming", "k_negative_hamming", "k_float",
             "k_bool", "k_numpy", "seed_negative", "seed_float", "trials_float", "trials_str",
-            "workers_float", "snr_float", "snr_zero", "schemes_str", "schemes_empty"])
-    def test_rejects_bad_values_when_built(self, kwargs):
-        with pytest.raises(ValueError):
+            "workers_float", "snr_float", "snr_zero", "schemes_str", "schemes_empty",
+            "leak_two", "leak_four", "leak_str", "leak_int", "sigma2_str", "fb_loss_str",
+            "snr_str", "scheme_int", "fixed_zero_denominator", "fixed_not_a_fraction"])
+    def test_rejects_bad_values_when_built(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
             SimConfig(**kwargs)
 
     def test_hamming74_alone_takes_any_k(self):
@@ -533,6 +547,28 @@ def session_frame_at_a_time(cfg, snr_db, rngs, record):
     return gw
 
 
+def session_record(cfg, snr_db):
+    """An empty SessionRecord of a K=cfg.k session at snr_db."""
+    plan = plan_session(cfg.k)
+    return SessionRecord(k=cfg.k, n_mother=plan.n_mother, stage1_budget=plan.stage1_budget,
+                         snr_db=snr_db)
+
+
+def lookahead_asked(monkeypatch):
+    """The set, filled as sessions run, of the wire strings of the first
+    frames that the gateway's look-ahead (then) was called for."""
+    asked = set()
+    real = simulate.gateway_on_frames
+
+    def gateway(frames, llrs, sessions, then=None):
+        ahead = then and (lambda j, rate: asked.add(protocol.frame_to_wire(frames[j]))
+                          or then(j, rate))
+        return real(frames, llrs, sessions, ahead)
+
+    monkeypatch.setattr(simulate, "gateway_on_frames", gateway)
+    return asked
+
+
 class TestLookahead:
     """Wave 1 decodes each adaptive session's second frame beside its first;
     every session plays out as it does one frame at a time."""
@@ -540,34 +576,20 @@ class TestLookahead:
     @pytest.mark.parametrize("fb_loss", [0.0, 0.3, 0.9])
     def test_sessions_equal_frame_at_a_time(self, monkeypatch, fb_loss):
         cfg = SimConfig(k=96, snr_db=(3.0, 7.0, 9.0, 11.0, 18.0), fb_loss=fb_loss, master_seed=41)
-        plan = plan_session(cfg.k)
-
-        def record(snr_db):
-            return SessionRecord(k=cfg.k, n_mother=plan.n_mother,
-                                 stage1_budget=plan.stage1_budget, snr_db=snr_db)
-
         points = [(p, t) for p in range(len(cfg.snr_db)) for t in range(6)]
-        lanes = [(cfg.snr_db[p], None, trial_rngs(cfg.master_seed, p, t), record(cfg.snr_db[p]))
-                 for p, t in points]
+        lanes = [(cfg.snr_db[p], None, trial_rngs(cfg.master_seed, p, t),
+                  session_record(cfg, cfg.snr_db[p])) for p, t in points]
         # fixed-rate lanes share the groups and ask for no second frame
         points[3:3] = [None] * 3
         lanes[3:3] = [(7.0, Fraction(1, 2), trial_rngs(cfg.master_seed, 1, t), None)
                       for t in range(3)]
-        asked = set()  # the first frames then was called for
-        real = simulate.gateway_on_frames
-
-        def gateway(frames, llrs, sessions, then=None):
-            ahead = then and (lambda j, rate: asked.add(protocol.frame_to_wire(frames[j]))
-                              or then(j, rate))
-            return real(frames, llrs, sessions, ahead)
-
-        monkeypatch.setattr(simulate, "gateway_on_frames", gateway)
+        asked = lookahead_asked(monkeypatch)  # the first frames then was called for
         got = simulate._lockstep_sessions(cfg, lanes)
         seen = set()
         for point, (snr_db, rate, _, rec), (success, decoded, aux) in zip(points, lanes, got):
             if rate is not None:
                 continue
-            want = record(snr_db)
+            want = session_record(cfg, snr_db)
             gw = session_frame_at_a_time(cfg, snr_db, trial_rngs(cfg.master_seed, *point), want)
             assert rec.to_json() == want.to_json()
             assert (success, decoded.tobytes()) == (gw.succeeded, gw.last_info.tobytes())
@@ -583,6 +605,28 @@ class TestLookahead:
         assert all(len(rec.frames) == 1 + (not rec.feedback[0]["delivered"]
                                            or rec.decisions[0]["action"] != "ack")
                    for _, rate, _, rec in lanes if rate is None)
+
+    @pytest.mark.parametrize("fb_loss", [0.0, 0.5, 0.9])
+    def test_one_generator_per_lane_draws_as_a_lone_session(self, monkeypatch, fb_loss):
+        # a caller may pass one Generator as a lane's info, channel and
+        # feedback generators, so every record shows the order of its draws
+        cfg = SimConfig(k=96, snr_db=(3.0, 7.0, 9.0, 18.0), fb_loss=fb_loss)
+        # a seed per lane, so no two lanes send the same first frame
+        runs = [(snr_db, 8 * p + t) for p, snr_db in enumerate(cfg.snr_db) for t in range(8)]
+        lanes = [(snr_db, None, [np.random.default_rng(seed)] * 3, session_record(cfg, snr_db))
+                 for snr_db, seed in runs]
+        asked = lookahead_asked(monkeypatch)
+        simulate._lockstep_sessions(cfg, lanes)
+        seen = set()
+        for (snr_db, seed), (_, _, _, rec) in zip(runs, lanes):
+            want = session_record(cfg, snr_db)
+            session_frame_at_a_time(cfg, snr_db, [np.random.default_rng(seed)] * 3, want)
+            assert rec.to_json() == want.to_json()
+            seen.add((rec.frames[0] in asked, rec.decisions[0]["action"],
+                      rec.feedback[0]["delivered"]))
+        # ACKs at iteration 1 and after it, requests, and lost ACKs
+        assert {(False, "ack"), (True, "ack"), (True, "request_rate")} <= {s[:2] for s in seen}
+        assert any(action == "ack" and not delivered for _, action, delivered in seen) == (fb_loss > 0)
 
 
 class TestSessionReplay:
