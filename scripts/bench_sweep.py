@@ -1,18 +1,24 @@
-"""Sweep A/B: run_sweep batches of the benchmark's shapes, this tree against another.
+"""Sweep A/B: batches of the benchmark's shapes, this tree against another.
 
-Each round runs one batch of each shape through this tree's ``run_sweep``
-and through that of the ``polarlink`` package under DIR (a source tree's
-``src``, say a checkout of an earlier commit), which one leads switching
-every round, and checks that both write the same ``metrics.csv``,
-``trials.jsonl`` and ``summary.json``.  Each
-tree runs in an interpreter of its own (``harness.py``), so no import,
-cache, allocator state or pre-fork plan of one reaches the other's batches.
-A shape is a sweep workload of ``perfbench/workloads.py`` (``deep_fail``,
-``waterfall``) with the same code size, points, schemes, feedback loss and
-trials per batch, run with --workers workers (default 1); round r runs the
-batch r of seed --seed, as the benchmark's batch r does.  Back-to-back
-calls see the same host state, so their ratio holds up where a whole
-benchmark run's drifts.
+Each round runs one batch of each shape through this tree's ``polarlink``
+and through the ``polarlink`` package under DIR (a source tree's ``src``,
+say a checkout of an earlier commit), which one leads switching every
+round, and checks that both write the same output.  Each tree runs in an
+interpreter of its own (``harness.py``), so no import, cache, allocator
+state or pre-fork plan of one reaches the other's batches.  A shape is a
+workload of ``perfbench/workloads.py`` with the same code size, points,
+schemes, feedback loss and trials per batch; round r runs the batch r of
+seed --seed, as the benchmark's batch r does.  Back-to-back calls see the
+same host state, so their ratio holds up where a whole benchmark run's
+drifts.
+
+- ``deep_fail`` and ``waterfall``: one ``run_sweep`` call with --workers
+  workers (default 1), which must write the same ``metrics.csv``,
+  ``trials.jsonl`` and ``summary.json`` in both trees.
+- ``high_snr_session``: the benchmark's trial, a recorded ``run_session``,
+  its ``SessionRecord.to_json`` round trip and its replay, for each trial
+  of the batch, in process (--workers does not apply); both trees must
+  write the same session JSON, one record a line.
 
     PYTHONPATH=src python scripts/bench_sweep.py --against DIR [--rounds 20]
         [--workers 1] [--seed 1] [--out FILE]
@@ -36,14 +42,16 @@ import harness
 import polarlink
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import WARMUP_BATCH, WORKLOADS, batch_seed  # noqa: E402
+from workloads import WARMUP_BATCH, WORKLOADS, _one_session, batch_seed, sim_config  # noqa: E402
 
-SHAPES = ("deep_fail", "waterfall")
+SHAPES = ("deep_fail", "waterfall", "high_snr_session")
 OUTPUTS = ("metrics.csv", "trials.jsonl", "summary.json")
 
 
 def batch(workers, name, seed, index, trials):
-    """One run_sweep batch of shape ``name``: (seconds, {output file: text})."""
+    """One batch of shape ``name``: (seconds, {output file: text})."""
+    if WORKLOADS[name].is_session:
+        return session_batch(name, seed, index, trials)
     simulate, wl = polarlink.simulate, WORKLOADS[name]
     cfg = simulate.SimConfig(k=wl.k, snr_db=wl.snr_db, schemes=wl.schemes, fb_loss=wl.fb_loss,
                              trials=trials, master_seed=batch_seed(seed, index), workers=workers)
@@ -53,6 +61,16 @@ def batch(workers, name, seed, index, trials):
     with tempfile.TemporaryDirectory() as tmp:
         simulate.write_outputs(cfg, metrics, results, tmp)
         return seconds, {f: (Path(tmp) / f).read_text() for f in OUTPUTS}
+
+
+def session_batch(name, seed, index, trials):
+    """The benchmark's session batch: (seconds, {"sessions.jsonl": each
+    trial's recorded session JSON, a line each})."""
+    cfg = sim_config(WORKLOADS[name], seed, index, trials)
+    plan = polarlink.protocol.plan_session(cfg.k)
+    start = time.perf_counter()
+    texts = [_one_session(cfg, plan, t)[-1] for t in range(trials)]
+    return time.perf_counter() - start, {"sessions.jsonl": "\n".join(texts)}
 
 
 def quartiles(values):
@@ -73,7 +91,7 @@ def run(rounds, seed, trees):
             for i, tree in harness.in_turn(trees, r):
                 took, written[i] = tree(name, seed, r, wl.batch_trials)
                 seconds[i].append(took)
-            for f in OUTPUTS:
+            for f in written[0]:
                 if written[0][f] != written[1][f]:
                     raise SystemExit(f"{name} round {r}: the two trees wrote different {f}")
             ratio = seconds[1][-1] / seconds[0][-1]

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .construction import CodeSpec
-from .encoding import polar_transform
+from .encoding import _transform
 
 __all__ = [
     "FROZEN_PRIOR_LLR",
@@ -248,7 +248,10 @@ class _GatherPlan:
     """Which output messages each stage half writes, for one zero pattern:
     one_row maps 'leftward' and 'rightward' to their one-row (index, spans)
     and slices to the lengths of that index's slices (_one_row_index), all
-    built with the plan.
+    built with the plan.  kept maps each update rule (exact or not) to the
+    one-row _Lockstep cores, messages, scratch and both schedules, that
+    one-row decodes of this plan check out and return (bp_decode_many); they
+    go when the plan does.
 
     A stage half's outputs are of three kinds.  A box-plus output is f(yp,
     xp) + yq at the bottom q or f(yp, xq + yq) at the top p, where y is the
@@ -289,6 +292,7 @@ class _GatherPlan:
         for direction, halves in (("leftward", leftward), ("rightward", rightward)):
             index, spans, slices = _one_row_index(halves, n_log2, direction == "leftward")
             self.one_row[direction], self.slices[direction] = (index, spans), slices
+        self.kept = {True: [], False: []}
 
 
 def _derive_batch_index(plans, direction, stride):
@@ -367,6 +371,20 @@ def _gather_plan(n_log2, zero):
     pattern and keeps it for the next (the 16 most recent patterns), so a
     worker of run_sweep's kept pool builds each plan once, not once a sweep."""
     return _GatherPlan(n_log2, zero)
+
+
+@lru_cache(maxsize=16)
+def _code_rows(n, info_set):
+    """The frozen mask, the info mask (bool over N) and the prior row
+    right[0] of the code whose info positions are info_set (int64, as bytes,
+    a shorter key than the frozen set at a session's rates), built once and
+    read-only, as the code's decodes share them."""
+    info = np.zeros(n, dtype=bool)
+    info[np.frombuffer(info_set, dtype=np.int64)] = True
+    rows = ~info, info, np.where(info, 0.0, FROZEN_PRIOR_LLR)
+    for row in rows:
+        row.flags.writeable = False
+    return rows
 
 
 def _frozen_pass(left0, frozen):
@@ -510,6 +528,18 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     (_GatherPlan), so a punctured row costs its own pattern's work, whatever
     the rows beside it send.
 
+    A one-row batch, the gateway's usual call, runs on a core that its gather
+    plan keeps (_GatherPlan.kept), one per update rule: the messages,
+    scratch and both stage-half schedules that the pattern's first one-row
+    decode built, so a later call only zeroes right[1..] and writes its
+    prior and channel rows.  The code's frozen mask and prior row are kept
+    per info set.  A call checks its core out for its whole run with one
+    list pop and returns it with one append as it returns, so threads
+    decoding one pattern at once each run on a core of their own (a call
+    that finds none builds one), and a call that raises, a CRC check's
+    error say, returns nothing: its core goes with it.  A batch of more
+    rows allocates its messages per call.
+
     Parameters
     ----------
     llrs : array-like of float, shape (B, spec.n)
@@ -548,17 +578,22 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     if not batch:
         return []
     n_log2, n = spec.n_log2, spec.n
-    msgs = np.zeros((2, n_log2 + 1, batch, n))
-    left, right = msgs
-    right[0][:, spec.frozen_set] = FROZEN_PRIOR_LLR
-    left[n_log2] = llrs
+    frozen, info, prior = _code_rows(n, spec.info_set.tobytes())
     exact = cfg.update_rule == "exact"
     plans = (tuple(_gather_plan(n_log2, zero.tobytes()) for zero in llrs == 0) if exact
              else (_gather_plan(n_log2, bytes(n)),) * batch)
-    core = _Lockstep(msgs, np.arange(batch), plans, exact)
+    # a one-row batch runs on a core its plan keeps; pop is atomic, so no
+    # two decodes share one
+    kept = plans[0].kept[exact] if batch == 1 else []
+    try:
+        core = kept.pop()
+    except IndexError:
+        core = _Lockstep(np.zeros((2, n_log2 + 1, batch, n)), np.arange(batch), plans, exact)
+    else:
+        core.right[1:] = 0.0  # the last decode left it stale, and each output it skipped at +0
+    core.right[0] = prior
+    core.left[n_log2] = llrs
     results = [None] * batch
-    frozen = np.zeros(n, dtype=bool)
-    frozen[spec.frozen_set] = True
     # the rows without evidence for the frozen rule to agree with (BpConfig)
     silent = ~llrs.any(axis=1) if spec.frozen_set.size else np.ones(batch, dtype=bool)
     silent = silent if silent.any() else None
@@ -566,9 +601,7 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     def info_from(u_post):
         # systematic read-out: hard-decide u at the info positions (frozen
         # stay 0), re-encode, and pull the info bits off the codeword
-        u_hat = np.zeros(n, dtype=np.uint8)
-        u_hat[spec.info_set] = u_post[spec.info_set] < 0
-        return polar_transform(u_hat)[spec.info_set]
+        return _transform(np.less(u_post, 0) & info)[spec.info_set]
 
     def read_out(i, iterations, stop_reason, u_posterior=None, info_bits=None):
         if u_posterior is None:
@@ -625,6 +658,8 @@ def bp_decode_many(llrs, spec: CodeSpec, cfg: BpConfig = BpConfig(),
     else:
         for i in range(core.rows.size):
             read_out(i, cfg.max_iters, "max_iters")
+    if batch == 1:
+        kept.append(core)  # a one-row core never drops rows, so it is the one checked out
     return results
 
 

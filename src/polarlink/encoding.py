@@ -6,7 +6,7 @@ of its row and column index, and the encoder works through the matrix one
 column at a time with two K-bit buffers.  A dense Kronecker-product encoder is
 provided as a test oracle, together with a storage model contrasting the two.
 The simulator encodes with ``encode_transform_pair``, two butterfly passes over
-an N-bit vector, which gives the same codeword in O(N log N) vectorized work.
+an N-bit word, which gives the same codeword in O(N log N) bit operations.
 """
 
 from __future__ import annotations
@@ -64,24 +64,74 @@ def g_element(row: int, col: int, n_log2: int) -> int:
     return 1 if (row & col) == col else 0
 
 
+def _binary(bits) -> np.ndarray:
+    """bits as a 1-D uint8 array of 0s and 1s; ValueError on any other shape
+    or value.  A uint8 array, as every array of the session path is, costs
+    one max."""
+    x = np.asarray(bits)
+    if x.ndim != 1:
+        raise ValueError(f"bits must be 1-D, got shape {x.shape}")
+    if x.dtype == np.uint8:
+        if x.size and x.max() > 1:
+            raise ValueError("bits must be 0 or 1")
+        return x
+    if not ((x == 0) | (x == 1)).all():
+        raise ValueError("bits must be 0 or 1")
+    return x.astype(np.uint8)
+
+
+@lru_cache(maxsize=16)
+def _stage_masks(n: int) -> tuple:
+    """(step, mask) for each butterfly stage over an n-bit word: mask has
+    bit p set for each top position p of the stage, the p whose bit of
+    value step is clear, so step ones and step zeros in turn."""
+    masks, step = [], 1
+    while step < n:
+        # (2^step - 1) (1 + 2^(2 step) + 2^(4 step) + ...), up to bit n - 1
+        masks.append((step, ((1 << step) - 1) * (((1 << n) - 1) // ((1 << 2 * step) - 1))))
+        step <<= 1
+    return tuple(masks)
+
+
+def _pack(bits) -> int:
+    """A 0/1 (or bool) array as one integer, bit p of which is bits[p]."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _unpack(word: int, n: int) -> np.ndarray:
+    """The low n bits of word as a uint8 array, inverse to _pack."""
+    packed = np.frombuffer(word.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little")
+
+
+def _butterflies(word: int, n: int) -> int:
+    """x = u . G_N on an n-bit word: per stage, every top bit ^= its bottom."""
+    for step, mask in _stage_masks(n):
+        word ^= (word >> step) & mask
+    return word
+
+
+def _transform(bits) -> np.ndarray:
+    """polar_transform of a 1-D 0/1 array of power-of-two length, unchecked."""
+    return _unpack(_butterflies(_pack(bits), bits.size), bits.size)
+
+
 def polar_transform(u) -> np.ndarray:
     """Apply the butterfly circuit x = u . G_N without materializing G_N.
 
     The transform is an involution over GF(2): applying it twice returns the
-    input.  O(N log N) XORs on a copy of the input, one vectorized XOR per
-    stage.
+    input.  The N bits are packed into one Python integer, and each of the
+    log2 N stages is one shift, mask and XOR of that integer (the masks are
+    kept per N), so the whole transform costs a few big-integer operations
+    plus the pack and unpack.  u must be 1-D, of power-of-two length, and
+    hold only 0s and 1s; anything else raises ValueError.  Returns a new
+    uint8 array.
     """
-    x = np.array(u, dtype=np.uint8, copy=True)
+    x = _binary(u)
     n = x.size
     if n == 0 or (n & (n - 1)) != 0:
         raise ValueError(f"length must be a power of two, got {n}")
-    step = 1
-    while step < n:
-        # each row is one block of 2*step: top half ^= bottom half, in place
-        blocks = x.reshape(-1, 2, step)
-        blocks[:, 0] ^= blocks[:, 1]
-        step <<= 1
-    return x
+    return _transform(x)
 
 
 def encode_systematic(info, spec: CodeSpec, meter: AllocationMeter | None = None) -> np.ndarray:
@@ -151,21 +201,32 @@ def encode_transform_pair(info, spec: CodeSpec) -> np.ndarray:
     The output is always a codeword of the code, so the systematic check
     after the second transform is complete: if x[info_set] == info, x is the
     unique systematic codeword.  Raises ValueError when that check fails
-    (an info set that is not closed) and on an info length other than
-    spec.k.  Stores a full N-bit vector, unlike the streaming encoder.
+    (an info set that is not closed), on an info length other than spec.k
+    and on an info bit other than 0 or 1.  Both transforms run on one N-bit
+    integer word (polar_transform), which stays an integer between them:
+    the frozen positions are zeroed with a mask word kept per info set.
+    Stores a full N-bit vector, unlike the streaming encoder.
     """
-    info = np.asarray(info, dtype=np.uint8)
+    info = _binary(info)
     if info.shape != (spec.k,):
         raise ValueError(f"info must have length {spec.k}, got shape {info.shape}")
     u = np.zeros(spec.n, dtype=np.uint8)
     u[spec.info_set] = info
-    v = polar_transform(u)
-    v[spec.frozen_set] = 0
-    codeword = polar_transform(v)
+    v = _butterflies(_pack(u), spec.n) & _info_word(spec.n, spec.info_set.tobytes())
+    codeword = _unpack(_butterflies(v, spec.n), spec.n)
     if not np.array_equal(codeword[spec.info_set], info):
         raise ValueError("info set is not closed under bit domination; "
                          "the transform pair is not systematic for this code")
     return codeword
+
+
+@lru_cache(maxsize=16)
+def _info_word(n: int, info_set: bytes) -> int:
+    """The n-bit word with the bits of info_set (int64 positions, as bytes)
+    set, which zeroes the frozen positions between the two transforms."""
+    mask = np.zeros(n, dtype=bool)
+    mask[np.frombuffer(info_set, dtype=np.int64)] = True
+    return _pack(mask)
 
 
 @lru_cache(maxsize=8)

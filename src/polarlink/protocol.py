@@ -28,6 +28,7 @@ import numpy as np
 
 from .construction import CodeSpec, design_code
 from .decoding import BpConfig, DecodeResult, bp_decode_many, combine_llrs
+from .encoding import _binary
 
 __all__ = [
     "RATE_TABLE",
@@ -160,10 +161,13 @@ _CRC16_TABLE = _crc16_byte_table()
 def crc16(bits) -> int:
     """CRC-16 over a bit sequence: poly 0x1021, init 0xFFFF, no reflection.
 
-    Each bit is 0 or 1.  Whole bytes go through a 256-entry table; the
-    trailing len % 8 bits, if any, go through the bitwise shift-register step.
+    bits is 1-D and each bit must be 0 or 1; any other value (2, 0.5, -1)
+    raises ValueError, so no bit is read one way inside a whole byte and
+    another in the tail, and so does another shape, whose rows packbits
+    would pad.  Whole bytes go through a 256-entry table; the trailing
+    len % 8 bits, if any, go through the bitwise shift-register step.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = _binary(bits)
     whole = bits.size - bits.size % 8
     reg = CRC_INIT
     for byte in np.packbits(bits[:whole]).tolist():

@@ -1,6 +1,10 @@
 """Decoding: BP behavior, FBER statistics, combining, ML oracle checks."""
 
+import gc
 import pickle
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -807,7 +811,7 @@ class TestPlanCache:
     as a fresh decode's."""
 
     @staticmethod
-    def fresh(llrs, spec, cfg, checks):
+    def fresh(llrs, spec, cfg, checks=None):
         decoding._gather_plan.cache_clear()
         return bp_decode_many(llrs, spec, cfg, checks)
 
@@ -869,7 +873,8 @@ class TestPlanCache:
     def test_plan_is_complete_when_built(self):
         # a plan fresh from _gather_plan holds both directions' one-row
         # (index, spans) and slice lengths, and decodes of its
-        # pattern at B = 1-8 change none of it
+        # pattern at B = 1-8 change none of it; only its kept one-row
+        # cores, a workspace, change (TestKeptCore)
         llrs, spec, _ = _session_rows(96, ["3/4"] * 8, np.linspace(-2.0, 1.5, 8), seed=24)
         decoding._gather_plan.cache_clear()
         plan = decoding._gather_plan(spec.n_log2, (llrs[0] == 0).tobytes())
@@ -879,7 +884,8 @@ class TestPlanCache:
             18 * spec.n_log2, 18 * (spec.n_log2 - 1)]
 
         def built():
-            return {name: pickle.dumps(value) for name, value in vars(plan).items()}
+            return {name: pickle.dumps(value) for name, value in vars(plan).items()
+                    if name != "kept"}
 
         before = built()
         for b in range(1, 9):
@@ -957,6 +963,151 @@ class TestPlanCache:
             if want is not None:
                 assert derived == want
             assert len(decoding._last_batch) == 2
+
+
+class TestKeptCore:
+    """A one-row decode runs on a core (messages, scratch and both
+    schedules) its gather plan keeps, checked out for the call; every
+    result equals a fresh decode's, bit for bit."""
+
+    @staticmethod
+    def kept(row, cfg=BpConfig()):
+        """The cores kept for one-row decodes of row under cfg's rule."""
+        exact = cfg.update_rule == "exact"
+        zero = (row.reshape(-1) == 0).tobytes() if exact else bytes(row.size)
+        return decoding._gather_plan(row.size.bit_length() - 1, zero).kept[exact]
+
+    @pytest.mark.parametrize("rule", ["exact", "minsum"])
+    def test_calls_on_one_plan_carry_no_state(self, rule):
+        # A runs to its budget, so its rightward half fills right[1..];
+        # B, of the same pattern and gated by its CRC, stops early; then A
+        # again, and the same with a batch of that pattern between them
+        rows, spec, crcs = _session_rows(96, ["3/4"] * 4, [-1.0, 4.0, 0.5, 2.0], seed=31)
+        cfg = BpConfig(max_iters=12, update_rule=rule)
+        a, b, batch = rows[0:1], rows[1:2], rows[1:4]
+        check_b = _row_checks(crcs[1:2], [True])
+        want_a = TestPlanCache.fresh(a, spec, cfg)[0]
+        want_b = TestPlanCache.fresh(b, spec, cfg, check_b)[0]
+        want_batch = TestPlanCache.fresh(batch, spec, cfg)
+        assert want_a.stop_reason == "max_iters" and want_b.iterations_used < 12
+        decoding._gather_plan.cache_clear()
+        kept = self.kept(a, cfg)
+        cores = set()
+        for between in (False, True):
+            for llrs, checks, want in ((a, None, want_a), (b, check_b, want_b),
+                                       (a, None, want_a)):
+                assert_results_bitwise_equal(bp_decode_many(llrs, spec, cfg, checks)[0], want)
+                assert len(kept) == 1
+                cores.add(id(kept[0]))
+                if between:
+                    for got, res in zip(bp_decode_many(batch, spec, cfg), want_batch):
+                        assert_results_bitwise_equal(got, res)
+                    assert len(kept) == 1  # a batch runs on messages of its own
+        assert len(cores) == 1
+
+    def test_raising_check_leaves_nothing_behind(self):
+        rows, spec, crcs = _session_rows(96, ["3/4"] * 2, [1.0, 3.0], seed=32)
+        cfg = BpConfig(max_iters=10)
+        checks = _row_checks(crcs, [True, True])
+        want = [TestPlanCache.fresh(rows[i:i + 1], spec, cfg, checks[i:i + 1])[0] for i in (0, 1)]
+        decoding._gather_plan.cache_clear()
+        assert_results_bitwise_equal(bp_decode_many(rows[:1], spec, cfg, checks[:1])[0], want[0])
+        kept = self.kept(rows[:1])
+        assert len(kept) == 1
+
+        def raising(bits):
+            raise RuntimeError("check failed")
+
+        with pytest.raises(RuntimeError, match="check failed"):
+            bp_decode_many(rows[1:2], spec, cfg, [raising])
+        assert kept == []  # the core it checked out went with it
+        for i in (1, 0, 1):
+            assert_results_bitwise_equal(
+                bp_decode_many(rows[i:i + 1], spec, cfg, checks[i:i + 1])[0], want[i])
+        assert len(kept) == 1
+
+    def test_two_threads_on_one_plan(self):
+        # thread 1 waits inside its first CRC check, mid-decode, while
+        # thread 2 decodes another row of the same pattern start to end;
+        # each must run on a core of its own to return its serial result
+        rows, spec, crcs = _session_rows(96, ["3/4"] * 2, [6.0, 0.0], seed=33)
+        cfg = BpConfig(max_iters=20)
+        # a wrong CRC keeps row 0 running after its frozen rule passes
+        wrong = [lambda bits: crc16(bits) == crcs[0] ^ 1]
+        want = [TestPlanCache.fresh(rows[:1], spec, cfg, wrong)[0], TestPlanCache.fresh(rows[1:], spec, cfg)[0]]
+        assert want[0].iterations_used > 1
+        decoding._gather_plan.cache_clear()
+        bp_decode_many(rows[:1], spec, cfg)  # one core kept, for both threads to want
+        entered, done, got = threading.Event(), threading.Event(), [None, None]
+
+        def waiting(bits):
+            if not entered.is_set():
+                entered.set()
+                assert done.wait(30)
+            return wrong[0](bits)
+
+        def first():
+            got[0] = bp_decode_many(rows[:1], spec, cfg, [waiting])[0]
+
+        thread = threading.Thread(target=first)
+        thread.start()
+        try:
+            assert entered.wait(30)
+            assert self.kept(rows[:1]) == []  # thread 1 holds the one core
+            got[1] = bp_decode_many(rows[1:], spec, cfg)[0]
+        finally:
+            done.set()
+            thread.join(30)
+        for g, w in zip(got, want):
+            assert_results_bitwise_equal(g, w)
+        assert len(self.kept(rows[:1])) == 2  # each returned its own
+
+    def test_threads_stress_one_plan(self):
+        # more threads than cores, switching every few microseconds, each
+        # decoding rows of one pattern in turn: a core two threads shared
+        # would mix their messages
+        rows, spec, crcs = _session_rows(96, ["3/4"] * 6, np.linspace(-1.0, 4.0, 6), seed=35)
+        cfg = BpConfig(max_iters=8)
+        checks = _row_checks(crcs, [True] * 6)
+        want = [TestPlanCache.fresh(rows[i:i + 1], spec, cfg, checks[i:i + 1])[0] for i in range(6)]
+        got = {}
+
+        def work(t):
+            for j in range(12):
+                i = (t + j) % 6
+                got[t, j] = bp_decode_many(rows[i:i + 1], spec, cfg, checks[i:i + 1])[0]
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 4 * 12
+        for (t, j), res in got.items():
+            assert_results_bitwise_equal(res, want[(t + j) % 6])
+        assert 1 <= len(self.kept(rows[:1])) <= 4
+
+    def test_kept_cores_bounded_by_the_plan_cache(self):
+        spec = design_code(5, 8)
+        rng = np.random.default_rng(34)
+        decoding._gather_plan.cache_clear()
+        bound = decoding._gather_plan.cache_info().maxsize
+        refs = []
+        for _ in range(3 * bound):
+            llrs = np.zeros((1, spec.n))
+            llrs[:, rng.permutation(spec.n)[:12]] = rng.standard_normal(12)
+            bp_decode_many(llrs, spec, BpConfig(max_iters=2))
+            refs.append(weakref.ref(self.kept(llrs)[0]))
+        gc.collect()
+        assert decoding._gather_plan.cache_info().currsize == bound
+        assert sum(ref() is not None for ref in refs) == bound
+        assert all(ref() is not None for ref in refs[-bound:])
 
 
 class TestFrozenStopCheck:

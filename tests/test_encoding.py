@@ -77,10 +77,61 @@ class TestPolarTransform:
             u = rng.integers(0, 2, 1 << n_log2).astype(np.uint8)
             assert np.array_equal(polar_transform(u), encode_dense_oracle(u, n_log2))
 
+    @pytest.mark.parametrize("n_log2", range(1, 13))
+    def test_matches_dense_oracle_at_every_size(self, n_log2):
+        # N = 2 to 2^12: random words, and each unit vector's row of G_N
+        # at the first and last positions and at the packing's byte edges
+        rng = np.random.default_rng(50 + n_log2)
+        n = 1 << n_log2
+        for _ in range(3):
+            u = rng.integers(0, 2, n).astype(np.uint8)
+            x = polar_transform(u)
+            assert x.dtype == np.uint8 and x.shape == (n,)
+            assert np.array_equal(x, encode_dense_oracle(u, n_log2))
+        for p in {0, 7 % n, 8 % n, n // 2, n - 1}:
+            u = np.zeros(n, dtype=np.uint8)
+            u[p] = 1
+            assert np.array_equal(polar_transform(u), kronecker_generator(n_log2)[p])
+
     def test_involution(self):
         rng = np.random.default_rng(6)
         u = rng.integers(0, 2, 256).astype(np.uint8)
         assert np.array_equal(polar_transform(polar_transform(u)), u)
+
+    def test_involution_at_2_16(self):
+        rng = np.random.default_rng(7)
+        u = rng.integers(0, 2, 1 << 16).astype(np.uint8)
+        x = polar_transform(u)
+        assert not np.array_equal(x, u)
+        assert np.array_equal(polar_transform(x), u)
+
+    def test_accepts_lists_and_bools_and_copies(self):
+        u = np.array([1, 0, 1, 1], dtype=np.uint8)
+        want = encode_dense_oracle(u, 2)
+        assert np.array_equal(polar_transform(u.tolist()), want)
+        assert np.array_equal(polar_transform(u.astype(bool)), want)
+        assert np.array_equal(polar_transform(u.astype(np.float64)), want)
+        x = polar_transform(u)
+        x[0] ^= 1
+        assert u.tolist() == [1, 0, 1, 1]
+
+    @pytest.mark.parametrize("bad", [[2, 0, 0, 0], [0, 1, 0, -1], [0.5, 0, 0, 0], [0, 0, 0, np.nan],
+                                     np.array([0, 0, 0, 255], dtype=np.uint8), ["a", "b", "c", "d"]],
+                             ids=["two", "minus_one", "half", "nan", "uint8_255", "strings"])
+    def test_refuses_values_other_than_0_1(self, bad):
+        with pytest.raises(ValueError, match="0 or 1"):
+            polar_transform(bad)
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 2), dtype=np.uint8), np.zeros((1, 4), dtype=np.uint8),
+                                     np.uint8(1)], ids=["2x2", "1x4", "scalar"])
+    def test_refuses_non_1d(self, bad):
+        with pytest.raises(ValueError, match="1-D"):
+            polar_transform(bad)
+
+    @pytest.mark.parametrize("n", [0, 3, 6, 12])
+    def test_refuses_other_lengths(self, n):
+        with pytest.raises(ValueError, match="power of two"):
+            polar_transform(np.zeros(n, dtype=np.uint8))
 
 
 def systematic_parity_oracle(info, spec):
@@ -177,6 +228,15 @@ class TestTransformPair:
         spec = plan_session(96).spec
         with pytest.raises(ValueError):
             encode_transform_pair(np.zeros(95, dtype=np.uint8), spec)
+
+    def test_rejects_bits_other_than_0_1(self):
+        # a 2 would otherwise be read as 1 in the packed word and end in the
+        # systematic check's message
+        spec = plan_session(96).spec
+        info = np.zeros(96, dtype=np.uint8)
+        info[5] = 2
+        with pytest.raises(ValueError, match="0 or 1"):
+            encode_transform_pair(info, spec)
 
 
 class TestStorageReport:

@@ -126,6 +126,30 @@ class TestCrc16:
             bits = rng.integers(0, 2, int(rng.integers(0, 301))).astype(np.uint8)
             assert crc16(bits) == crc16_longdivision_oracle(bits)
 
+    @pytest.mark.parametrize("bad", [[2] * 8, [2], [0.5] * 8, [0.5], [1] * 7 + [-1], [np.nan],
+                                     np.full(9, 3, dtype=np.uint8)],
+                             ids=["two_byte", "two_tail", "half_byte", "half_tail", "minus_one",
+                                  "nan", "uint8_3"])
+    def test_refuses_bits_other_than_0_1(self, bad):
+        # a whole byte used to read such a bit as 1, the trailing bits its
+        # low bit, and a float was truncated: crc16([2] * 8) equalled
+        # crc16([1] * 8), but crc16([2]) equalled crc16([0])
+        with pytest.raises(ValueError, match="0 or 1"):
+            crc16(bad)
+
+    @pytest.mark.parametrize("bad", [np.zeros((3, 3), dtype=np.uint8), np.uint8(1), [[0, 1]]],
+                             ids=["3x3", "scalar", "nested"])
+    def test_refuses_non_1d(self, bad):
+        # a 3x3 array's rows were packed with pad bits: its CRC was that of
+        # 16 zeros, not 9
+        with pytest.raises(ValueError, match="1-D"):
+            crc16(bad)
+
+    def test_bools_and_lists_read_as_uint8(self):
+        bits = np.random.default_rng(25).integers(0, 2, 21).astype(np.uint8)
+        want = crc16(bits)
+        assert crc16(bits.astype(bool)) == crc16(bits.tolist()) == crc16(bits.astype(float)) == want
+
     def test_detects_every_single_bit_flip(self):
         rng = np.random.default_rng(21)
         bits = rng.integers(0, 2, 64).astype(np.uint8)

@@ -88,13 +88,15 @@ def test_bench_decoder_against_a_second_tree():
 
 def _bench_sweep_report(workers, rounds):
     """bench_sweep.py against this same tree: every round writes the same
-    metrics.csv through both, and each shape reports its ratio."""
+    outputs through both, and each shape, the session one included,
+    reports its ratio."""
     out = _run(ROOT / "scripts" / "bench_sweep.py", "--against", "src", "--rounds", str(rounds),
                "--workers", str(workers))
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout)
     assert report["settings"]["workers"] == workers
-    assert set(report["shapes"]) == {"deep_fail", "waterfall"}
+    assert set(report["shapes"]) == {"deep_fail", "waterfall", "high_snr_session"}
+    assert report["shapes"]["high_snr_session"]["trials_per_batch"] == 32
     for shape in report["shapes"].values():
         ratio = shape["ratio_other_over_this"]
         assert 0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
@@ -168,6 +170,40 @@ def test_bench_sweep_refuses_trials_that_differ(monkeypatch):
 
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     with pytest.raises(SystemExit, match="deep_fail round 0: .* different trials.jsonl"):
+        _script("bench_sweep").run(1, 1, [tree("this"), tree("other")])
+
+
+def test_bench_sweep_session_batch_is_the_benchmarks(monkeypatch):
+    # the session shape's batch r records, round-trips and replays the
+    # sessions of the benchmark's batch r, and returns their JSON
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    seconds, written = _script("bench_sweep").batch(1, "high_snr_session", 7919, 3, 2)
+    assert seconds > 0 and set(written) == {"sessions.jsonl"}
+    lines = written["sessions.jsonl"].split("\n")
+    assert len(lines) == 2
+    wl = workloads.WORKLOADS["high_snr_session"]
+    cfg = workloads.sim_config(wl, 7919, 3, 2)
+    plan = workloads.protocol.plan_session(cfg.k)
+    for t, line in enumerate(lines):
+        *_, loaded, replayed, text = workloads._one_session(cfg, plan, t)
+        assert line == text
+        assert replayed == json.loads(line)["decisions"] == loaded["decisions"]
+
+
+def test_bench_sweep_refuses_sessions_that_differ(monkeypatch):
+    # the sweep shapes agree; the session shape's JSON does not
+    def tree(sessions):
+        def batch(name, *request):
+            if name == "high_snr_session":
+                return 0.1, {"sessions.jsonl": sessions}
+            return 0.1, {"metrics.csv": "m", "trials.jsonl": "t", "summary.json": "s"}
+        return batch
+
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    with pytest.raises(SystemExit, match="high_snr_session round 0: .* different sessions.jsonl"):
         _script("bench_sweep").run(1, 1, [tree("this"), tree("other")])
 
 
